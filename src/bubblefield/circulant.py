@@ -39,7 +39,6 @@ __all__ = [
     "OutOfWindow",
     "THETA",
     "sigma_sq",
-    "sigma_sq_algebraic",
     "delta_coeff",
     "points_k10",
     "circulant_eigenvalue",
@@ -75,22 +74,6 @@ def sigma_sq(r: int, B: float) -> float:
     if not B > 0:
         raise InvalidInput(f"B must be positive, got {B}")
     return 4.0 * math.sin(r * math.pi / 10.0) ** 2 + 4.0 * B * math.sin(r * math.pi / 5.0) ** 2
-
-
-def sigma_sq_algebraic(r: int, B: float) -> float:
-    """Closed algebraic forms of sigma_r^2 (regression reference for sigma_sq)."""
-    if r not in (1, 2, 3, 4, 5):
-        raise BadIndex(f"r must be in 1..5, got {r}")
-    s5 = math.sqrt(5.0)
-    table = {
-        1: ((3.0 - s5) / 2.0, (5.0 - s5) / 2.0),
-        2: ((5.0 - s5) / 2.0, (5.0 + s5) / 2.0),
-        3: ((3.0 + s5) / 2.0, (5.0 + s5) / 2.0),
-        4: ((5.0 + s5) / 2.0, (5.0 - s5) / 2.0),
-        5: (4.0, 0.0),
-    }
-    c0, c1 = table[r]
-    return c0 + c1 * B
 
 
 def delta_coeff(r: int, B: float, kappa: float) -> float:
@@ -136,10 +119,14 @@ def solve_b0(
     Requires a sign change over the bracket; the result stays inside it and
     satisfies |lambda_4(B0)| <= tol.
     """
+    if not tol > 0:
+        raise InvalidInput(f"tol must be positive, got {tol}")
     if kappa is None:
         kappa = kappa_closed_form()
     f = lambda B: circulant_eigenvalue(4, B, kappa)
     lo, hi = float(bracket_lo), float(bracket_hi)
+    if not lo < hi:
+        raise InvalidInput(f"bracket must have lo < hi, got [{lo}, {hi}]")
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -47,11 +47,11 @@ class RunConfig:
     seed: int = 0
     kappa: float | None = None
     output: str | None = None
-    points: list | None = None
+    points: np.ndarray | None = None
     solver: equilibrium.SolverOptions = equilibrium.SolverOptions()
     integrator: dynamics.IntegratorOptions = dynamics.IntegratorOptions()
     schedule: dynamics.PerturbationSchedule | None = None
-    initial: object = None          # dict {t, alpha, beta} or "start-at-equilibrium:i,offset"
+    initial: dynamics.TrajectoryState | str | None = None  # or "start-at-equilibrium:i,offset"
     t_end: float | None = None
     n_triangles: int = 50
     quadrature: groundstate.QuadratureSpec = groundstate.QuadratureSpec()
@@ -87,19 +87,36 @@ def _sub_object(doc: dict, key: str, allowed: set) -> dict:
     return obj
 
 
-def parse_run_config(document: str) -> RunConfig:
-    """Validate a JSON run config, filling defaults; unknown keys are rejected."""
+def _decode(text: str):
     try:
-        doc = json.loads(document)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise ParseError("JSON nested too deeply") from e
+
+
+def parse_run_config(document: str | dict) -> RunConfig:
+    """Validate a run config given as JSON text or as its decoded object.
+
+    Defaults are filled in and unknown keys raise UnknownKey.  Each option
+    type checks its own fields; a value that cannot be converted raises
+    ValidationError.
+    """
+    doc = _decode(document) if isinstance(document, str) else document
     if not isinstance(doc, dict):
         raise ValidationError("run config must be a JSON object")
     command = doc.get("command")
     if command not in COMMANDS:
         raise ValidationError(f'"command" must be one of {COMMANDS}, got {command!r}')
     _check_keys(doc, _ALLOWED_KEYS[command], "run config")
+    try:
+        return _build(doc, command)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValidationError(f"unusable value in run config: {e}") from e
 
+
+def _build(doc: dict, command: str) -> RunConfig:
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValidationError(f'"seed" must be a non-negative integer, got {seed!r}')
@@ -112,56 +129,54 @@ def parse_run_config(document: str) -> RunConfig:
     if output is not None and not isinstance(output, str):
         raise ValidationError('"output" must be a string path')
 
-    cfg = RunConfig(command=command, seed=seed, kappa=kappa, output=output)
-
     sol = _sub_object(doc, "solver", _SOLVER_KEYS)
-    for key in ("tol", "dedup_radius"):
-        if key in sol:
-            sol[key] = float(sol[key])
-    for key in ("n_random", "max_iter"):
-        if key in sol and (not isinstance(sol[key], int) or isinstance(sol[key], bool)):
-            raise ValidationError(f'solver "{key}" must be an integer')
-    cfg = replace(cfg, solver=replace(cfg.solver, seed=seed, **sol))
+    cfg = RunConfig(
+        command=command,
+        seed=seed,
+        kappa=kappa,
+        output=output,
+        solver=equilibrium.SolverOptions(seed=seed, **sol),
+    )
 
     if command == "simulate":
-        if "schedule" not in doc:
-            raise ValidationError('"simulate" requires "schedule"')
-        sch = doc["schedule"]
-        if not isinstance(sch, dict):
-            raise ValidationError('"schedule" must be an object')
-        _check_keys(sch, _SCHEDULE_KEYS, '"schedule"')
+        for key in ("schedule", "initial", "t_end"):
+            if key not in doc:
+                raise ValidationError(f'"simulate" requires "{key}"')
+        sch = _sub_object(doc, "schedule", _SCHEDULE_KEYS)
         if "kind" not in sch:
             raise ValidationError('"schedule" requires "kind"')
         sch = dict(sch)
         for d in ("dir1", "dir2"):
             if d in sch:
                 sch[d] = np.asarray(sch[d], dtype=float)
-        cfg = replace(cfg, schedule=dynamics.PerturbationSchedule(**sch))
-        if "initial" not in doc:
-            raise ValidationError('"simulate" requires "initial"')
         initial = doc["initial"]
         if isinstance(initial, dict):
             _check_keys(initial, {"t", "alpha", "beta"}, '"initial"')
             if "alpha" not in initial or "beta" not in initial:
                 raise ValidationError('"initial" needs "alpha" and "beta"')
+            initial = dynamics.TrajectoryState(
+                t=float(initial.get("t", 0.0)),
+                alpha=np.asarray(initial["alpha"], dtype=float),
+                beta=np.asarray(initial["beta"], dtype=float),
+            )
         elif not (isinstance(initial, str) and initial.startswith("start-at-equilibrium:")):
             raise ValidationError(
                 '"initial" must be an object or "start-at-equilibrium:<index>,<offset>"'
             )
-        cfg = replace(cfg, initial=initial)
-        if "t_end" not in doc:
-            raise ValidationError('"simulate" requires "t_end"')
-        cfg = replace(cfg, t_end=float(doc["t_end"]))
-        integ = _sub_object(doc, "integrator", _INTEGRATOR_KEYS)
-        if integ:
-            cfg = replace(
-                cfg, integrator=replace(cfg.integrator, **{k: float(v) for k, v in integ.items()})
-            )
+        cfg = replace(
+            cfg,
+            schedule=dynamics.PerturbationSchedule(**sch),
+            initial=initial,
+            t_end=float(doc["t_end"]),
+            integrator=dynamics.IntegratorOptions(
+                **_sub_object(doc, "integrator", _INTEGRATOR_KEYS)
+            ),
+        )
 
     if command in ("equilibria", "simulate"):
         if "points" not in doc:
             raise ValidationError(f'"{command}" requires "points"')
-        cfg = replace(cfg, points=doc["points"])
+        cfg = replace(cfg, points=np.asarray(doc["points"], dtype=float))
 
     if command == "k10":
         if "bracket" in doc:
@@ -180,8 +195,7 @@ def parse_run_config(document: str) -> RunConfig:
 
     if command == "kappa-check":
         quad = _sub_object(doc, "quadrature", _QUADRATURE_KEYS)
-        if quad:
-            cfg = replace(cfg, quadrature=groundstate.QuadratureSpec(**quad))
+        cfg = replace(cfg, quadrature=groundstate.QuadratureSpec(**quad))
 
     return cfg
 
@@ -229,13 +243,7 @@ def _solution_record(sol: equilibrium.ReducedSolution, m) -> dict:
         "c": list(lifted.c),
         "residual_norm": sol.residual_norm,
         "tolerance": sol.tolerance,
-        "isolation": {
-            "eigenvalues": list(report.eigenvalues),
-            "det_shift": report.det_shift,
-            "eig18_residual": report.eig18_residual,
-            "isolated": report.isolated,
-            "sign_pattern": report.sign_pattern,
-        },
+        "isolation": {k: v for k, v in asdict(report).items() if k != "a_matrix"},
     }
 
 
@@ -254,34 +262,28 @@ def _run_equilibria(cfg: RunConfig) -> None:
     _write(cfg.output or "equilibria.json", _fmt(doc) + "\n")
 
 
-def _initial_state(cfg: RunConfig, m) -> dynamics.TrajectoryState:
-    init = cfg.initial
-    if isinstance(init, dict):
-        alpha = np.asarray(init["alpha"], dtype=float)
-        beta = np.asarray(init["beta"], dtype=float)
-        return dynamics.TrajectoryState(t=float(init.get("t", 0.0)), alpha=alpha, beta=beta)
-    spec = init[len("start-at-equilibrium:"):]
-    try:
-        idx_s, off_s = spec.split(",")
-        idx, offset = int(idx_s), float(off_s)
-    except ValueError as e:
-        raise ValidationError(f'bad start-at-equilibrium directive: {init!r}') from e
-    sols = equilibrium.solve_equilibria(m, cfg.solver)
-    if not 0 <= idx < len(sols):
-        raise ValidationError(f"equilibrium index {idx} out of range (found {len(sols)})")
-    a = equilibrium.lift(sols[idx]).a
-    alpha = (1.0 + offset) * a
-    return dynamics.TrajectoryState(t=0.0, alpha=alpha, beta=2.0 * alpha)
-
-
 def _run_simulate(cfg: RunConfig) -> None:
     conf = build_configuration(cfg.points)
     m = interaction_matrix(conf, cfg.kappa)
-    state = _initial_state(cfg, m)
+    state = cfg.initial
+    at_equilibrium = isinstance(state, str)
+    if at_equilibrium:
+        try:
+            idx_s, off_s = state[len("start-at-equilibrium:"):].split(",")
+            idx, offset = int(idx_s), float(off_s)
+        except ValueError as e:
+            raise ValidationError(f"bad start-at-equilibrium directive: {state!r}") from e
     try:
         eqs = [equilibrium.lift(s) for s in equilibrium.solve_equilibria(m, cfg.solver)]
     except equilibrium.NoSolutionFound:
+        if at_equilibrium:
+            raise
         eqs = []
+    if at_equilibrium:
+        if not 0 <= idx < len(eqs):
+            raise ValidationError(f"equilibrium index {idx} out of range (found {len(eqs)})")
+        alpha = (1.0 + offset) * eqs[idx].a
+        state = dynamics.TrajectoryState(t=0.0, alpha=alpha, beta=2.0 * alpha)
     traj = dynamics.integrate(
         state, m, cfg.schedule, cfg.t_end, cfg.integrator, equilibria=eqs or None
     )
@@ -302,14 +304,7 @@ def _run_simulate(cfg: RunConfig) -> None:
         "final_L": float(traj.lyapunov[-1]),
         "final_L_rate": float(traj.lyapunov_rate[-1]),
         "final_dist_to_eq": float(traj.dist_to_eq[-1]),
-        "omega": {
-            "window": omega.window,
-            "t_start": omega.t_start,
-            "box_min": list(omega.box_min),
-            "box_max": list(omega.box_max),
-            "diameter": omega.diameter,
-            "final_dist_to_eq": omega.final_dist_to_eq,
-        },
+        "omega": asdict(omega),
     }
     root, _ = os.path.splitext(out_csv)
     _write(root + ".summary.json", _fmt(summary) + "\n")
@@ -366,20 +361,7 @@ def _run_k3_check(cfg: RunConfig) -> None:
 
 def _run_kappa_check(cfg: RunConfig) -> None:
     report = groundstate.verify_kappa(cfg.quadrature)
-    doc = {
-        "command": "kappa-check",
-        "integral_w73": report.integral_w73,
-        "norm_lw_sq": report.norm_lw_sq,
-        "kappa_quadrature": report.kappa_quadrature,
-        "kappa_closed": report.kappa_closed,
-        "rel_error": report.rel_error,
-        "quadrature": {
-            "r_max": cfg.quadrature.r_max,
-            "n_panels": cfg.quadrature.n_panels,
-            "rule": cfg.quadrature.rule,
-            "tail_order": cfg.quadrature.tail_order,
-        },
-    }
+    doc = {"command": "kappa-check", **asdict(report), "quadrature": asdict(cfg.quadrature)}
     _write(cfg.output or "kappa_check.json", _fmt(doc) + "\n")
 
 
@@ -426,20 +408,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        doc = {"command": args.command}
         if args.config:
             with open(args.config) as fh:
-                text = fh.read()
-            doc = json.loads(text)
-            if isinstance(doc, dict) and "command" in doc and doc["command"] != args.command:
+                doc = _decode(fh.read())
+            if isinstance(doc, dict) and doc.setdefault("command", args.command) != args.command:
                 raise ValidationError(
                     f'config file says command {doc["command"]!r} but CLI asked for {args.command!r}'
                 )
-            if isinstance(doc, dict):
-                doc.setdefault("command", args.command)
-                text = json.dumps(doc)
-            cfg = parse_run_config(text)
-        else:
-            cfg = parse_run_config(json.dumps({"command": args.command}))
+        cfg = parse_run_config(doc)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed, solver=replace(cfg.solver, seed=args.seed))
         if args.output is not None:
@@ -450,11 +427,8 @@ def main(argv=None) -> int:
             cfg = replace(
                 cfg, root_tol=args.tol, solver=replace(cfg.solver, tol=args.tol)
             )
-    except (InvalidInput, OSError) as e:
+    except (InvalidInput, OSError, UnicodeDecodeError) as e:
         _emit_error(e)
-        return 1
-    except json.JSONDecodeError as e:
-        _emit_error(ParseError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"))
         return 1
 
     return run(cfg)

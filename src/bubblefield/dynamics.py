@@ -21,7 +21,7 @@ below the admissible floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -139,10 +139,14 @@ class IntegratorOptions:
     h_min: float = 1e-14
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
         if not self.rtol > 0 or not self.atol >= 0:
             raise InvalidInput("rtol must be positive and atol non-negative")
         if not self.sample_dt > 0:
             raise InvalidInput(f"sample_dt must be positive, got {self.sample_dt}")
+        if not self.max_step > 0:
+            raise InvalidInput(f"max_step must be positive, got {self.max_step}")
         if not self.alpha_floor >= 0:
             raise InvalidInput(f"alpha_floor must be >= 0, got {self.alpha_floor}")
 
@@ -296,11 +300,11 @@ def integrate(
     """
     if np.any(initial.alpha <= 0):
         raise NegativeAlpha("initial alpha must be entrywise positive")
-    if not t_end > initial.t:
-        raise InvalidInput(f"t_end must exceed the initial time {initial.t}")
+    if not initial.t < t_end < math.inf:
+        raise InvalidInput(f"t_end must be finite and exceed the initial time {initial.t}")
+    if initial.alpha.ndim != 1 or initial.beta.shape != initial.alpha.shape:
+        raise InvalidInput("alpha and beta must be vectors of equal length")
     k = initial.K
-    if initial.beta.shape != (k,):
-        raise InvalidInput("alpha and beta must have equal length")
     if k != m.K:
         raise InvalidInput(f"state has {k} components but the coupling matrix has {m.K}")
     if not (np.all(np.isfinite(initial.alpha)) and np.all(np.isfinite(initial.beta))):

@@ -13,6 +13,7 @@ stays away from zero.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +102,18 @@ class SolverOptions:
     max_iter: int = 200
     seed_span: tuple[float, float] = (1e-2, 1e2)
     extra_seeds: tuple = ()       # user-supplied start vectors
+
+    def __post_init__(self):
+        object.__setattr__(self, "tol", float(self.tol))
+        object.__setattr__(self, "dedup_radius", float(self.dedup_radius))
+        if not self.tol > 0:
+            raise InvalidInput(f"tol must be positive, got {self.tol}")
+        if not self.dedup_radius >= 0:
+            raise InvalidInput(f"dedup_radius must be >= 0, got {self.dedup_radius}")
+        for name, low in (("n_random", 0), ("max_iter", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise InvalidInput(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def reduced_residual(x, m: InteractionMatrix) -> np.ndarray:

@@ -12,8 +12,8 @@ plus an analytic power-law tail, and compares against the closed form.
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,10 +88,10 @@ class QuadratureSpec:
     tail_order: int = 2
 
     def __post_init__(self):
-        if not self.r_max >= 10.0:
-            raise InvalidInput(f"r_max must be >= 10, got {self.r_max}")
-        if not self.n_panels >= 16:
-            raise InvalidInput(f"n_panels must be >= 16, got {self.n_panels}")
+        if not 10.0 <= self.r_max < math.inf:
+            raise InvalidInput(f"r_max must be finite and >= 10, got {self.r_max}")
+        if not isinstance(self.n_panels, numbers.Integral) or not self.n_panels >= 16:
+            raise InvalidInput(f"n_panels must be an integer >= 16, got {self.n_panels!r}")
         if self.rule not in RULES:
             raise InvalidInput(f"rule must be one of {RULES}, got {self.rule!r}")
         if self.tail_order not in (1, 2):
@@ -107,19 +107,6 @@ class KappaReport:
     kappa_quadrature: float
     kappa_closed: float
     rel_error: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "integral_w73": self.integral_w73,
-                "norm_lw_sq": self.norm_lw_sq,
-                "kappa_quadrature": self.kappa_quadrature,
-                "kappa_closed": self.kappa_closed,
-                "rel_error": self.rel_error,
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
 
 def _integrand_w73(r):

@@ -18,7 +18,6 @@ from bubblefield.circulant import (
     k10_report,
     points_k10,
     sigma_sq,
-    sigma_sq_algebraic,
     solve_b0,
 )
 from bubblefield.config import interaction_matrix
@@ -27,6 +26,22 @@ from bubblefield.errors import InvalidInput, NumericalFailure
 
 # regression fixture: bisection + Newton polish at tol 1e-12, closed-form kappa
 B0_REGRESSION = 4.702313882987461
+
+
+def sigma_sq_algebraic(r: int, B: float) -> float:
+    """Closed algebraic forms of sigma_r^2: the reference sigma_sq is checked against."""
+    if r not in (1, 2, 3, 4, 5):
+        raise BadIndex(f"r must be in 1..5, got {r}")
+    s5 = math.sqrt(5.0)
+    table = {
+        1: ((3.0 - s5) / 2.0, (5.0 - s5) / 2.0),
+        2: ((5.0 - s5) / 2.0, (5.0 + s5) / 2.0),
+        3: ((3.0 + s5) / 2.0, (5.0 + s5) / 2.0),
+        4: ((5.0 + s5) / 2.0, (5.0 - s5) / 2.0),
+        5: (4.0, 0.0),
+    }
+    c0, c1 = table[r]
+    return c0 + c1 * B
 
 
 def cyclic(j, k):

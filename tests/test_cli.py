@@ -1,16 +1,20 @@
+import copy
 import json
+import math
 from dataclasses import replace
 
 import pytest
 
 from bubblefield.cli import (
     ParseError,
+    RunConfig,
     UnknownKey,
     ValidationError,
     main,
     parse_run_config,
     run,
 )
+from bubblefield.errors import InvalidInput
 
 K2_POINTS = [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]
 
@@ -24,6 +28,11 @@ def test_parse_minimal_equilibria():
     assert cfg.command == "equilibria"
     assert cfg.seed == 0
     assert cfg.solver.tol == 1e-12
+    # a decoded object parses too, and numeric strings convert
+    cfg = parse_run_config(
+        {"command": "equilibria", "points": K2_POINTS, "solver": {"tol": "1e-10"}}
+    )
+    assert cfg.solver.tol == 1e-10
 
 
 def test_parse_k10_needs_no_points():
@@ -36,6 +45,8 @@ def test_parse_rejects_bad_documents():
     with pytest.raises(ParseError) as e:
         parse_run_config("{not json")
     assert "line 1" in str(e.value)
+    with pytest.raises(ParseError):
+        parse_run_config("[" * 100000)
     with pytest.raises(ValidationError):
         parse_run_config(cfg_text(command="fly"))
     with pytest.raises(ValidationError) as e:
@@ -154,6 +165,16 @@ def test_kappa_check_artifact(tmp_path):
     out = tmp_path / "kc.json"
     assert run(parse_run_config(cfg_text(command="kappa-check", output=str(out)))) == 0
     doc = json.loads(out.read_text())
+    assert set(doc) == {
+        "command",
+        "integral_w73",
+        "norm_lw_sq",
+        "kappa_quadrature",
+        "kappa_closed",
+        "rel_error",
+        "quadrature",
+    }
+    assert set(doc["quadrature"]) == {"r_max", "n_panels", "rule", "tail_order"}
     assert doc["rel_error"] <= 1e-6
     assert doc["kappa_closed"] == pytest.approx(22.5427910971, abs=1e-9)
 
@@ -196,6 +217,9 @@ def test_main_end_to_end(tmp_path, capsys):
     assert err["error"] == "ValidationError"
     # tol override does not apply to kappa-check
     assert main(["kappa-check", "--tol", "1e-9"]) == 1
+    # a config file that is not UTF-8 text
+    conf.write_bytes(b"\xff\xfe\x00")
+    assert main(["equilibria", "--config", str(conf)]) == 1
 
 
 def test_main_seed_override(tmp_path):
@@ -210,3 +234,141 @@ def test_main_seed_override(tmp_path):
     assert main(["k3-check", "--config", str(conf), "--output", str(c), "--seed", "8"]) == 0
     assert json.loads(a.read_text())["seed"] == 7
     assert json.loads(c.read_text())["seed"] == 8
+
+
+AT_EQ = {"initial": "start-at-equilibrium:0,0.0", "t_end": 1}
+MALFORMED = {
+    "tol-not-a-number": {"command": "equilibria", "points": K2_POINTS, "solver": {"tol": "abc"}},
+    "tol-negative": {"command": "equilibria", "points": K2_POINTS, "solver": {"tol": -1}},
+    "n_random-negative": {"command": "equilibria", "points": K2_POINTS, "solver": {"n_random": -5}},
+    "max_iter-zero": {"command": "equilibria", "points": K2_POINTS, "solver": {"max_iter": 0}},
+    "dedup_radius-list": {
+        "command": "equilibria", "points": K2_POINTS, "solver": {"dedup_radius": [1]}
+    },
+    "kappa-string": {"command": "equilibria", "points": K2_POINTS, "kappa": "x"},
+    "points-string": {"command": "equilibria", "points": "abc"},
+    "points-ragged": {"command": "equilibria", "points": [[0, 0, 0, 0, 0], [1, 0, 0]]},
+    "amplitude-string": {
+        "command": "simulate", "points": K2_POINTS, **AT_EQ,
+        "schedule": {"kind": "exponential", "amplitude": "big"},
+    },
+    "t_end-string": {
+        "command": "simulate", "points": K2_POINTS, **AT_EQ,
+        "schedule": {"kind": "zero"}, "t_end": "soon",
+    },
+    "rtol-list": {
+        "command": "simulate", "points": K2_POINTS, **AT_EQ,
+        "schedule": {"kind": "zero"}, "integrator": {"rtol": [1]},
+    },
+    "initial-beta-string": {
+        "command": "simulate", "points": K2_POINTS, "schedule": {"kind": "zero"}, "t_end": 1,
+        "initial": {"alpha": [1, 1], "beta": "x"},
+    },
+    "dir1-string": {
+        "command": "simulate", "points": K2_POINTS, **AT_EQ,
+        "schedule": {"kind": "power", "amplitude": 0.1, "rate": 1.0, "dir1": "ab"},
+    },
+    "bracket-string": {"command": "k10", "bracket": ["a", 1]},
+    "root-tol-string": {"command": "k10", "tol": "x"},
+    "n_panels-fraction": {"command": "kappa-check", "quadrature": {"n_panels": 100.5}},
+    "r_max-string": {"command": "kappa-check", "quadrature": {"r_max": "x"}},
+    "tol-null": {"command": "k3-check", "solver": {"tol": None}},
+    "initial-alpha-scalar": {
+        "command": "simulate", "points": K2_POINTS, "schedule": {"kind": "zero"}, "t_end": 1,
+        "initial": {"alpha": 1, "beta": 2},
+    },
+    "max_step-zero": {
+        "command": "simulate", "points": K2_POINTS, **AT_EQ,
+        "schedule": {"kind": "zero"}, "integrator": {"max_step": 0},
+    },
+    "t_end-infinite": {
+        "command": "simulate", "points": K2_POINTS, **AT_EQ,
+        "schedule": {"kind": "zero"}, "t_end": math.inf,
+    },
+    "bracket-reversed": {"command": "k10", "bracket": [4.71, 4.70]},
+    "root-tol-negative": {"command": "k10", "tol": -1},
+    "r_max-infinite": {"command": "kappa-check", "quadrature": {"r_max": math.inf}},
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_config_exits_1(doc, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps(doc))
+    assert main([doc["command"], "--config", str(conf)]) == 1
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1
+    assert "error" in json.loads(lines[0])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
+# one valid config per command with every settable field present
+FULL_CONFIGS = [
+    {
+        "command": "equilibria", "seed": 1, "kappa": 20.0, "output": "eq.json",
+        "points": K2_POINTS,
+        "solver": {"tol": 1e-12, "dedup_radius": 1e-6, "n_random": 4, "max_iter": 50},
+    },
+    {
+        "command": "simulate", "points": K2_POINTS, "t_end": 1.0,
+        "schedule": {
+            "kind": "power", "amplitude": 0.1, "rate": 1.0, "dir1": [1, 0], "dir2": [0, 1]
+        },
+        "initial": {"t": 0, "alpha": [1, 1], "beta": [2, 2]},
+        "integrator": {
+            "rtol": 1e-9, "atol": 1e-12, "alpha_floor": 1e-8, "sample_dt": 0.1, "max_step": 1.0
+        },
+    },
+    {"command": "k10", "bracket": [4.70, 4.71], "tol": 1e-12},
+    {"command": "k3-check", "n_triangles": 2, "solver": {"tol": 1e-12}},
+    {
+        "command": "kappa-check",
+        "quadrature": {"r_max": 100.0, "n_panels": 64, "rule": "simpson", "tail_order": 1},
+    },
+]
+
+
+def _with_value(doc, path, value):
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def test_parse_never_raises_outside_invalid_input():
+    # the property targets the parser, not main, so no generated config starts a run
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    words = st.text(max_size=6) | st.sampled_from(["1e-9", "zero", "start-at-equilibrium:0,1"])
+    # JSON allows integers too large for a float
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.just(10**400) | words
+    json_values = st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=5) | st.dictionaries(words, inner, max_size=3),
+        max_leaves=10,
+    )
+    # a valid config with one field replaced or added, at the top level or in a section
+    paths = [
+        (i, (k,) + sub)
+        for i, doc in enumerate(FULL_CONFIGS)
+        for k, v in list(doc.items()) + [("extra", None)]
+        for sub in [()] + ([(s,) for s in [*v, "extra"]] if isinstance(v, dict) else [])
+    ]
+    documents = st.tuples(st.sampled_from(paths), scalars | json_values).map(
+        lambda pv: _with_value(FULL_CONFIGS[pv[0][0]], pv[0][1], pv[1])
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(documents)
+    def check(doc):
+        try:
+            assert isinstance(parse_run_config(doc), RunConfig)
+        except InvalidInput:
+            pass
+
+    for doc in FULL_CONFIGS:
+        parse_run_config(doc)
+    check()
