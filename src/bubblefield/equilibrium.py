@@ -13,6 +13,7 @@ stays away from zero.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -87,7 +88,7 @@ class IsolationReport:
 
     a_matrix: np.ndarray
     eigenvalues: np.ndarray  # sorted ascending
-    det_shift: float         # det(6I - A)
+    det_shift: float         # det(6I - A); +-inf once the product overflows
     eig18_residual: float    # ||A u - 18 u|| / ||u||, u = x^2
     isolated: bool
     sign_pattern: str        # one character per eigenvalue: '-', '0' or '+'
@@ -145,7 +146,9 @@ def isolation_check(sol: ReducedSolution, m: InteractionMatrix) -> IsolationRepo
     """Certify (non-)isolation of a solution through the spectrum of A.
 
     isolated is true iff |det(6I - A)| > 1e-8 * 6^K, a threshold scaled to
-    the natural magnitude of det(6I).
+    the natural magnitude of det(6I).  The test is made on sum(log|6 - mu|),
+    so it holds for any K; det_shift itself is the plain product of the
+    shifted eigenvalues and may overflow to +-inf for large K.
     """
     if not sol.residual_norm <= 1e-8:
         raise InvalidInput(
@@ -157,7 +160,9 @@ def isolation_check(sol: ReducedSolution, m: InteractionMatrix) -> IsolationRepo
     except np.linalg.LinAlgError as e:
         raise SpectrumFailure(f"symmetric eigensolver failed: {e}") from e
     k = sol.K
-    det_shift = float(np.prod(6.0 - eigs))
+    with np.errstate(over="ignore", divide="ignore"):
+        det_shift = float(np.prod(6.0 - eigs))
+        log_abs_det = float(np.sum(np.log(np.abs(6.0 - eigs))))
     u = sol.x**2
     eig18 = float(np.linalg.norm(a @ u - 18.0 * u) / np.linalg.norm(u))
     scale = float(np.max(np.abs(eigs))) if k else 0.0
@@ -169,7 +174,7 @@ def isolation_check(sol: ReducedSolution, m: InteractionMatrix) -> IsolationRepo
         eigenvalues=eigs,
         det_shift=det_shift,
         eig18_residual=eig18,
-        isolated=bool(abs(det_shift) > 1e-8 * 6.0**k),
+        isolated=log_abs_det > math.log(1e-8) + k * math.log(6.0),
         sign_pattern=pattern,
     )
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from bubblefield.dynamics import (
     trajectory_csv,
     vector_field,
 )
+from bubblefield.circulant import family_member
 from bubblefield.equilibrium import EquilibriumPoint, lift, solve_equilibria
 from bubblefield.errors import InvalidInput
 
@@ -310,6 +313,89 @@ def test_trajectory_csv_format(k2_matrix):
     # full 17-significant-digit round trip
     assert float(first[2]) == traj.alpha[0][0]
     assert trajectory_csv(traj) == text
+
+
+def csv_oracle(traj):
+    """Reference exporter: every value through its own f-string."""
+    k = traj.K
+    cols = (
+        ["t", "s"]
+        + [f"alpha_{i + 1}" for i in range(k)]
+        + [f"beta_{i + 1}" for i in range(k)]
+        + ["L", "L_rate", "dist_to_eq"]
+    )
+    lines = [",".join(cols)]
+    for i, t in enumerate(traj.ts):
+        row = (
+            [t, math.exp(t)]
+            + list(traj.alpha[i])
+            + list(traj.beta[i])
+            + [traj.lyapunov[i], traj.lyapunov_rate[i], traj.dist_to_eq[i]]
+        )
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_trajectory_csv_matches_per_value_oracle(k2_matrix, k3_equilateral):
+    opts = IntegratorOptions(sample_dt=0.03)
+    eq3 = lift(solve_equilibria(k3_equilateral)[0])
+    start3 = TrajectoryState(0.0, eq3.a * np.array([1.01, 0.99, 1.0]), eq3.c.copy())
+    no_eq = integrate(start3, k3_equilateral, ZERO, 0.4, opts)
+    assert np.all(np.isnan(no_eq.dist_to_eq))
+    eq2 = k2_equilibrium(k2_matrix)
+    forced = PerturbationSchedule("exponential", amplitude=0.01, rate=1.0)
+    with_eq = integrate(state_at(eq2, t=0.37), k2_matrix, forced, 1.2, opts, equilibria=[eq2])
+    for traj in (no_eq, with_eq):
+        assert trajectory_csv(traj) == csv_oracle(traj)
+
+
+def test_diagnostics_match_per_sample_functions(family):
+    # forcing along the chord between two points of the equilibrium curve
+    # carries the state from the first towards the second
+    e1, e2 = lift(family_member(0.30, family)), lift(family_member(0.34, family))
+    sch = PerturbationSchedule(
+        "exponential", amplitude=1.0, rate=1.0, dir1=e2.a - e1.a, dir2=e2.c - e1.c
+    )
+    traj = integrate(
+        state_at(e1), family.matrix, sch, 1.0, IntegratorOptions(sample_dt=0.05),
+        equilibria=[e1, e2],
+    )
+    samples = traj.samples
+    nearer_first = [distance_to_set(st, [e1]) < distance_to_set(st, [e2]) for st in samples]
+    assert any(nearer_first) and not all(nearer_first)
+    lyap = np.array([lyapunov(st, family.matrix) for st in samples])
+    rate = np.array([lyapunov_rate(st) for st in samples])
+    dist = np.array([distance_to_set(st, [e1, e2]) for st in samples])
+    assert np.array_equal(traj.lyapunov_rate, rate)
+    assert np.array_equal(traj.dist_to_eq, dist)
+    assert np.all(np.abs(traj.lyapunov - lyap) <= 1e-15 * (1.0 + np.abs(lyap)))
+
+
+def test_forcing_directions_match_reference_solver(k3_equilateral):
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    m = k3_equilateral
+    eq = lift(solve_equilibria(m)[0])
+    sch = PerturbationSchedule(
+        "power",
+        amplitude=0.01,
+        rate=1.5,
+        dir1=np.array([1.0, -0.5, 0.25]),
+        dir2=np.array([-2.0, 0.3, 1.0]),
+    )
+    traj = integrate(state_at(eq), m, sch, 1.0, IntegratorOptions(sample_dt=0.25))
+
+    def rhs(t, y):
+        da, db = vector_field(TrajectoryState(t, y[:3], y[3:]), m)
+        return np.concatenate([da + sch.eps1(t, 3), db + sch.eps2(t, 3)])
+
+    y0 = np.concatenate([eq.a, eq.c])
+    ref = scipy_integrate.solve_ivp(
+        rhs, (0.0, 1.0), y0, method="DOP853", rtol=1e-12, atol=1e-14
+    )
+    assert ref.success
+    end = np.concatenate([traj.alpha[-1], traj.beta[-1]])
+    assert np.max(np.abs(end - y0)) > 0.1  # the forcing moved the state
+    assert np.max(np.abs(end - ref.y[:, -1])) <= 1e-7
 
 
 def test_integrate_validation(k2_matrix):

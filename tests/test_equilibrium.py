@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from bubblefield.config import build_configuration, interaction_matrix
+from bubblefield.config import InteractionMatrix, build_configuration, interaction_matrix
 from bubblefield.equilibrium import (
     NonPositiveComponent,
     NonPositiveDistance,
@@ -102,6 +104,28 @@ def test_isolation_check_requires_converged_input(k2_matrix):
     bad = ReducedSolution(x=np.array([1.0, 1.0]), residual_norm=1e-3, tolerance=1e-3)
     with pytest.raises(InvalidInput):
         isolation_check(bad, k2_matrix)
+
+
+def all_equal_solution(K):
+    """x = 1 solves the reduced system for m = 6/(K-1) (J - I); A has spectrum {18, -18/(K-1)}."""
+    m = InteractionMatrix(m=6.0 / (K - 1) * (np.ones((K, K)) - np.eye(K)), kappa=1.0)
+    x = np.ones(K)
+    residual = float(np.max(np.abs(reduced_residual(x, m))))
+    return ReducedSolution(x=x, residual_norm=residual, tolerance=1e-12), m
+
+
+@pytest.mark.parametrize("K", [50, 400])
+def test_isolation_check_large_k(K):
+    sol, m = all_equal_solution(K)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = isolation_check(sol, m)
+    assert rep.isolated
+    if K == 50:
+        # the product rule it replaces, still finite at this size
+        assert rep.isolated == bool(abs(np.prod(6.0 - rep.eigenvalues)) > 1e-8 * 6.0**K)
+    else:
+        assert rep.det_shift == -np.inf  # 6^400 overflows; the verdict does not
 
 
 @pytest.mark.parametrize("distance", [1.0, 2.0, 5.0])
