@@ -54,7 +54,16 @@ class SpectrumFailure(NumericalFailure):
 
 
 class NoSolutionFound(NumericalFailure):
-    """Every Newton start failed; no positive solution was located."""
+    """Every Newton start failed; no positive solution was located.
+
+    outcomes counts the starts by how each ended: converged, below floor
+    (converged toward the trivial solution), line search exhausted and
+    iteration cap.
+    """
+
+    def __init__(self, message: str, outcomes: dict[str, int]):
+        super().__init__(message)
+        self.outcomes = outcomes
 
 
 @dataclass(frozen=True)
@@ -115,23 +124,39 @@ class SolverOptions:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
                 raise InvalidInput(f"{name} must be an integer >= {low}, got {value!r}")
+        try:
+            lo, hi = (float(v) for v in self.seed_span)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise InvalidInput(f"seed_span must be two numbers, got {self.seed_span!r}") from e
+        if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi):
+            raise InvalidInput(f"seed_span must be finite with 0 < lo <= hi, got {(lo, hi)}")
+        object.__setattr__(self, "seed_span", (lo, hi))
 
 
 def reduced_residual(x, m: InteractionMatrix) -> np.ndarray:
-    """Component k of 6 x_k - sum_{j != k} m[j][k] x_j^3.
+    """Component k of 6 x_k - sum_{j != k} m[j][k] x_j^3, for x of shape (..., K).
 
     Evaluated for any finite x (cubes are odd), so Newton line searches may
     probe outside the positive orthant; solutions themselves are filtered to
-    x > 0 by the solver.
+    x > 0 by the solver.  A stack of x is evaluated as a stack of
+    matrix-vector products, so each row is rounded as it is on its own.
     """
     x = np.asarray(x, dtype=float)
-    return 6.0 * x - m.m @ x**3
+    return 6.0 * x - (m.m @ x[..., None] ** 3)[..., 0]
+
+
+def _sq_norms(f: np.ndarray) -> np.ndarray:
+    """f_i . f_i along the last axis, rounded as the dot product of one row."""
+    return (f[..., None, :] @ f[..., None])[..., 0, 0]
 
 
 def reduced_jacobian(x, m: InteractionMatrix) -> np.ndarray:
-    """Jacobian of the reduced residual: 6 on the diagonal, -3 m[k][l] x_l^2 off it."""
+    """Jacobian of the reduced residual: 6 on the diagonal, -3 m[k][l] x_l^2 off it.
+
+    x of shape (..., K) gives one K x K Jacobian per row.
+    """
     x = np.asarray(x, dtype=float)
-    return 6.0 * np.eye(x.shape[0]) - 3.0 * m.m * x[None, :] ** 2
+    return 6.0 * np.eye(x.shape[-1]) - 3.0 * m.m * x[..., None, :] ** 2
 
 
 def symmetrized_matrix(x, m: InteractionMatrix) -> np.ndarray:
@@ -179,75 +204,117 @@ def isolation_check(sol: ReducedSolution, m: InteractionMatrix) -> IsolationRepo
     )
 
 
+# Starts advance in blocks of about _BLOCK Jacobian entries, so the memory
+# of the batched SVD and the backtracking ladder does not grow with the
+# number of starts.
+_BLOCK = 4096
+# Every backtracking factor a halving loop from 1 tries: 2^0 .. 2^-39, exact.
+_LADDER = 0.5 ** np.arange(40)
+_CONVERGED, _LINE_SEARCH_EXHAUSTED, _ITERATION_CAP = 0, 1, 2
+
+
 def _newton(x0: np.ndarray, m: InteractionMatrix, opts: SolverOptions):
-    """Damped Newton with positivity-preserving backtracking; None on failure."""
-    x = x0.copy()
+    """Damped Newton with positivity-preserving backtracking from each row of x0.
+
+    The rows advance together, but each follows the iteration of a lone
+    start: it stops as converged once max|f| <= tol (1 + max|6x|), takes the
+    minimum-norm least-squares step (bounded when J is near-singular, as on
+    non-isolated solution manifolds), and accepts the first halving of that
+    step that keeps x > 0 and lowers |f|^2.  Returns the final x, max|f|,
+    the threshold (both NaN unless converged) and the outcome code of every
+    row.
+    """
+    k = x0.shape[1]
+    block = max(1, _BLOCK // (k * k))
+    parts = [_newton_block(x0[lo : lo + block], m, opts) for lo in range(0, len(x0), block)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _newton_block(x0, m, opts):
+    """_newton on one block of starts, all live rows moved in lockstep."""
+    x = np.array(x0, dtype=float)
+    s, k = x.shape
+    nf = np.full(s, np.nan)
+    thresh = np.full(s, np.nan)
+    outcome = np.full(s, _ITERATION_CAP)
+    live = np.arange(s)
     for _ in range(opts.max_iter):
-        f = reduced_residual(x, m)
-        nf = float(np.max(np.abs(f)))
-        thresh = opts.tol * (1.0 + float(np.max(np.abs(6.0 * x))))
-        if nf <= thresh:
-            return x, nf, thresh
-        # least-squares step stays bounded when J is near-singular
-        # (non-isolated solution manifolds)
-        step = np.linalg.lstsq(reduced_jacobian(x, m), -f, rcond=None)[0]
-        f2 = float(f @ f)
-        lam = 1.0
-        for _ in range(40):
-            xn = x + lam * step
-            if np.all(xn > 0):
-                fn = reduced_residual(xn, m)
-                if float(fn @ fn) < f2:
-                    x = xn
-                    break
-            lam *= 0.5
-        else:
-            return None
-    return None
+        xl = x[live]
+        f = reduced_residual(xl, m)
+        nfl = np.max(np.abs(f), axis=1)
+        tl = opts.tol * (1.0 + np.max(np.abs(6.0 * xl), axis=1))
+        done = nfl <= tl
+        nf[live[done]], thresh[live[done]] = nfl[done], tl[done]
+        outcome[live[done]] = _CONVERGED
+        live, xl, f = live[~done], xl[~done], f[~done]
+        if not live.size:
+            break
+        # pinv at this cutoff gives lstsq's (rcond=None) minimum-norm step
+        jac = reduced_jacobian(xl, m)
+        step = -(np.linalg.pinv(jac, rtol=k * np.finfo(float).eps) @ f[:, :, None])[:, :, 0]
+        xn = xl[:, None, :] + _LADDER[:, None] * step[:, None, :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok = np.all(xn > 0, axis=2) & (
+                _sq_norms(reduced_residual(xn, m)) < _sq_norms(f)[:, None]
+            )
+        first = ok.argmax(axis=1)
+        moved = ok[np.arange(live.size), first]
+        x[live[moved]] = xn[moved, first[moved]]
+        outcome[live[~moved]] = _LINE_SEARCH_EXHAUSTED
+        live = live[moved]
+    return x, nf, thresh, outcome
 
 
 def solve_equilibria(m: InteractionMatrix, options: SolverOptions = SolverOptions()):
     """Multistart damped Newton for positive solutions of the reduced system.
 
     Starts from a symmetric seed (exact for equal-distance configurations),
-    options.n_random log-uniform perturbations of it, and any user seeds.
-    Converged positive solutions are sorted lexicographically and
-    deduplicated within options.dedup_radius in max-norm.
+    options.n_random log-uniform perturbations of it, and any user seeds;
+    all starts are advanced together.  Converged positive solutions are
+    sorted lexicographically and deduplicated within options.dedup_radius
+    in max-norm.  NoSolutionFound carries the count of each start outcome.
     """
     k = m.K
     mean_row = float(np.mean(np.sum(m.m, axis=1)))
     xbar = np.sqrt(6.0 / mean_row)
-    seeds = [np.full(k, xbar)]
     rng = np.random.default_rng(options.seed)
     lo, hi = np.log(options.seed_span[0]), np.log(options.seed_span[1])
-    for _ in range(options.n_random):
-        seeds.append(xbar * np.exp(rng.uniform(lo, hi, size=k)))
+    seeds = [np.full((1, k), xbar), xbar * np.exp(rng.uniform(lo, hi, size=(options.n_random, k)))]
     for s in options.extra_seeds:
         s = np.asarray(s, dtype=float)
-        if s.shape != (k,) or np.any(s <= 0):
-            raise InvalidInput(f"extra seed must be a positive vector of length {k}")
-        seeds.append(s)
+        if s.shape != (k,) or not np.all((s > 0) & (s < np.inf)):
+            raise InvalidInput(f"extra seed must be a finite positive vector of length {k}")
+        seeds.append(s[None, :])
 
     # any genuine solution satisfies 6 max(x) <= max_rowsum * max(x)^3, so
     # max(x) >= sqrt(6 / max_rowsum); Newton runs that collapse toward the
     # trivial zero solution fall below this floor and are discarded
     floor = 0.5 * np.sqrt(6.0 / float(np.max(np.sum(m.m, axis=1))))
-    hits = []
-    for s in seeds:
-        res = _newton(s, m, options)
-        if res is not None and float(np.max(res[0])) >= floor:
-            hits.append(res)
-    if not hits:
-        raise NoSolutionFound(f"no positive solution from {len(seeds)} starts")
+    xs, nfs, threshs, outcome = _newton(np.concatenate(seeds), m, options)
+    converged = outcome == _CONVERGED
+    hit = converged & (np.max(xs, axis=1) >= floor)
+    if not hit.any():
+        outcomes = {
+            "converged": int(hit.sum()),
+            "below_floor": int(converged.sum()),
+            "line_search_exhausted": int(np.sum(outcome == _LINE_SEARCH_EXHAUSTED)),
+            "iteration_cap": int(np.sum(outcome == _ITERATION_CAP)),
+        }
+        raise NoSolutionFound(
+            f"no positive solution from {outcome.size} starts ("
+            + ", ".join(f"{key.replace('_', ' ')} {n}" for key, n in outcomes.items())
+            + ")",
+            outcomes,
+        )
 
-    hits.sort(key=lambda h: tuple(h[0]))
+    hits = sorted(zip(xs[hit], nfs[hit], threshs[hit]), key=lambda h: tuple(h[0]))
     kept: list[ReducedSolution] = []
     for x, nf, thresh in hits:
         if any(np.max(np.abs(x - p.x)) < options.dedup_radius for p in kept):
             continue
         x = x.copy()
         x.setflags(write=False)
-        kept.append(ReducedSolution(x=x, residual_norm=nf, tolerance=thresh))
+        kept.append(ReducedSolution(x=x, residual_norm=float(nf), tolerance=float(thresh)))
     return kept
 
 

@@ -17,6 +17,7 @@ from bubblefield.equilibrium import (
     reduced_residual,
     solve_equilibria,
     symmetrized_matrix,
+    _newton,
 )
 from bubblefield.errors import InvalidInput
 
@@ -64,6 +65,18 @@ def test_jacobian_matches_finite_differences(K):
             e[l] = h
             fd[:, l] = (reduced_residual(x + e, m) - reduced_residual(x - e, m)) / (2 * h)
         assert np.max(np.abs(j - fd)) <= 1e-6
+
+
+@pytest.mark.parametrize("K", [3, 12, 24])
+def test_stacked_residual_and_jacobian_match_rows(K):
+    # the batched solver relies on a stack being rounded exactly as each row
+    rng = np.random.default_rng(300 + K)
+    m = random_matrix(K, rng)
+    xs = rng.uniform(0.1, 10.0, size=(4, 5, K))
+    f, j = reduced_residual(xs, m), reduced_jacobian(xs, m)
+    for idx in np.ndindex(4, 5):
+        assert np.array_equal(f[idx], 6.0 * xs[idx] - m.m @ xs[idx] ** 3)
+        assert np.array_equal(j[idx], reduced_jacobian(xs[idx], m))
 
 
 def test_symmetrized_matrix_k2(k2_matrix):
@@ -159,11 +172,29 @@ def test_solve_k10_family_member(family):
 
 def test_no_solution_reported(k3_equilateral):
     opts = SolverOptions(n_random=0, max_iter=1, tol=1e-15)
-    with pytest.raises(NoSolutionFound):
+    with pytest.raises(NoSolutionFound) as exc:
         # one iteration from the symmetric seed cannot reach 1e-15 on an
         # asymmetric configuration
         rng = np.random.default_rng(2)
         solve_equilibria(random_matrix(3, rng), opts)
+    assert exc.value.outcomes == {
+        "converged": 0, "below_floor": 0, "line_search_exhausted": 0, "iteration_cap": 1,
+    }
+    assert str(exc.value) == (
+        "no positive solution from 1 starts "
+        "(converged 0, below floor 0, line search exhausted 0, iteration cap 1)"
+    )
+
+
+def test_no_solution_line_search_exhausted():
+    # a K = 20 configuration on which every one of the 65 starts stalls
+    m = random_matrix(20, np.random.default_rng(0))
+    with pytest.raises(NoSolutionFound) as exc:
+        solve_equilibria(m)
+    assert exc.value.outcomes == {
+        "converged": 0, "below_floor": 0, "line_search_exhausted": 65, "iteration_cap": 0,
+    }
+    assert str(exc.value).startswith("no positive solution from 65 starts (")
 
 
 @pytest.mark.parametrize("K", [2, 3, 5, 10])
@@ -253,9 +284,131 @@ def test_solver_determinism(k3_equilateral):
 
 
 def test_extra_seed_validation(k2_matrix):
-    with pytest.raises(InvalidInput):
-        solve_equilibria(k2_matrix, SolverOptions(extra_seeds=(np.array([1.0, -1.0]),)))
+    for bad in ([1.0, -1.0], [np.nan, 1.0], [np.inf, 1.0]):
+        with pytest.raises(InvalidInput):
+            solve_equilibria(k2_matrix, SolverOptions(extra_seeds=(np.array(bad),)))
     sols = solve_equilibria(
         k2_matrix, SolverOptions(n_random=0, extra_seeds=(np.array([0.4, 0.6]),))
     )
     assert len(sols) == 1
+
+
+@pytest.mark.parametrize("span", [(0.0, 1.0), (-1.0, 1.0), (10.0, 0.1), (np.nan, 1.0)])
+def test_seed_span_validation(span):
+    with pytest.raises(InvalidInput):
+        SolverOptions(seed_span=span)
+
+
+def newton_oracle(x0, m, opts):
+    """One start of damped Newton at a time: the reference for the batched solver."""
+    x = x0.copy()
+    for _ in range(opts.max_iter):
+        f = reduced_residual(x, m)
+        nf = float(np.max(np.abs(f)))
+        thresh = opts.tol * (1.0 + float(np.max(np.abs(6.0 * x))))
+        if nf <= thresh:
+            return x, nf, thresh
+        step = np.linalg.lstsq(reduced_jacobian(x, m), -f, rcond=None)[0]
+        f2 = float(f @ f)
+        lam = 1.0
+        for _ in range(40):
+            xn = x + lam * step
+            if np.all(xn > 0):
+                fn = reduced_residual(xn, m)
+                if float(fn @ fn) < f2:
+                    x = xn
+                    break
+            lam *= 0.5
+        else:
+            return None
+    return None
+
+
+def oracle_starts(m, opts):
+    """The starts of solve_equilibria without extra seeds, drawn one vector at a time."""
+    k = m.K
+    xbar = np.sqrt(6.0 / float(np.mean(np.sum(m.m, axis=1))))
+    rng = np.random.default_rng(opts.seed)
+    lo, hi = np.log(opts.seed_span[0]), np.log(opts.seed_span[1])
+    seeds = [np.full(k, xbar)]
+    seeds += [xbar * np.exp(rng.uniform(lo, hi, size=k)) for _ in range(opts.n_random)]
+    return np.array(seeds)
+
+
+def floor_of(m):
+    return 0.5 * np.sqrt(6.0 / float(np.max(np.sum(m.m, axis=1))))
+
+
+def assert_matches_oracle(m, opts=SolverOptions()):
+    """Per-start verdicts, solutions and the deduplicated output agree with the oracle."""
+    starts = oracle_starts(m, opts)
+    xs, _, _, outcome = _newton(starts, m, opts)
+    floor = floor_of(m)
+    hits = []
+    for s, x, out in zip(starts, xs, outcome):
+        ref = newton_oracle(s, m, opts)
+        assert (ref is not None) == (out == 0)
+        if ref is None:
+            continue
+        above = float(np.max(ref[0])) >= floor
+        assert above == (float(np.max(x)) >= floor)
+        if above:
+            assert np.max(np.abs(x - ref[0]) / ref[0]) <= 1e-12
+            hits.append(ref)
+    if not hits:
+        with pytest.raises(NoSolutionFound):
+            solve_equilibria(m, opts)
+        return
+    hits.sort(key=lambda h: tuple(h[0]))
+    kept = []
+    for h in hits:
+        if not any(np.max(np.abs(h[0] - p)) < opts.dedup_radius for p in kept):
+            kept.append(h[0])
+    sols = solve_equilibria(m, opts)
+    assert len(sols) == len(kept)
+    for sol, ref in zip(sols, kept):
+        assert np.max(np.abs(sol.x - ref) / ref) <= 1e-12
+
+
+def test_batched_newton_matches_oracle_k2(k2_matrix):
+    assert_matches_oracle(k2_matrix)
+
+
+def test_batched_newton_matches_oracle_criterion_3_triangles():
+    rng = np.random.default_rng(0)  # the draw of the criterion-3 sweep
+    for _ in range(50):
+        assert_matches_oracle(random_matrix(3, rng))
+
+
+@pytest.mark.parametrize("K, seed", [(5, 0), (5, 1), (12, 3), (24, 4)])
+def test_batched_newton_matches_oracle_random(K, seed):
+    # at K = 24 the 65 starts run in ten blocks
+    assert_matches_oracle(random_matrix(K, np.random.default_rng(seed)))
+
+
+def test_batched_newton_matches_oracle_k10_family(family):
+    # the cosine-curve solutions are not isolated, so a converged point may
+    # drift along the curve from the oracle's; it must still lie on it
+    m, opts = family.matrix, SolverOptions()
+    ts = np.linspace(0.0, 2.0 * np.pi, 200001)
+    curve = family.coeff_a + family.coeff_b * np.cos(
+        ts[:, None] + 2.0 * np.arange(10)[None, :] * family.theta
+    )
+
+    def dist_to_curve(x):
+        return float(np.min(np.max(np.abs(curve - x[None, :]), axis=1)))
+
+    starts = oracle_starts(m, opts)
+    xs, _, _, outcome = _newton(starts, m, opts)
+    on_curve = 0
+    for s, x, out in zip(starts, xs, outcome):
+        ref = newton_oracle(s, m, opts)
+        assert (ref is not None) == (out == 0)
+        if ref is None:
+            continue
+        if dist_to_curve(ref[0]) <= 1e-4:
+            assert dist_to_curve(x) <= 1e-4
+            on_curve += 1
+        else:  # the isolated symmetric solution
+            assert np.max(np.abs(x - ref[0]) / ref[0]) <= 1e-12
+    assert on_curve
