@@ -1,9 +1,10 @@
 """Configuration ingestion, subcommand dispatch, and deterministic reports.
 
 One JSON run-config file describes an experiment; a handful of flags
-(--output, --seed, --tol) override it.  All randomness flows from the single
-"seed" field and every report is written with 17-significant-digit floats,
-so identical config + seed yields byte-identical artifacts.
+(--output, --seed, --tol) override it.  All randomness (the k3-check
+triangles; the equilibrium solver draws none) flows from the single "seed"
+field and every report is written with 17-significant-digit floats, so
+identical config + seed yields byte-identical artifacts.
 
 Exit codes: 0 success, 1 invalid input, 2 numerical failure; failures also
 emit a machine-readable JSON object on stderr.
@@ -135,7 +136,7 @@ def _build(doc: dict, command: str) -> RunConfig:
         seed=seed,
         kappa=kappa,
         output=output,
-        solver=equilibrium.SolverOptions(seed=seed, **sol),
+        solver=equilibrium.SolverOptions(**sol),
     )
 
     if command == "simulate":
@@ -416,9 +417,9 @@ def main(argv=None) -> int:
                 raise ValidationError(
                     f'config file says command {doc["command"]!r} but CLI asked for {args.command!r}'
                 )
+        if args.seed is not None and isinstance(doc, dict):
+            doc["seed"] = args.seed  # validated with the rest of the config
         cfg = parse_run_config(doc)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed, solver=replace(cfg.solver, seed=args.seed))
         if args.output is not None:
             cfg = replace(cfg, output=args.output)
         if args.tol is not None:

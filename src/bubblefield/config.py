@@ -77,6 +77,17 @@ class InteractionMatrix:
         return self.m.shape[0]
 
 
+def _mirrored(k: int, rows, cols, upper) -> np.ndarray:
+    """K x K matrix with zero diagonal and the upper triangle copied to the lower.
+
+    Both halves hold the same computed values, so symmetry is exact.
+    """
+    out = np.zeros((k, k))
+    out[rows, cols] = upper
+    out[cols, rows] = upper
+    return out
+
+
 def build_configuration(points) -> Configuration:
     """Validate a list of 5-D points and build the cached distance matrix.
 
@@ -97,17 +108,11 @@ def build_configuration(points) -> Configuration:
         raise BadDimension("points contain non-finite coordinates")
 
     k = pts.shape[0]
-    dist = np.zeros((k, k))
-    # fill the upper triangle once and mirror: exact symmetry by construction
-    for j in range(k):
-        for l in range(j + 1, k):
-            d = float(np.linalg.norm(pts[j] - pts[l]))
-            dist[j, l] = d
-            dist[l, j] = d
+    rows, cols = np.triu_indices(k, 1)
+    tri = np.sqrt(np.sum((pts[rows] - pts[cols]) ** 2, axis=1))
+    dist = _mirrored(k, rows, cols, tri)
 
     scale = 1.0 + float(np.max(np.abs(pts)))
-    rows, cols = np.triu_indices(k, 1)
-    tri = dist[rows, cols]
     if np.min(tri) < 1e-12 * scale:
         i = int(np.argmin(tri))
         j, l = int(rows[i]), int(cols[i])
@@ -124,13 +129,8 @@ def interaction_matrix(config: Configuration, kappa: float | None = None) -> Int
         kappa = kappa_closed_form()
     if not (kappa > 0):
         raise InvalidInput(f"kappa must be positive, got {kappa}")
-    k = config.K
-    m = np.zeros((k, k))
-    for j in range(k):
-        for l in range(j + 1, k):
-            v = kappa * config.dist[j, l] ** -3.0
-            m[j, l] = v
-            m[l, j] = v
+    rows, cols = np.triu_indices(config.K, 1)
+    m = _mirrored(config.K, rows, cols, kappa * config.dist[rows, cols] ** -3.0)
     m.setflags(write=False)
     return InteractionMatrix(m=m, kappa=float(kappa))
 

@@ -54,16 +54,11 @@ class SpectrumFailure(NumericalFailure):
 
 
 class NoSolutionFound(NumericalFailure):
-    """Every Newton start failed; no positive solution was located.
+    """The sphere ascent reached its iteration cap without a solution.
 
-    outcomes counts the starts by how each ended: converged, below floor
-    (converged toward the trivial solution), line search exhausted and
-    iteration cap.
+    Every configuration has a positive solution, so this is a failure of
+    the solver within options.max_iter, never a proof of non-existence.
     """
-
-    def __init__(self, message: str, outcomes: dict[str, int]):
-        super().__init__(message)
-        self.outcomes = outcomes
 
 
 @dataclass(frozen=True)
@@ -98,6 +93,7 @@ class IsolationReport:
     a_matrix: np.ndarray
     eigenvalues: np.ndarray  # sorted ascending
     det_shift: float         # det(6I - A); +-inf once the product overflows
+    log_abs_det_shift: float  # sum log|6 - mu|: finite at any K, -inf only if det is 0
     eig18_residual: float    # ||A u - 18 u|| / ||u||, u = x^2
     isolated: bool
     sign_pattern: str        # one character per eigenvalue: '-', '0' or '+'
@@ -107,11 +103,9 @@ class IsolationReport:
 class SolverOptions:
     tol: float = 1e-12            # residual max-norm <= tol * (1 + ||6x||_inf)
     dedup_radius: float = 1e-6    # max-norm dedup distance on x
-    n_random: int = 64            # log-uniform random starts around the symmetric seed
-    seed: int = 0
-    max_iter: int = 200
-    seed_span: tuple[float, float] = (1e-2, 1e2)
-    extra_seeds: tuple = ()       # user-supplied start vectors
+    n_random: int = 64            # deflation budget: deflated Newton runs beyond one per start
+    max_iter: int = 200           # cap on ascent steps and on the iterations of each Newton run
+    extra_seeds: tuple = ()       # user-supplied starts for deflated Newton
 
     def __post_init__(self):
         object.__setattr__(self, "tol", float(self.tol))
@@ -120,43 +114,26 @@ class SolverOptions:
             raise InvalidInput(f"tol must be positive, got {self.tol}")
         if not self.dedup_radius >= 0:
             raise InvalidInput(f"dedup_radius must be >= 0, got {self.dedup_radius}")
-        for name, low in (("n_random", 0), ("max_iter", 1), ("seed", 0)):
+        for name, low in (("n_random", 0), ("max_iter", 1)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
                 raise InvalidInput(f"{name} must be an integer >= {low}, got {value!r}")
-        try:
-            lo, hi = (float(v) for v in self.seed_span)
-        except (TypeError, ValueError, OverflowError) as e:
-            raise InvalidInput(f"seed_span must be two numbers, got {self.seed_span!r}") from e
-        if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi):
-            raise InvalidInput(f"seed_span must be finite with 0 < lo <= hi, got {(lo, hi)}")
-        object.__setattr__(self, "seed_span", (lo, hi))
 
 
 def reduced_residual(x, m: InteractionMatrix) -> np.ndarray:
-    """Component k of 6 x_k - sum_{j != k} m[j][k] x_j^3, for x of shape (..., K).
+    """Component k of 6 x_k - sum_{j != k} m[j][k] x_j^3.
 
-    Evaluated for any finite x (cubes are odd), so Newton line searches may
-    probe outside the positive orthant; solutions themselves are filtered to
-    x > 0 by the solver.  A stack of x is evaluated as a stack of
-    matrix-vector products, so each row is rounded as it is on its own.
+    Evaluated for any finite x (cubes are odd); solutions themselves are
+    filtered to x > 0 by the solver.
     """
     x = np.asarray(x, dtype=float)
-    return 6.0 * x - (m.m @ x[..., None] ** 3)[..., 0]
-
-
-def _sq_norms(f: np.ndarray) -> np.ndarray:
-    """f_i . f_i along the last axis, rounded as the dot product of one row."""
-    return (f[..., None, :] @ f[..., None])[..., 0, 0]
+    return 6.0 * x - m.m @ x**3
 
 
 def reduced_jacobian(x, m: InteractionMatrix) -> np.ndarray:
-    """Jacobian of the reduced residual: 6 on the diagonal, -3 m[k][l] x_l^2 off it.
-
-    x of shape (..., K) gives one K x K Jacobian per row.
-    """
+    """Jacobian of the reduced residual: 6 on the diagonal, -3 m[k][l] x_l^2 off it."""
     x = np.asarray(x, dtype=float)
-    return 6.0 * np.eye(x.shape[-1]) - 3.0 * m.m * x[..., None, :] ** 2
+    return 6.0 * np.eye(x.shape[0]) - 3.0 * m.m * x**2
 
 
 def symmetrized_matrix(x, m: InteractionMatrix) -> np.ndarray:
@@ -171,9 +148,10 @@ def isolation_check(sol: ReducedSolution, m: InteractionMatrix) -> IsolationRepo
     """Certify (non-)isolation of a solution through the spectrum of A.
 
     isolated is true iff |det(6I - A)| > 1e-8 * 6^K, a threshold scaled to
-    the natural magnitude of det(6I).  The test is made on sum(log|6 - mu|),
-    so it holds for any K; det_shift itself is the plain product of the
-    shifted eigenvalues and may overflow to +-inf for large K.
+    the natural magnitude of det(6I).  The test is made on
+    log_abs_det_shift = sum(log|6 - mu|), so it holds for any K; det_shift
+    itself is the plain product of the shifted eigenvalues and may overflow
+    to +-inf for large K.
     """
     if not sol.residual_norm <= 1e-8:
         raise InvalidInput(
@@ -198,124 +176,145 @@ def isolation_check(sol: ReducedSolution, m: InteractionMatrix) -> IsolationRepo
         a_matrix=a,
         eigenvalues=eigs,
         det_shift=det_shift,
+        log_abs_det_shift=log_abs_det,
         eig18_residual=eig18,
         isolated=log_abs_det > math.log(1e-8) + k * math.log(6.0),
         sign_pattern=pattern,
     )
 
 
-# Starts advance in blocks of about _BLOCK Jacobian entries, so the memory
-# of the batched SVD and the backtracking ladder does not grow with the
-# number of starts.
-_BLOCK = 4096
-# Every backtracking factor a halving loop from 1 tries: 2^0 .. 2^-39, exact.
-_LADDER = 0.5 ** np.arange(40)
-_CONVERGED, _LINE_SEARCH_EXHAUSTED, _ITERATION_CAP = 0, 1, 2
+def _g(x: np.ndarray, m: InteractionMatrix) -> float:
+    """G = x^3 . m x^3, that is a^{3/2} . m a^{3/2} for a = x^2."""
+    return float(x**3 @ m.m @ x**3)
 
 
-def _newton(x0: np.ndarray, m: InteractionMatrix, opts: SolverOptions):
-    """Damped Newton with positivity-preserving backtracking from each row of x0.
+def _unit(x: np.ndarray) -> np.ndarray:
+    """x scaled onto the sphere sum x^4 = 1, where |a| = 1."""
+    return x / np.sum(x**4) ** 0.25
 
-    The rows advance together, but each follows the iteration of a lone
-    start: it stops as converged once max|f| <= tol (1 + max|6x|), takes the
-    minimum-norm least-squares step (bounded when J is near-singular, as on
-    non-isolated solution manifolds), and accepts the first halving of that
-    step that keeps x > 0 and lowers |f|^2.  Returns the final x, max|f|,
-    the threshold (both NaN unless converged) and the outcome code of every
-    row.
+
+def _newton(x, m: InteractionMatrix, opts: SolverOptions, roots=None, scale=1.0):
+    """Damped Newton from x: (x, max|f|, threshold) of a solution, or None.
+
+    The minimum-norm least-squares step (bounded where J is near-singular,
+    as on non-isolated solution manifolds) is halved until it keeps x > 0
+    and lowers |M f|^2; a run fails when a halving no longer moves x, after
+    max_iter iterations, or on a point below the bound every solution meets.
+    M = 1 unless the rows of roots are deflated: M = prod_r (1 + scale^2 /
+    |x - r|^2), and the step rescaled by 1 / (1 - grad log M . step) is the
+    Newton step of M f (Farrell, Birkisson & Funke, SIAM J. Sci. Comput.
+    37(4), 2015).
     """
-    k = x0.shape[1]
-    block = max(1, _BLOCK // (k * k))
-    parts = [_newton_block(x0[lo : lo + block], m, opts) for lo in range(0, len(x0), block)]
-    return tuple(np.concatenate(p) for p in zip(*parts))
 
+    def merit(y):
+        f = reduced_residual(y, m)
+        w = 1.0 if roots is None else np.prod(1.0 + scale**2 / np.sum((y - roots) ** 2, axis=1))
+        return w * w * (f @ f)
 
-def _newton_block(x0, m, opts):
-    """_newton on one block of starts, all live rows moved in lockstep."""
-    x = np.array(x0, dtype=float)
-    s, k = x.shape
-    nf = np.full(s, np.nan)
-    thresh = np.full(s, np.nan)
-    outcome = np.full(s, _ITERATION_CAP)
-    live = np.arange(s)
     for _ in range(opts.max_iter):
-        xl = x[live]
-        f = reduced_residual(xl, m)
-        nfl = np.max(np.abs(f), axis=1)
-        tl = opts.tol * (1.0 + np.max(np.abs(6.0 * xl), axis=1))
-        done = nfl <= tl
-        nf[live[done]], thresh[live[done]] = nfl[done], tl[done]
-        outcome[live[done]] = _CONVERGED
-        live, xl, f = live[~done], xl[~done], f[~done]
-        if not live.size:
-            break
-        # pinv at this cutoff gives lstsq's (rcond=None) minimum-norm step
-        jac = reduced_jacobian(xl, m)
-        step = -(np.linalg.pinv(jac, rtol=k * np.finfo(float).eps) @ f[:, :, None])[:, :, 0]
-        xn = xl[:, None, :] + _LADDER[:, None] * step[:, None, :]
-        with np.errstate(over="ignore", invalid="ignore"):
-            ok = np.all(xn > 0, axis=2) & (
-                _sq_norms(reduced_residual(xn, m)) < _sq_norms(f)[:, None]
-            )
-        first = ok.argmax(axis=1)
-        moved = ok[np.arange(live.size), first]
-        x[live[moved]] = xn[moved, first[moved]]
-        outcome[live[~moved]] = _LINE_SEARCH_EXHAUSTED
-        live = live[moved]
-    return x, nf, thresh, outcome
+        f = reduced_residual(x, m)
+        nf = float(np.max(np.abs(f)))
+        thresh = opts.tol * (1.0 + 6.0 * float(np.max(np.abs(x))))
+        if nf <= thresh:
+            # a solution has 6 max(x) <= (max row sum) max(x)^3; points near 0 do not
+            floor = math.sqrt(6.0 / float(np.max(np.sum(m.m, axis=1))))
+            return (x, nf, thresh) if np.max(x) >= floor * (1.0 - opts.tol) else None
+        step = np.linalg.lstsq(reduced_jacobian(x, m), -f, rcond=None)[0]
+        if roots is not None:
+            d = x - roots
+            dd = np.sum(d * d, axis=1)
+            step = step / (1.0 + 2.0 * scale**2 * ((1.0 / (dd * (dd + scale**2))) @ d) @ step)
+        if not np.all(np.isfinite(step)):
+            return None
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            m0 = merit(x)
+            # skip the halvings from 1 that would leave the orthant
+            edge = np.min(-x / step, where=step < 0, initial=np.inf)
+            lam = 2.0 ** min(0.0, np.floor(np.log2(edge)))
+            while not (np.all((xn := x + lam * step) > 0) and merit(xn) < m0):
+                if np.array_equal(xn, x):
+                    return None
+                lam *= 0.5
+        x = xn
+    return None
+
+
+def _ascend(m: InteractionMatrix, opts: SolverOptions):
+    """A solution whose a = x^2 locally maximizes G on the sphere, or None.
+
+    The solutions are the rescaled critical points of G on the sphere
+    |a| = 1, where G has a maximum inside the positive orthant.  The growth
+    transform x <- sqrt(x m x^3) never lowers G; every 5 steps a Newton
+    polish from the iterate rescaled by sqrt(6 / G) is tried, and counts
+    only if its G on the sphere is no lower.  At a solution the Hessian of G
+    on the sphere is a positive multiple of A - 6I off the eigenvector x^2
+    of the eigenvalue 18, so any other eigenvalue above 6 marks a saddle:
+    the iterate steps along its eigenvector to higher G and ascends again.
+    """
+    x = _unit(np.ones(m.K))
+    for _ in range(opts.max_iter):
+        for step in range(1, opts.max_iter + 1):
+            x = _unit(np.sqrt(x * (m.m @ x**3)))
+            if step % 5 == 0:
+                g = _g(x, m)
+                hit = _newton(math.sqrt(6.0 / g) * x, m, opts)
+                if hit is not None and _g(_unit(hit[0]), m) >= g * (1.0 - opts.tol):
+                    break
+        else:
+            return None
+        mu, vecs = np.linalg.eigh(symmetrized_matrix(hit[0], m))
+        mu[np.argmax(np.abs(vecs.T @ hit[0] ** 2))] = -np.inf  # the eigenvalue 18
+        # an eigenvalue of 6 up to rounding lies on a curve of solutions, along
+        # which G is constant (the K = 10 family): no direction raises G there
+        if np.max(mu) <= 6.0 * (1.0 + 1e-8):
+            return hit
+        a, v, g0 = _unit(hit[0]) ** 2, vecs[:, np.argmax(mu)], _g(_unit(hit[0]), m)
+        with np.errstate(invalid="ignore"):  # a + s v leaving the orthant gives NaN
+            steps = (_unit(np.sqrt(a + s * v)) for t in 0.5 ** np.arange(1, 53) for s in (t, -t))
+            x = next((y for y in steps if _g(y, m) > g0), None)
+        if x is None:
+            return hit
+    return None
 
 
 def solve_equilibria(m: InteractionMatrix, options: SolverOptions = SolverOptions()):
-    """Multistart damped Newton for positive solutions of the reduced system.
+    """Positive solutions of the reduced system, sorted lexicographically.
 
-    Starts from a symmetric seed (exact for equal-distance configurations),
-    options.n_random log-uniform perturbations of it, and any user seeds;
-    all starts are advanced together.  Converged positive solutions are
-    sorted lexicographically and deduplicated within options.dedup_radius
-    in max-norm.  NoSolutionFound carries the count of each start outcome.
+    The first comes from the sphere ascent and is a local maximizer of G.
+    Further ones come from deflated Newton with x = 0 and every known
+    solution deflated: a run starts from the symmetric seed (exact for
+    equal-distance configurations) and from each extra seed, and a run that
+    finds a new solution is repeated from the same start, within
+    1 + n_random + len(extra_seeds) runs in all.  No random draw is made.
     """
     k = m.K
-    mean_row = float(np.mean(np.sum(m.m, axis=1)))
-    xbar = np.sqrt(6.0 / mean_row)
-    rng = np.random.default_rng(options.seed)
-    lo, hi = np.log(options.seed_span[0]), np.log(options.seed_span[1])
-    seeds = [np.full((1, k), xbar), xbar * np.exp(rng.uniform(lo, hi, size=(options.n_random, k)))]
-    for s in options.extra_seeds:
-        s = np.asarray(s, dtype=float)
-        if s.shape != (k,) or not np.all((s > 0) & (s < np.inf)):
-            raise InvalidInput(f"extra seed must be a finite positive vector of length {k}")
-        seeds.append(s[None, :])
+    xbar = math.sqrt(6.0 / float(np.mean(np.sum(m.m, axis=1))))
+    starts = [np.full(k, xbar)] + [np.asarray(s, dtype=float) for s in options.extra_seeds]
+    for s in starts[1:]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok = s.shape == (k,) and np.all(s > 0) and np.all(np.isfinite(reduced_residual(s, m)))
+        if not ok:
+            raise InvalidInput(f"extra seed must be positive, of length {k}, with finite residual")
 
-    # any genuine solution satisfies 6 max(x) <= max_rowsum * max(x)^3, so
-    # max(x) >= sqrt(6 / max_rowsum); Newton runs that collapse toward the
-    # trivial zero solution fall below this floor and are discarded
-    floor = 0.5 * np.sqrt(6.0 / float(np.max(np.sum(m.m, axis=1))))
-    xs, nfs, threshs, outcome = _newton(np.concatenate(seeds), m, options)
-    converged = outcome == _CONVERGED
-    hit = converged & (np.max(xs, axis=1) >= floor)
-    if not hit.any():
-        outcomes = {
-            "converged": int(hit.sum()),
-            "below_floor": int(converged.sum()),
-            "line_search_exhausted": int(np.sum(outcome == _LINE_SEARCH_EXHAUSTED)),
-            "iteration_cap": int(np.sum(outcome == _ITERATION_CAP)),
-        }
-        raise NoSolutionFound(
-            f"no positive solution from {outcome.size} starts ("
-            + ", ".join(f"{key.replace('_', ' ')} {n}" for key, n in outcomes.items())
-            + ")",
-            outcomes,
-        )
+    found = [_ascend(m, options)]
+    if found[0] is None:
+        raise NoSolutionFound(f"sphere ascent found no solution in max_iter = {options.max_iter}")
+    runs = 1 + options.n_random + len(options.extra_seeds)
+    while starts and runs:
+        runs -= 1
+        roots = np.array([np.zeros(k)] + [h[0] for h in found])
+        hit = _newton(starts[0], m, options, roots, xbar)
+        if hit is None or any(np.max(np.abs(hit[0] - h[0])) < options.dedup_radius for h in found):
+            starts.pop(0)
+        else:
+            found.append(hit)
 
-    hits = sorted(zip(xs[hit], nfs[hit], threshs[hit]), key=lambda h: tuple(h[0]))
-    kept: list[ReducedSolution] = []
-    for x, nf, thresh in hits:
-        if any(np.max(np.abs(x - p.x)) < options.dedup_radius for p in kept):
-            continue
+    sols = []
+    for x, nf, thresh in sorted(found, key=lambda h: tuple(h[0])):
         x = x.copy()
         x.setflags(write=False)
-        kept.append(ReducedSolution(x=x, residual_norm=float(nf), tolerance=float(thresh)))
-    return kept
+        sols.append(ReducedSolution(x=x, residual_norm=float(nf), tolerance=float(thresh)))
+    return sols
 
 
 def lift(sol: ReducedSolution) -> EquilibriumPoint:

@@ -78,6 +78,24 @@ def test_interaction_matrix_exact_symmetry():
     assert np.all(off > 0)
 
 
+@pytest.mark.parametrize("K", [3, 50])
+def test_geometry_matches_per_pair_reference(K):
+    # the vectorised geometry against one norm, and one power of the cached
+    # distance, per pair: not bit-identical, but within 4 ulp, and exactly symmetric
+    rng = np.random.default_rng(K)
+    pts = rng.normal(size=(K, 5))
+    cfg = build_configuration(pts)
+    m = interaction_matrix(cfg, 2.5)
+    assert np.array_equal(cfg.dist, cfg.dist.T) and np.array_equal(m.m, m.m.T)
+    assert np.all(np.diag(cfg.dist) == 0.0) and np.all(np.diag(m.m) == 0.0)
+    for j in range(K):
+        for l in range(j + 1, K):
+            d = np.linalg.norm(pts[j] - pts[l])
+            assert abs(cfg.dist[j, l] - d) <= 4 * np.spacing(d)
+            v = 2.5 * cfg.dist[j, l] ** -3.0
+            assert abs(m.m[j, l] - v) <= 4 * np.spacing(v)
+
+
 def test_rigid_motion_invariance():
     rng = np.random.default_rng(42)
     pts = rng.normal(size=(5, 5))
