@@ -40,6 +40,8 @@ __all__ = [
     "k2_closed_form",
 ]
 
+_HALVINGS = 8  # Newton step halvings before a run fails; a converging run needs at most 5
+
 
 class NonPositiveComponent(InvalidInput):
     """An operation requiring x > 0 received a non-positive component."""
@@ -198,12 +200,12 @@ def _newton(x, m: InteractionMatrix, opts: SolverOptions, roots=None, scale=1.0)
 
     The minimum-norm least-squares step (bounded where J is near-singular,
     as on non-isolated solution manifolds) is halved until it keeps x > 0
-    and lowers |M f|^2; a run fails when a halving no longer moves x, after
-    max_iter iterations, or on a point below the bound every solution meets.
-    M = 1 unless the rows of roots are deflated: M = prod_r (1 + scale^2 /
-    |x - r|^2), and the step rescaled by 1 / (1 - grad log M . step) is the
-    Newton step of M f (Farrell, Birkisson & Funke, SIAM J. Sci. Comput.
-    37(4), 2015).
+    and lowers |M f|^2.  A run fails after max_iter iterations, on a point
+    below the bound every solution meets, or when _HALVINGS halvings do not
+    descend: it then stalls at a local minimum of |M f|.  M = 1 unless the
+    rows of roots are deflated: M = prod_r (1 + scale^2 / |x - r|^2), and
+    the step rescaled by 1 / (1 - grad log M . step) is the Newton step of
+    M f (Farrell, Birkisson & Funke, SIAM J. Sci. Comput. 37(4), 2015).
     """
 
     def merit(y):
@@ -231,11 +233,10 @@ def _newton(x, m: InteractionMatrix, opts: SolverOptions, roots=None, scale=1.0)
             # skip the halvings from 1 that would leave the orthant
             edge = np.min(-x / step, where=step < 0, initial=np.inf)
             lam = 2.0 ** min(0.0, np.floor(np.log2(edge)))
-            while not (np.all((xn := x + lam * step) > 0) and merit(xn) < m0):
-                if np.array_equal(xn, x):
-                    return None
-                lam *= 0.5
-        x = xn
+            trials = (x + lam * 0.5**h * step for h in range(_HALVINGS + 1))
+            x = next((y for y in trials if np.all(y > 0) and merit(y) < m0), None)
+        if x is None:
+            return None
     return None
 
 

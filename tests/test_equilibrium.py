@@ -201,6 +201,31 @@ def test_ascent_solution_is_certified_maximizer_with_smallest_a():
         assert np.linalg.norm(x**2) == min(np.linalg.norm(s.x**2) for s in sols)
 
 
+def test_solver_work_does_not_depend_on_rounding(monkeypatch):
+    # a rigid motion changes the matrix only by rounding; a failing deflated run
+    # must end where it stalls, not creep on for a rounding-dependent number of steps
+    import bubblefield.equilibrium as eq
+
+    calls = []
+    residual = eq.reduced_residual
+    monkeypatch.setattr(eq, "reduced_residual", lambda x, m: calls.append(1) or residual(x, m))
+    ref = np.random.default_rng(12)
+    for k in (12, 16, 20, 24):
+        while True:
+            pts = ref.normal(size=(k, 5))
+            rows, cols = np.triu_indices(k, 1)
+            if np.min(build_configuration(pts).dist[rows, cols]) > 0.2:
+                break
+        counts = set()
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+            calls.clear()
+            solve_equilibria(interaction_matrix(build_configuration(pts @ q + rng.normal(size=5))))
+            counts.add(len(calls))
+        assert len(counts) == 1, (k, sorted(counts))
+
+
 def test_solutions_exist_and_are_valid():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
