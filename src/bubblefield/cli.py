@@ -146,10 +146,6 @@ def _build(doc: dict, command: str) -> RunConfig:
         sch = _sub_object(doc, "schedule", _SCHEDULE_KEYS)
         if "kind" not in sch:
             raise ValidationError('"schedule" requires "kind"')
-        sch = dict(sch)
-        for d in ("dir1", "dir2"):
-            if d in sch:
-                sch[d] = np.asarray(sch[d], dtype=float)
         initial = doc["initial"]
         if isinstance(initial, dict):
             _check_keys(initial, {"t", "alpha", "beta"}, '"initial"')

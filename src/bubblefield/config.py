@@ -124,13 +124,17 @@ def build_configuration(points) -> Configuration:
 
 
 def interaction_matrix(config: Configuration, kappa: float | None = None) -> InteractionMatrix:
-    """Coupling matrix for a configuration; kappa defaults to the closed form."""
+    """Finite coupling matrix for a configuration; kappa defaults to the closed form."""
     if kappa is None:
         kappa = kappa_closed_form()
     if not (kappa > 0):
         raise InvalidInput(f"kappa must be positive, got {kappa}")
     rows, cols = np.triu_indices(config.K, 1)
-    m = _mirrored(config.K, rows, cols, kappa * config.dist[rows, cols] ** -3.0)
+    with np.errstate(over="ignore"):
+        upper = kappa * config.dist[rows, cols] ** -3.0
+    if not np.all(np.isfinite(upper)):
+        raise InvalidInput(f"couplings kappa / distance^3 are not finite for kappa = {kappa:.3e}")
+    m = _mirrored(config.K, rows, cols, upper)
     m.setflags(write=False)
     return InteractionMatrix(m=m, kappa=float(kappa))
 

@@ -106,6 +106,9 @@ class PerturbationSchedule:
             raise InvalidInput(f"amplitude must be >= 0, got {self.amplitude}")
         if self.kind != "zero" and not self.rate > 0:
             raise InvalidInput(f"decay rate must be positive, got {self.rate}")
+        for name in ("dir1", "dir2"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
 
     def _decay(self, t: float) -> float:
         if self.kind == "zero" or self.amplitude == 0.0:
@@ -117,7 +120,6 @@ class PerturbationSchedule:
     def _dir(self, d, k: int) -> np.ndarray:
         if d is None:
             return np.ones(k)
-        d = np.asarray(d, dtype=float)
         if d.shape != (k,):
             raise InvalidInput(f"schedule direction must have length {k}, got shape {d.shape}")
         return d
@@ -136,7 +138,6 @@ class IntegratorOptions:
     alpha_floor: float = 1e-8
     sample_dt: float = 0.1    # spacing of recorded samples (steps land on them)
     max_step: float = math.inf
-    h_min: float = 1e-14
 
     def __post_init__(self):
         for f in fields(self):
@@ -252,11 +253,10 @@ _DP_A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
-_DP_E = _DP_B5 - _DP_B4
+_DP_E = np.append(_DP_A[6], 0.0) - _DP_B4  # the last stage row is the 5th-order weights
 
 
 def integrate(
@@ -328,14 +328,13 @@ def integrate(
         t_stop = target - 1e-12 * max(1.0, abs(target))
         while t < t_stop:
             h = min(h, options.max_step, target - t)
-            if h < options.h_min:
-                raise StepUnderflow(f"step size {h:.3e} below {options.h_min:.0e} at t={t:.6g}")
+            if h < 1e-14:
+                raise StepUnderflow(f"step size {h:.3e} below 1e-14 at t={t:.6g}")
             try:
+                # the last stage's input is the 5th-order solution (FSAL), checked by rhs
                 for c, ks_prev, a, k_i in stages:
-                    rhs(t + c * h, y + h * (ks_prev @ a), k_i)
-                y5 = y + h * (ks_t @ _DP_B5)
-                if not np.isfinite(y5).all():
-                    raise FloatingPointError
+                    y5 = y + h * (ks_prev @ a)
+                    rhs(t + c * h, y5, k_i)
             except FloatingPointError:
                 h *= 0.5
                 err_prev = None

@@ -106,7 +106,7 @@ class SolverOptions:
     tol: float = 1e-12            # residual max-norm <= tol * (1 + ||6x||_inf)
     dedup_radius: float = 1e-6    # max-norm dedup distance on x
     n_random: int = 64            # deflation budget: deflated Newton runs beyond one per start
-    max_iter: int = 200           # cap on ascent steps and on the iterations of each Newton run
+    max_iter: int = 200           # cap on all ascent steps and on each Newton run's iterations
     extra_seeds: tuple = ()       # user-supplied starts for deflated Newton
 
     def __post_init__(self):
@@ -195,8 +195,8 @@ def _unit(x: np.ndarray) -> np.ndarray:
     return x / np.sum(x**4) ** 0.25
 
 
-def _newton(x, m: InteractionMatrix, opts: SolverOptions, roots=None, scale=1.0):
-    """Damped Newton from x: (x, max|f|, threshold) of a solution, or None.
+def _newton(x, m: InteractionMatrix, opts: SolverOptions, roots=None, scale=1.0, f=None):
+    """Damped Newton from x (residual f, if known): (x, max|f|, threshold) of a solution, or None.
 
     The minimum-norm least-squares step (bounded where J is near-singular,
     as on non-isolated solution manifolds) is halved until it keeps x > 0
@@ -208,13 +208,14 @@ def _newton(x, m: InteractionMatrix, opts: SolverOptions, roots=None, scale=1.0)
     M f (Farrell, Birkisson & Funke, SIAM J. Sci. Comput. 37(4), 2015).
     """
 
-    def merit(y):
-        f = reduced_residual(y, m)
+    def merit(y, f=None):
+        f = reduced_residual(y, m) if f is None else f
         w = 1.0 if roots is None else np.prod(1.0 + scale**2 / np.sum((y - roots) ** 2, axis=1))
-        return w * w * (f @ f)
+        return f, w * w * (f @ f)
 
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f, m0 = merit(x, f)
     for _ in range(opts.max_iter):
-        f = reduced_residual(x, m)
         nf = float(np.max(np.abs(f)))
         thresh = opts.tol * (1.0 + 6.0 * float(np.max(np.abs(x))))
         if nf <= thresh:
@@ -229,12 +230,12 @@ def _newton(x, m: InteractionMatrix, opts: SolverOptions, roots=None, scale=1.0)
         if not np.all(np.isfinite(step)):
             return None
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            m0 = merit(x)
             # skip the halvings from 1 that would leave the orthant
             edge = np.min(-x / step, where=step < 0, initial=np.inf)
             lam = 2.0 ** min(0.0, np.floor(np.log2(edge)))
             trials = (x + lam * 0.5**h * step for h in range(_HALVINGS + 1))
-            x = next((y for y in trials if np.all(y > 0) and merit(y) < m0), None)
+            evaluated = ((y, *merit(y)) for y in trials if np.all(y > 0))  # (y, f, merit)
+            x, f, m0 = next((e for e in evaluated if e[2] < m0), (None, None, None))
         if x is None:
             return None
     return None
@@ -245,34 +246,36 @@ def _ascend(m: InteractionMatrix, opts: SolverOptions):
 
     The solutions are the rescaled critical points of G on the sphere
     |a| = 1, where G has a maximum inside the positive orthant.  The growth
-    transform x <- sqrt(x m x^3) never lowers G; every 5 steps a Newton
-    polish from the iterate rescaled by sqrt(6 / G) is tried, and counts
-    only if its G on the sphere is no lower.  At a solution the Hessian of G
-    on the sphere is a positive multiple of A - 6I off the eigenvector x^2
-    of the eigenvalue 18, so any other eigenvalue above 6 marks a saddle:
-    the iterate steps along its eigenvector to higher G and ascends again.
+    transform x <- sqrt(x m x^3) never lowers G; after every 5 of its at most
+    max_iter steps a Newton polish from the iterate rescaled by sqrt(6 / G)
+    is tried, and counts only if its G on the sphere is no lower.  At a
+    solution the Hessian of G on the sphere is a positive multiple of A - 6I
+    off the eigenvector x^2 of the eigenvalue 18, so any other eigenvalue
+    above 6 marks a saddle: the iterate steps along its eigenvector to
+    higher G and ascends again, within the same max_iter steps.
     """
     x = _unit(np.ones(m.K))
-    for _ in range(opts.max_iter):
-        for step in range(1, opts.max_iter + 1):
+    for _ in range(opts.max_iter // 5):
+        for _ in range(5):
             x = _unit(np.sqrt(x * (m.m @ x**3)))
-            if step % 5 == 0:
-                g = _g(x, m)
-                hit = _newton(math.sqrt(6.0 / g) * x, m, opts)
-                if hit is not None and _g(_unit(hit[0]), m) >= g * (1.0 - opts.tol):
-                    break
-        else:
-            return None
+        g = _g(x, m)
+        hit = _newton(math.sqrt(6.0 / g) * x, m, opts)
+        if hit is None:
+            continue
+        u = _unit(hit[0])
+        g_hit = _g(u, m)
+        if not g_hit >= g * (1.0 - opts.tol):
+            continue
         mu, vecs = np.linalg.eigh(symmetrized_matrix(hit[0], m))
         mu[np.argmax(np.abs(vecs.T @ hit[0] ** 2))] = -np.inf  # the eigenvalue 18
         # an eigenvalue of 6 up to rounding lies on a curve of solutions, along
         # which G is constant (the K = 10 family): no direction raises G there
         if np.max(mu) <= 6.0 * (1.0 + 1e-8):
             return hit
-        a, v, g0 = _unit(hit[0]) ** 2, vecs[:, np.argmax(mu)], _g(_unit(hit[0]), m)
+        a, v = u**2, vecs[:, np.argmax(mu)]
         with np.errstate(invalid="ignore"):  # a + s v leaving the orthant gives NaN
             steps = (_unit(np.sqrt(a + s * v)) for t in 0.5 ** np.arange(1, 53) for s in (t, -t))
-            x = next((y for y in steps if _g(y, m) > g0), None)
+            x = next((y for y in steps if _g(y, m) > g_hit), None)
         if x is None:
             return hit
     return None
@@ -287,15 +290,18 @@ def solve_equilibria(m: InteractionMatrix, options: SolverOptions = SolverOption
     equal-distance configurations) and from each extra seed, and a run that
     finds a new solution is repeated from the same start, within
     1 + n_random + len(extra_seeds) runs in all.  No random draw is made.
+    A seed, the symmetric one included, needs x > 0 and a finite residual.
     """
     k = m.K
-    xbar = math.sqrt(6.0 / float(np.mean(np.sum(m.m, axis=1))))
-    starts = [np.full(k, xbar)] + [np.asarray(s, dtype=float) for s in options.extra_seeds]
-    for s in starts[1:]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            ok = s.shape == (k,) and np.all(s > 0) and np.all(np.isfinite(reduced_residual(s, m)))
-        if not ok:
-            raise InvalidInput(f"extra seed must be positive, of length {k}, with finite residual")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        xbar = np.sqrt(6.0 / np.mean(np.sum(m.m, axis=1)))  # inf if the couplings underflow
+        starts = [np.full(k, xbar)] + [np.asarray(s, dtype=float) for s in options.extra_seeds]
+        for i, s in enumerate(starts):
+            f = reduced_residual(s, m) if s.shape == (k,) and np.all(s > 0) else None
+            if f is None or not np.all(np.isfinite(f)):
+                what = "extra seed" if i else f"symmetric seed {xbar:.3e} (couplings out of range)"
+                raise InvalidInput(f"{what} must be positive, of length {k}, with finite residual")
+            starts[i] = (s, f)  # every run from the seed reuses its residual
 
     found = [_ascend(m, options)]
     if found[0] is None:
@@ -304,7 +310,7 @@ def solve_equilibria(m: InteractionMatrix, options: SolverOptions = SolverOption
     while starts and runs:
         runs -= 1
         roots = np.array([np.zeros(k)] + [h[0] for h in found])
-        hit = _newton(starts[0], m, options, roots, xbar)
+        hit = _newton(starts[0][0], m, options, roots, xbar, starts[0][1])
         if hit is None or any(np.max(np.abs(hit[0] - h[0])) < options.dedup_radius for h in found):
             starts.pop(0)
         else:

@@ -119,15 +119,14 @@ def _integrand_lw_sq(r):
 
 def _panel_integral(f, r_max: float, n_panels: int, rule: str) -> float:
     edges = np.linspace(0.0, r_max, n_panels + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
     if rule == "gauss-legendre":
         nodes, weights = leggauss(GL_NODES_PER_PANEL)
-        mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1] - edges[0])
-        pts = mid[:, None] + half * nodes[None, :]
+        pts = mids[:, None] + half * nodes[None, :]
         return float(half * np.sum(f(pts) @ weights))
     # composite Simpson: each panel split at its midpoint
     h = edges[1] - edges[0]
-    mids = 0.5 * (edges[:-1] + edges[1:])
     fe = f(edges)
     fm = f(mids)
     return float(h / 6.0 * (fe[0] + fe[-1] + 2.0 * np.sum(fe[1:-1]) + 4.0 * np.sum(fm)))
@@ -167,7 +166,11 @@ def verify_kappa(spec: QuadratureSpec = QuadratureSpec()) -> KappaReport:
     Raises QuadratureDiverged when halving the panel width fails to reduce the
     estimated quadrature error for either integrand.
     """
-    for f, name in ((_integrand_w73, "W^(7/3)"), (_integrand_lw_sq, "(LW)^2")):
+    integrals = []
+    for f, tail, name in (
+        (_integrand_w73, _tail_w73, "W^(7/3)"),
+        (_integrand_lw_sq, _tail_lw_sq, "(LW)^2"),
+    ):
         coarse, mid, fine = (
             _panel_integral(f, spec.r_max, n, spec.rule)
             for n in (spec.n_panels // 4, spec.n_panels // 2, spec.n_panels)
@@ -177,15 +180,8 @@ def verify_kappa(spec: QuadratureSpec = QuadratureSpec()) -> KappaReport:
                 f"{name}: error estimate grew under refinement "
                 f"({abs(mid - coarse):.3e} -> {abs(fine - mid):.3e}); check r_max/n_panels"
             )
-
-    i_w73 = OMEGA4 * (
-        _panel_integral(_integrand_w73, spec.r_max, spec.n_panels, spec.rule)
-        + _tail_w73(spec.r_max, spec.tail_order)
-    )
-    i_lw = OMEGA4 * (
-        _panel_integral(_integrand_lw_sq, spec.r_max, spec.n_panels, spec.rule)
-        + _tail_lw_sq(spec.r_max, spec.tail_order)
-    )
+        integrals.append(OMEGA4 * (fine + tail(spec.r_max, spec.tail_order)))
+    i_w73, i_lw = integrals
     kq = 1.5 * 15.0**1.5 * i_w73 / i_lw
     kc = kappa_closed_form()
     return KappaReport(

@@ -38,6 +38,14 @@ def family():
     return build_family()
 
 
+def flow_jacobian(eq, m):
+    """Analytic Jacobian of the autonomous flow at the equilibrium (eq.a, eq.c)."""
+    a = eq.a
+    eye = np.eye(eq.K)
+    dn = np.diag(0.5 * (m.m @ a**1.5) / np.sqrt(a)) + 1.5 * np.sqrt(np.outer(a, a)) * m.m
+    return np.block([[2.0 * eye, -eye], [-dn, 3.0 * eye]])
+
+
 def random_matrix(K, rng, kappa=None, min_sep=0.2):
     """A well-separated random configuration's interaction matrix.
 

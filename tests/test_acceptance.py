@@ -4,12 +4,15 @@ Run with:  pytest tests/test_acceptance.py -v -s
 
 Criterion 8 checks convergence where the saddle structure predicts it: on
 the stable set.  The flow's Jacobian has trace 5K at every state, so every
-equilibrium has eigenvalues with positive real part; the symmetrized matrix
-always carries eigenvalue 18, giving the linearization the pair {6, -1},
-and every other mode contributes (5 +- sqrt(13 + 2 mu))/2 with positive
-real part (for K = 2: {6, -1, 2.5 +- 2.398i}).  Only the states on a
-one-dimensional stable set converge, so with alpha(0) fixed at a 20% offset,
-beta(0) is the unknown that puts the start on that set.  The test finds it
+equilibrium has eigenvalues with positive real part.  Each eigenvalue mu of
+the symmetrized matrix A contributes the pair (5 +- sqrt(13 + 2 mu))/2:
+the eigenvalue 18, which A always carries, gives {6, -1}, and any other
+mu > 6 gives one more negative eigenvalue, so the stable dimension is
+1 + #{mu > 6, mu != 18} (tests/test_equilibrium.py checks this on the
+cluster pool).  At K = 2 the only other mode is mu = -18, so the spectrum
+is {6, -1, 2.5 +- 2.398i} and only the states on a one-dimensional stable
+set converge.  With alpha(0) fixed at a 20% offset, beta(0) is the unknown
+that puts the start on that set.  The test finds it
 and the bounded trajectory on [0, 40] by multiple shooting (Ascher, Mattheij
 & Russell, Numerical Solution of Boundary Value Problems for ODEs, SIAM
 1995): every segment is an integrate() run, and the end condition removes
@@ -56,7 +59,7 @@ from bubblefield.equilibrium import (
 )
 from bubblefield.groundstate import QuadratureSpec, verify_kappa
 
-from conftest import random_matrix
+from conftest import flow_jacobian, random_matrix
 
 KAPPA = kappa_closed_form()
 ZERO = PerturbationSchedule("zero")
@@ -189,7 +192,7 @@ def test_criterion_4_eigenvalue_18_identity():
 
 def test_criterion_5_mode4_root_and_printed_values():
     t0 = time.perf_counter()
-    b0 = solve_b0(4.70, 4.71, 1e-12, KAPPA)
+    b0 = solve_b0(4.70, 4.71, 1e-12)
     lam470 = circulant_eigenvalue(4, 4.70, KAPPA)
     lam471 = circulant_eigenvalue(4, 4.71, KAPPA)
     lam0 = circulant_eigenvalue(0, b0, KAPPA)
@@ -308,19 +311,11 @@ def test_criterion_7_lyapunov_dissipation():
 _C8_NODES = np.concatenate([np.arange(0.0, 5.0, 0.25), np.arange(5.0, 40.5, 1.0)])
 
 
-def _flow_jacobian(eq, m):
-    """Analytic Jacobian of the autonomous flow at the equilibrium (eq.a, eq.c)."""
-    a = eq.a
-    eye = np.eye(eq.K)
-    dn = np.diag(0.5 * (m.m @ a**1.5) / np.sqrt(a)) + 1.5 * np.sqrt(np.outer(a, a)) * m.m
-    return np.block([[2.0 * eye, -eye], [-dn, 3.0 * eye]])
-
-
 def _unstable_rows(eq, m):
     """Orthonormal rows spanning the left eigenvectors of the unstable eigenvalues.
 
     Their product with y - eq lists the unstable eigencomponents of y - eq."""
-    lam, vecs = np.linalg.eig(_flow_jacobian(eq, m))
+    lam, vecs = np.linalg.eig(flow_jacobian(eq, m))
     left = np.linalg.inv(vecs)[lam.real > 0]
     _, _, vt = np.linalg.svd(np.vstack([left.real, left.imag]))
     return vt[: int(np.sum(lam.real > 0))]

@@ -140,12 +140,12 @@ def test_mode4_printed_values(kappa):
 
 
 def test_solve_b0(kappa):
-    b0 = solve_b0(4.70, 4.71, 1e-12, kappa)
+    b0 = solve_b0(4.70, 4.71, 1e-12)
     assert 4.70 < b0 < 4.71
     assert abs(circulant_eigenvalue(4, b0, kappa)) <= 1e-12
     assert abs(b0 - B0_REGRESSION) <= 1e-12
     with pytest.raises(NoSignChange):
-        solve_b0(4.8, 4.9, 1e-12, kappa)
+        solve_b0(4.8, 4.9, 1e-12)
 
 
 def test_mode4_slope_window(kappa):
@@ -270,6 +270,16 @@ def test_k10_report_fields(family):
     assert len(rep["lambda"]) == 10
     assert rep["max_family_residual"] <= 1e-9
     assert rep["kernel_residual"] <= 1e-8
+
+
+@pytest.mark.parametrize("k", [1e5, 1e-4])
+def test_build_family_at_any_kappa(family, k):
+    # lambda_m is linear in kappa and B0 does not depend on it: the checks
+    # scale with kappa instead of failing far from the closed form
+    fam = build_family(k)
+    assert abs(fam.b0 - family.b0) <= np.spacing(family.b0)
+    for got, ref in ((fam.coeff_a, family.coeff_a), (fam.coeff_b, family.coeff_b)):
+        assert abs(got * math.sqrt(k) - ref * math.sqrt(family.kappa)) <= 1e-12
 
 
 def test_build_family_rejects_bad_bracket(kappa):

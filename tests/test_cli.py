@@ -288,6 +288,11 @@ MALFORMED = {
     "bracket-reversed": {"command": "k10", "bracket": [4.71, 4.70]},
     "root-tol-negative": {"command": "k10", "tol": -1},
     "r_max-infinite": {"command": "kappa-check", "quadrature": {"r_max": math.inf}},
+    "couplings-underflow": {"command": "equilibria", "points": [[0] * 5, [1e110, 0, 0, 0, 0]]},
+    "seed-cube-overflow": {"command": "equilibria", "points": [[0] * 5, [1e100, 0, 0, 0, 0]]},
+    "couplings-overflow": {
+        "command": "equilibria", "kappa": 1e300, "points": [[0] * 5, [1e-3, 0, 0, 0, 0]]
+    },
 }
 
 

@@ -124,6 +124,8 @@ def test_kappa_parameter_validation(k2_matrix):
         interaction_matrix(cfg, 0.0)
     with pytest.raises(InvalidInput):
         interaction_matrix(cfg, -1.0)
+    with pytest.raises(InvalidInput):
+        interaction_matrix(cfg, math.inf)
 
 
 def test_json_ingestion(kappa):

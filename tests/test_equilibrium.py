@@ -21,7 +21,7 @@ from bubblefield.equilibrium import (
 )
 from bubblefield.errors import InvalidInput
 
-from conftest import random_matrix
+from conftest import flow_jacobian, random_matrix
 
 
 def k2_solution_x(m):
@@ -188,6 +188,26 @@ def cluster_pool():
     return [random_matrix(k, ref) for _ in range(16) for k in (12, 16, 20, 24)]
 
 
+def _stable_dimension(sol, m):
+    """Negative eigenvalues of the flow Jacobian at lift(sol), checked against A's spectrum.
+
+    Each eigenvalue mu of A contributes (5 +- sqrt(13 + 2 mu)) / 2 to the
+    linearization; the eigenvalue 18 gives {6, -1}, and each other mu > 6
+    one more negative eigenvalue.
+    """
+    lam = np.linalg.eigvals(flow_jacobian(lift(sol), m))
+    mu, vecs = np.linalg.eigh(symmetrized_matrix(sol.x, m))
+    root = np.sqrt(13.0 + 2.0 * mu.astype(complex))
+    predicted = np.concatenate([(5.0 + root) / 2.0, (5.0 - root) / 2.0])
+    gap = np.abs(lam[:, None] - predicted[None, :])
+    assert max(np.max(np.min(gap, axis=0)), np.max(np.min(gap, axis=1))) <= 1e-9
+    assert np.min(np.abs(lam - 6.0)) <= 1e-9 and np.min(np.abs(lam + 1.0)) <= 1e-9
+    n_stable = int(np.sum(lam.real < 0))
+    i18 = np.argmax(np.abs(vecs.T @ sol.x**2))  # the eigenvector x^2
+    assert n_stable == 1 + np.sum(np.delete(mu, i18) > 6.0)
+    return n_stable
+
+
 def test_ascent_solution_is_certified_maximizer_with_smallest_a():
     opts = SolverOptions()
     for m in cluster_pool():
@@ -199,6 +219,32 @@ def test_ascent_solution_is_certified_maximizer_with_smallest_a():
         sols = solve_equilibria(m, opts)
         assert any(np.array_equal(s.x, x) for s in sols)
         assert np.linalg.norm(x**2) == min(np.linalg.norm(s.x**2) for s in sols)
+        # every solution's linearization is the predicted saddle; the maximizer's
+        # stable set is one-dimensional
+        for s in sols:
+            assert _stable_dimension(s, m) == 1 or not np.array_equal(s.x, x)
+
+
+def test_max_iter_caps_total_ascent_steps(family):
+    # K = 10 family: the polish at step 5 finds a saddle and escapes from it,
+    # the one at step 10 fails, and the one at step 15 lands on the cosine curve
+    with pytest.raises(NoSolutionFound):
+        solve_equilibria(family.matrix, SolverOptions(max_iter=14))
+    assert len(solve_equilibria(family.matrix, SolverOptions(max_iter=15))) == 2
+
+
+def test_residual_evaluations_per_solve(monkeypatch):
+    # a Newton run carries the residual of each accepted iterate, and a seed's
+    # residual from the seed check, instead of evaluating them again
+    import bubblefield.equilibrium as eq
+
+    calls = []
+    residual = eq.reduced_residual
+    monkeypatch.setattr(eq, "reduced_residual", lambda x, m: calls.append(1) or residual(x, m))
+    pool = cluster_pool()
+    for m in pool:
+        solve_equilibria(m)
+    assert len(calls) / len(pool) <= 50.0
 
 
 def test_solver_work_does_not_depend_on_rounding(monkeypatch):

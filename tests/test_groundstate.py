@@ -84,6 +84,17 @@ def test_verify_kappa_default():
     assert rep.rel_error <= 1e-6
 
 
+def test_verify_kappa_integrates_each_level_once(monkeypatch):
+    # the finest level of the refinement check is the reported integral
+    import bubblefield.groundstate as gs
+
+    levels = []
+    panel = gs._panel_integral
+    monkeypatch.setattr(gs, "_panel_integral", lambda f, *a: levels.append(a[1]) or panel(f, *a))
+    verify_kappa()
+    assert sorted(levels) == [512, 512, 1024, 1024, 2048, 2048]
+
+
 def test_verify_kappa_exact_integrals():
     # closed forms: int W^(7/3) dx = 8 pi^2 15^(3/2), ||LW||^2 = (63 pi/256) 15^(5/2) * (8 pi^2/3)
     rep = verify_kappa()
