@@ -18,7 +18,6 @@ from .config import (
     build_configuration,
     interaction_matrix,
     kappa_closed_form,
-    load_configuration,
 )
 from .groundstate import (
     KappaReport,

@@ -35,7 +35,6 @@ from .errors import InvalidInput, NumericalFailure
 __all__ = [
     "CirculantFamily",
     "BadIndex",
-    "NoSignChange",
     "OutOfWindow",
     "THETA",
     "sigma_sq",
@@ -57,10 +56,6 @@ K10 = 10
 
 class BadIndex(InvalidInput):
     """Index outside the valid range (r in 1..5, m in 0..9)."""
-
-
-class NoSignChange(InvalidInput):
-    """The bracket does not straddle a root of lambda_4."""
 
 
 class OutOfWindow(InvalidInput):
@@ -108,53 +103,22 @@ def circulant_eigenvalue(m: int, B: float, kappa: float) -> float:
     return val + (-1.0) ** m * delta_coeff(5, B, kappa)
 
 
-def solve_b0(
-    bracket_lo: float = 4.70,
-    bracket_hi: float = 4.71,
-    tol: float = 1e-12,
-) -> float:
-    """Root of lambda_4 by bisection plus a finite-difference Newton polish.
+def solve_b0() -> float:
+    """Root of lambda_4, bisected in (4.70, 4.71) down to two adjacent floats.
 
-    Requires a sign change over the bracket; the result stays inside it and
-    satisfies |lambda_4(B0)| <= tol at the closed-form kappa (B0 does not depend on it).
+    lambda_4 rises through zero on this bracket and is linear in kappa, so
+    B0 is one universal constant; it is evaluated at the closed-form kappa.
+    Of the last two endpoints the one with the smaller |lambda_4| is returned.
     """
-    if not tol > 0:
-        raise InvalidInput(f"tol must be positive, got {tol}")
     kappa = kappa_closed_form()
     f = lambda B: circulant_eigenvalue(4, B, kappa)
-    lo, hi = float(bracket_lo), float(bracket_hi)
-    if not lo < hi:
-        raise InvalidInput(f"bracket must have lo < hi, got [{lo}, {hi}]")
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise NoSignChange(f"lambda_4 has the same sign at {lo} and {hi}")
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if flo * fm < 0.0:
-            hi, fhi = mid, fm
+    lo, hi = 4.70, 4.71
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if f(mid) < 0.0:
+            lo = mid
         else:
-            lo, flo = mid, fm
-    b0 = 0.5 * (lo + hi)
-    # one Newton polish with a central-difference slope
-    h = 1e-7
-    slope = (f(b0 + h) - f(b0 - h)) / (2.0 * h)
-    if slope != 0.0:
-        cand = b0 - f(b0) / slope
-        if bracket_lo < cand < bracket_hi and abs(f(cand)) < abs(f(b0)):
-            b0 = cand
-    if abs(f(b0)) > tol:
-        raise NumericalFailure(f"|lambda_4(B0)| = {abs(f(b0)):.3e} exceeds tol {tol:.0e}")
-    return b0
+            hi = mid
+    return min(lo, hi, key=lambda B: abs(f(B)))
 
 
 def family_coefficients(lambda0: float, lambda2: float) -> tuple[float, float]:
@@ -191,9 +155,6 @@ class CirculantFamily:
     """Everything fixed by the construction at B0, plus the coupling matrix."""
 
     b0: float
-    theta: float
-    sigma: np.ndarray    # sigma_r(B0), r = 1..5
-    delta: np.ndarray    # d_r(B0), r = 1..5
     lambdas: np.ndarray  # lambda_m(B0), m = 0..9
     coeff_a: float
     coeff_b: float
@@ -201,11 +162,7 @@ class CirculantFamily:
     matrix: InteractionMatrix
 
 
-def build_family(
-    kappa: float | None = None,
-    bracket: tuple[float, float] = (4.70, 4.71),
-    tol: float = 1e-12,
-) -> CirculantFamily:
+def build_family(kappa: float | None = None) -> CirculantFamily:
     """Solve for B0 and assemble the verified family data.
 
     Checks the defining structure: lambda_4 = lambda_6 = 0 at B0 (to 1e-10),
@@ -216,7 +173,7 @@ def build_family(
     if kappa is None:
         kappa = kappa_closed_form()
     s = kappa / kappa_closed_form()
-    b0 = solve_b0(bracket[0], bracket[1], tol)
+    b0 = solve_b0()
     lambdas = np.array([circulant_eigenvalue(m, b0, kappa) for m in range(10)])
     if not (abs(lambdas[4]) <= 1e-10 * s and abs(lambdas[6]) <= 1e-10 * s):
         raise NumericalFailure("modes 4 and 6 did not vanish at B0")
@@ -228,23 +185,14 @@ def build_family(
     if abs(lambdas[0] * a0 - 6.0 * a) > bound or abs(lambdas[2] * a1 - 6.0 * b) > bound:
         raise NumericalFailure("cube-expansion closure identities failed at (a, b)")
 
-    cfg = points_k10(b0)
-    mat = interaction_matrix(cfg, kappa)
-    sigma = np.sqrt([sigma_sq(r, b0) for r in range(1, 6)])
-    delta = np.array([delta_coeff(r, b0, kappa) for r in range(1, 6)])
-    sigma.setflags(write=False)
-    delta.setflags(write=False)
     lambdas.setflags(write=False)
     return CirculantFamily(
         b0=b0,
-        theta=THETA,
-        sigma=sigma,
-        delta=delta,
         lambdas=lambdas,
         coeff_a=a,
         coeff_b=b,
         kappa=float(kappa),
-        matrix=mat,
+        matrix=interaction_matrix(points_k10(b0), kappa),
     )
 
 

@@ -56,22 +56,20 @@ class RunConfig:
     t_end: float | None = None
     n_triangles: int = 50
     quadrature: groundstate.QuadratureSpec = groundstate.QuadratureSpec()
-    bracket: tuple[float, float] = (4.70, 4.71)
-    root_tol: float = 1e-12
 
 
 _COMMON_KEYS = {"command", "seed", "kappa", "output"}
 _ALLOWED_KEYS = {
     "equilibria": _COMMON_KEYS | {"points", "solver"},
     "simulate": _COMMON_KEYS | {"points", "solver", "integrator", "schedule", "initial", "t_end"},
-    "k10": _COMMON_KEYS | {"bracket", "tol"},
+    "k10": _COMMON_KEYS,
     "k3-check": _COMMON_KEYS | {"n_triangles", "solver"},
     "kappa-check": _COMMON_KEYS | {"quadrature"},
 }
 _SOLVER_KEYS = {"tol", "dedup_radius", "n_random", "max_iter"}
 _INTEGRATOR_KEYS = {"rtol", "atol", "alpha_floor", "sample_dt", "max_step"}
 _SCHEDULE_KEYS = {"kind", "amplitude", "rate", "dir1", "dir2"}
-_QUADRATURE_KEYS = {"r_max", "n_panels", "rule", "tail_order"}
+_QUADRATURE_KEYS = {"r_max", "n_panels"}
 
 
 def _check_keys(obj: dict, allowed: set, where: str):
@@ -174,15 +172,6 @@ def _build(doc: dict, command: str) -> RunConfig:
         if "points" not in doc:
             raise ValidationError(f'"{command}" requires "points"')
         cfg = replace(cfg, points=np.asarray(doc["points"], dtype=float))
-
-    if command == "k10":
-        if "bracket" in doc:
-            br = doc["bracket"]
-            if not (isinstance(br, list) and len(br) == 2):
-                raise ValidationError('"bracket" must be a two-element list')
-            cfg = replace(cfg, bracket=(float(br[0]), float(br[1])))
-        if "tol" in doc:
-            cfg = replace(cfg, root_tol=float(doc["tol"]))
 
     if command == "k3-check":
         n = doc.get("n_triangles", 50)
@@ -308,7 +297,7 @@ def _run_simulate(cfg: RunConfig) -> None:
 
 
 def _run_k10(cfg: RunConfig) -> None:
-    fam = circulant.build_family(cfg.kappa, cfg.bracket, cfg.root_tol)
+    fam = circulant.build_family(cfg.kappa)
     _write(cfg.output or "k10.json", _fmt(circulant.k10_report(fam)) + "\n")
 
 
@@ -401,7 +390,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="JSON run-config file")
         p.add_argument("--output", help="artifact path override")
         p.add_argument("--seed", type=int, help="random seed override")
-        p.add_argument("--tol", type=float, help="tolerance override (solver or root-find)")
+        p.add_argument("--tol", type=float, help="solver.tol override")
     args = parser.parse_args(argv)
 
     try:
@@ -419,11 +408,9 @@ def main(argv=None) -> int:
         if args.output is not None:
             cfg = replace(cfg, output=args.output)
         if args.tol is not None:
-            if args.command == "kappa-check":
-                raise ValidationError("--tol does not apply to kappa-check")
-            cfg = replace(
-                cfg, root_tol=args.tol, solver=replace(cfg.solver, tol=args.tol)
-            )
+            if "solver" not in _ALLOWED_KEYS[args.command]:
+                raise ValidationError(f"--tol does not apply to {args.command}")
+            cfg = replace(cfg, solver=replace(cfg.solver, tol=args.tol))
     except (InvalidInput, OSError, UnicodeDecodeError) as e:
         _emit_error(e)
         return 1

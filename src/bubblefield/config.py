@@ -8,7 +8,6 @@ downstream modules always read the cache.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,6 @@ __all__ = [
     "kappa_closed_form",
     "build_configuration",
     "interaction_matrix",
-    "load_configuration",
 ]
 
 POINT_DIM = 5
@@ -137,23 +135,3 @@ def interaction_matrix(config: Configuration, kappa: float | None = None) -> Int
     m = _mirrored(config.K, rows, cols, upper)
     m.setflags(write=False)
     return InteractionMatrix(m=m, kappa=float(kappa))
-
-
-def load_configuration(document: str | dict) -> tuple[Configuration, float]:
-    """Ingest {"points": [[...], ...], "kappa": optional} from JSON text or a dict.
-
-    Absent "kappa" means the closed form.  Returns (configuration, kappa).
-    """
-    if isinstance(document, str):
-        doc = json.loads(document)
-    else:
-        doc = document
-    if not isinstance(doc, dict) or "points" not in doc:
-        raise InvalidInput('configuration document must be an object with a "points" key')
-    kappa = doc.get("kappa")
-    if kappa is None:
-        kappa = kappa_closed_form()
-    kappa = float(kappa)
-    if not (kappa > 0 and math.isfinite(kappa)):
-        raise InvalidInput(f"kappa must be a positive finite number, got {kappa}")
-    return build_configuration(doc["points"]), kappa

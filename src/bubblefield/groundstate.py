@@ -36,7 +36,6 @@ __all__ = [
 # area of the unit 4-sphere: a radial integral over R^5 carries weight OMEGA4 * r^4
 OMEGA4 = 8.0 * math.pi**2 / 3.0
 
-RULES = ("gauss-legendre", "simpson")
 GL_NODES_PER_PANEL = 8
 
 
@@ -75,27 +74,20 @@ def lambda_w(r):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Panel quadrature description for the two radial integrals.
+    """Gauss-Legendre panels on [0, r_max] for the two radial integrals.
 
-    tail_order selects how many terms of the power-law expansion of the
-    integrands are integrated analytically beyond r_max (1 = leading term,
-    2 = leading + first correction).
+    Beyond r_max the leading term and first correction of each integrand's
+    power-law expansion are integrated analytically.
     """
 
     r_max: float = 200.0
     n_panels: int = 2048
-    rule: str = "gauss-legendre"
-    tail_order: int = 2
 
     def __post_init__(self):
         if not 10.0 <= self.r_max < math.inf:
             raise InvalidInput(f"r_max must be finite and >= 10, got {self.r_max}")
         if not isinstance(self.n_panels, numbers.Integral) or not self.n_panels >= 16:
             raise InvalidInput(f"n_panels must be an integer >= 16, got {self.n_panels!r}")
-        if self.rule not in RULES:
-            raise InvalidInput(f"rule must be one of {RULES}, got {self.rule!r}")
-        if self.tail_order not in (1, 2):
-            raise InvalidInput(f"tail_order must be 1 or 2, got {self.tail_order}")
 
 
 @dataclass(frozen=True)
@@ -117,35 +109,23 @@ def _integrand_lw_sq(r):
     return r**4 * lambda_w(r) ** 2
 
 
-def _panel_integral(f, r_max: float, n_panels: int, rule: str) -> float:
+def _panel_integral(f, r_max: float, n_panels: int) -> float:
     edges = np.linspace(0.0, r_max, n_panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    if rule == "gauss-legendre":
-        nodes, weights = leggauss(GL_NODES_PER_PANEL)
-        half = 0.5 * (edges[1] - edges[0])
-        pts = mids[:, None] + half * nodes[None, :]
-        return float(half * np.sum(f(pts) @ weights))
-    # composite Simpson: each panel split at its midpoint
-    h = edges[1] - edges[0]
-    fe = f(edges)
-    fm = f(mids)
-    return float(h / 6.0 * (fe[0] + fe[-1] + 2.0 * np.sum(fe[1:-1]) + 4.0 * np.sum(fm)))
+    nodes, weights = leggauss(GL_NODES_PER_PANEL)
+    half = 0.5 * (edges[1] - edges[0])
+    pts = mids[:, None] + half * nodes[None, :]
+    return float(half * np.sum(f(pts) @ weights))
 
 
-def _tail_w73(r_max: float, order: int) -> float:
+def _tail_w73(r_max: float) -> float:
     # r^4 W^(7/3) = 15^(7/2) (r^-3 - (105/2) r^-5 + ...)
-    t = 15.0**3.5 / (2.0 * r_max**2)
-    if order >= 2:
-        t -= 15.0**3.5 * 105.0 / (8.0 * r_max**4)
-    return t
+    return 15.0**3.5 / (2.0 * r_max**2) - 15.0**3.5 * 105.0 / (8.0 * r_max**4)
 
 
-def _tail_lw_sq(r_max: float, order: int) -> float:
+def _tail_lw_sq(r_max: float) -> float:
     # r^4 (LW)^2 = 15^5 ((1/100) r^-2 - (21/20) r^-4 + ...)
-    t = 15.0**5 / (100.0 * r_max)
-    if order >= 2:
-        t -= 15.0**5 * 7.0 / (20.0 * r_max**3)
-    return t
+    return 15.0**5 / (100.0 * r_max) - 15.0**5 * 7.0 / (20.0 * r_max**3)
 
 
 def _refinement_failed(coarse: float, mid: float, fine: float) -> bool:
@@ -172,7 +152,7 @@ def verify_kappa(spec: QuadratureSpec = QuadratureSpec()) -> KappaReport:
         (_integrand_lw_sq, _tail_lw_sq, "(LW)^2"),
     ):
         coarse, mid, fine = (
-            _panel_integral(f, spec.r_max, n, spec.rule)
+            _panel_integral(f, spec.r_max, n)
             for n in (spec.n_panels // 4, spec.n_panels // 2, spec.n_panels)
         )
         if _refinement_failed(coarse, mid, fine):
@@ -180,7 +160,7 @@ def verify_kappa(spec: QuadratureSpec = QuadratureSpec()) -> KappaReport:
                 f"{name}: error estimate grew under refinement "
                 f"({abs(mid - coarse):.3e} -> {abs(fine - mid):.3e}); check r_max/n_panels"
             )
-        integrals.append(OMEGA4 * (fine + tail(spec.r_max, spec.tail_order)))
+        integrals.append(OMEGA4 * (fine + tail(spec.r_max)))
     i_w73, i_lw = integrals
     kq = 1.5 * 15.0**1.5 * i_w73 / i_lw
     kc = kappa_closed_form()

@@ -192,7 +192,7 @@ def test_criterion_4_eigenvalue_18_identity():
 
 def test_criterion_5_mode4_root_and_printed_values():
     t0 = time.perf_counter()
-    b0 = solve_b0(4.70, 4.71, 1e-12)
+    b0 = solve_b0()
     lam470 = circulant_eigenvalue(4, 4.70, KAPPA)
     lam471 = circulant_eigenvalue(4, 4.71, KAPPA)
     lam0 = circulant_eigenvalue(0, b0, KAPPA)

@@ -6,7 +6,6 @@ import pytest
 from bubblefield.circulant import (
     THETA,
     BadIndex,
-    NoSignChange,
     OutOfWindow,
     build_family,
     circulant_eigenvalue,
@@ -22,9 +21,9 @@ from bubblefield.circulant import (
 )
 from bubblefield.config import interaction_matrix
 from bubblefield.equilibrium import isolation_check, lift, reduced_jacobian
-from bubblefield.errors import InvalidInput, NumericalFailure
+from bubblefield.errors import InvalidInput
 
-# regression fixture: bisection + Newton polish at tol 1e-12, closed-form kappa
+# regression fixture: bisection of (4.70, 4.71) to adjacent floats, closed-form kappa
 B0_REGRESSION = 4.702313882987461
 
 
@@ -140,12 +139,10 @@ def test_mode4_printed_values(kappa):
 
 
 def test_solve_b0(kappa):
-    b0 = solve_b0(4.70, 4.71, 1e-12)
+    b0 = solve_b0()
     assert 4.70 < b0 < 4.71
     assert abs(circulant_eigenvalue(4, b0, kappa)) <= 1e-12
     assert abs(b0 - B0_REGRESSION) <= 1e-12
-    with pytest.raises(NoSignChange):
-        solve_b0(4.8, 4.9, 1e-12)
 
 
 def test_mode4_slope_window(kappa):
@@ -280,8 +277,3 @@ def test_build_family_at_any_kappa(family, k):
     assert abs(fam.b0 - family.b0) <= np.spacing(family.b0)
     for got, ref in ((fam.coeff_a, family.coeff_a), (fam.coeff_b, family.coeff_b)):
         assert abs(got * math.sqrt(k) - ref * math.sqrt(family.kappa)) <= 1e-12
-
-
-def test_build_family_rejects_bad_bracket(kappa):
-    with pytest.raises((NoSignChange, NumericalFailure)):
-        build_family(kappa, bracket=(5.0, 5.1))

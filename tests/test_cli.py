@@ -1,10 +1,13 @@
 import copy
 import json
 import math
+import pathlib
+import re
 from dataclasses import replace
 
 import pytest
 
+from bubblefield import cli
 from bubblefield.cli import (
     ParseError,
     RunConfig,
@@ -14,9 +17,11 @@ from bubblefield.cli import (
     parse_run_config,
     run,
 )
+from bubblefield.config import build_configuration, interaction_matrix
 from bubblefield.errors import InvalidInput
 
 K2_POINTS = [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def cfg_text(**kw):
@@ -38,7 +43,20 @@ def test_parse_minimal_equilibria():
 def test_parse_k10_needs_no_points():
     cfg = parse_run_config(cfg_text(command="k10"))
     assert cfg.command == "k10"
-    assert cfg.bracket == (4.70, 4.71)
+    assert cfg.points is None and cfg.kappa is None
+
+
+def test_parse_points_and_kappa(kappa):
+    cfg = parse_run_config(cfg_text(command="equilibria", points=K2_POINTS))
+    # a missing kappa means the closed form
+    assert cfg.kappa is None
+    assert interaction_matrix(build_configuration(cfg.points), cfg.kappa).kappa == kappa
+    assert cfg.points.shape == (2, 5)
+    assert parse_run_config(cfg_text(command="equilibria", points=K2_POINTS, kappa=6.0)).kappa == 6.0
+    with pytest.raises(ValidationError):
+        parse_run_config(cfg_text(command="equilibria", kappa=1.0))
+    with pytest.raises(ValidationError):
+        parse_run_config(cfg_text(command="equilibria", points=K2_POINTS, kappa=-3))
 
 
 def test_parse_rejects_bad_documents():
@@ -174,7 +192,7 @@ def test_kappa_check_artifact(tmp_path):
         "rel_error",
         "quadrature",
     }
-    assert set(doc["quadrature"]) == {"r_max", "n_panels", "rule", "tail_order"}
+    assert set(doc["quadrature"]) == {"r_max", "n_panels"}
     assert doc["rel_error"] <= 1e-6
     assert doc["kappa_closed"] == pytest.approx(22.5427910971, abs=1e-9)
 
@@ -215,8 +233,10 @@ def test_main_end_to_end(tmp_path, capsys):
     assert main(["k10", "--config", str(conf)]) == 1
     err = json.loads(capsys.readouterr().err.strip().split("\n")[-1])
     assert err["error"] == "ValidationError"
-    # tol override does not apply to kappa-check
+    # the tol override sets solver.tol, so it does not apply to k10 or kappa-check
     assert main(["kappa-check", "--tol", "1e-9"]) == 1
+    assert main(["k10", "--tol", "1e-9"]) == 1
+    assert json.loads(capsys.readouterr().err.strip().split("\n")[-1])["error"] == "ValidationError"
     # a config file that is not UTF-8 text
     conf.write_bytes(b"\xff\xfe\x00")
     assert main(["equilibria", "--config", str(conf)]) == 1
@@ -325,11 +345,11 @@ FULL_CONFIGS = [
             "rtol": 1e-9, "atol": 1e-12, "alpha_floor": 1e-8, "sample_dt": 0.1, "max_step": 1.0
         },
     },
-    {"command": "k10", "bracket": [4.70, 4.71], "tol": 1e-12},
+    {"command": "k10", "seed": 1, "kappa": 20.0, "output": "k10.json"},
     {"command": "k3-check", "n_triangles": 2, "solver": {"tol": 1e-12}},
     {
         "command": "kappa-check",
-        "quadrature": {"r_max": 100.0, "n_panels": 64, "rule": "simpson", "tail_order": 1},
+        "quadrature": {"r_max": 100.0, "n_panels": 64},
     },
 ]
 
@@ -377,3 +397,35 @@ def test_parse_never_raises_outside_invalid_input():
     for doc in FULL_CONFIGS:
         parse_run_config(doc)
     check()
+
+
+def _readme_table_keys() -> dict:
+    """Config keys per command as the README CLI table lists them."""
+    keys = {c: set() for c in cli.COMMANDS}
+    for line in README.read_text().splitlines():
+        if line.startswith("| `"):
+            names, commands = line.split("|")[1:3]
+            commands = commands.strip()
+            for c in cli.COMMANDS if commands == "all" else commands.split(", "):
+                keys[c] |= set(re.findall(r"`([^`]+)`", names))
+    return keys
+
+
+def test_readme_config_table_matches_parser():
+    sections = {
+        "solver": cli._SOLVER_KEYS,
+        "integrator": cli._INTEGRATOR_KEYS,
+        "schedule": cli._SCHEDULE_KEYS,
+        "quadrature": cli._QUADRATURE_KEYS,
+    }
+    documented = _readme_table_keys()
+    for command, allowed in cli._ALLOWED_KEYS.items():
+        accepted = {f"{k}.{sub}" for k in allowed & sections.keys() for sub in sections[k]}
+        assert documented[command] == accepted | (allowed - sections.keys()), command
+
+
+def test_readme_json_examples_parse():
+    examples = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    assert examples
+    for text in examples:
+        assert isinstance(parse_run_config(text), RunConfig)

@@ -10,7 +10,6 @@ from bubblefield.config import (
     build_configuration,
     interaction_matrix,
     kappa_closed_form,
-    load_configuration,
 )
 from bubblefield.errors import InvalidInput
 
@@ -126,14 +125,3 @@ def test_kappa_parameter_validation(k2_matrix):
         interaction_matrix(cfg, -1.0)
     with pytest.raises(InvalidInput):
         interaction_matrix(cfg, math.inf)
-
-
-def test_json_ingestion(kappa):
-    cfg, k = load_configuration('{"points": [[0,0,0,0,0],[1,0,0,0,0]]}')
-    assert k == kappa and cfg.K == 2
-    cfg, k = load_configuration('{"points": [[0,0,0,0,0],[1,0,0,0,0]], "kappa": 6.0}')
-    assert k == 6.0
-    with pytest.raises(InvalidInput):
-        load_configuration('{"kappa": 1.0}')
-    with pytest.raises(InvalidInput):
-        load_configuration('{"points": [[0,0,0,0,0],[1,0,0,0,0]], "kappa": -3}')

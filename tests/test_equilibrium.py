@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bubblefield.circulant import THETA
 from bubblefield.config import InteractionMatrix, build_configuration, interaction_matrix
 from bubblefield.equilibrium import (
     NonPositiveComponent,
@@ -156,7 +157,7 @@ def test_solve_k10_family_member(family):
     assert sols
     ts = np.linspace(0.0, 2.0 * np.pi, 200001)
     curve = family.coeff_a + family.coeff_b * np.cos(
-        ts[:, None] + 2.0 * np.arange(10)[None, :] * family.theta
+        ts[:, None] + 2.0 * np.arange(10)[None, :] * THETA
     )
     dists = [float(np.min(np.max(np.abs(curve - s.x[None, :]), axis=1))) for s in sols]
     assert min(dists) <= 1e-4  # the ascent ends on the cosine curve

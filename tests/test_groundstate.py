@@ -71,10 +71,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(r_max=5.0)
     with pytest.raises(InvalidInput):
         QuadratureSpec(n_panels=8)
-    with pytest.raises(InvalidInput):
-        QuadratureSpec(rule="trapezoid")
-    with pytest.raises(InvalidInput):
-        QuadratureSpec(tail_order=3)
 
 
 def test_verify_kappa_default():
@@ -119,20 +115,14 @@ def test_refinement_divergence_detection():
     assert _refinement_failed(1.0, 1.001, 1.005)
 
 
-def test_simpson_agrees_with_gauss():
-    gl = verify_kappa(QuadratureSpec(rule="gauss-legendre"))
-    si = verify_kappa(QuadratureSpec(rule="simpson", n_panels=4096))
-    assert abs(gl.kappa_quadrature - si.kappa_quadrature) <= 1e-7 * gl.kappa_quadrature
-
-
 def test_tail_scales_like_inverse_square():
-    # leading tail of the W^(7/3) radial integral beyond r_max ~ r_max^-2
-    assert abs(_tail_w73(100.0, 1) / _tail_w73(200.0, 1) - 4.0) < 1e-12
+    # tail of the W^(7/3) radial integral beyond r_max ~ r_max^-2 for large r_max
+    assert abs(_tail_w73(1e4) / _tail_w73(2e4) - 4.0) < 1e-5
     # truncation-point independence: panel + tail must agree across r_max
     # (two-term tails leave a ~r_max^-6 remainder, negligible from 200 up)
     f = lambda r: r**4 * ground_state(r) ** (7.0 / 3.0)
     full = {
-        rm: _panel_integral(f, rm, 2048, "gauss-legendre") + _tail_w73(rm, 2)
+        rm: _panel_integral(f, rm, 2048) + _tail_w73(rm)
         for rm in (200.0, 400.0)
     }
     assert abs(full[200.0] - full[400.0]) <= 1e-9 * full[400.0]
