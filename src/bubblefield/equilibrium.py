@@ -104,7 +104,7 @@ class IsolationReport:
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-12            # residual max-norm <= tol * (1 + ||6x||_inf)
-    dedup_radius: float = 1e-6    # max-norm dedup distance on x
+    dedup_radius: float = 1e-6    # max-norm dedup distance on x, relative to max(1, max x)
     n_random: int = 64            # deflation budget: deflated Newton runs beyond one per start
     max_iter: int = 200           # cap on all ascent steps and on each Newton run's iterations
     extra_seeds: tuple = ()       # user-supplied starts for deflated Newton
@@ -153,11 +153,13 @@ def isolation_check(sol: ReducedSolution, m: InteractionMatrix) -> IsolationRepo
     the natural magnitude of det(6I).  The test is made on
     log_abs_det_shift = sum(log|6 - mu|), so it holds for any K; det_shift
     itself is the plain product of the shifted eigenvalues and may overflow
-    to +-inf for large K.
+    to +-inf for large K.  The residual must meet the solver's relative form
+    of the bound, max|f| <= 1e-8 * (1 + 6 max|x|).
     """
-    if not sol.residual_norm <= 1e-8:
+    bound = 1e-8 * (1.0 + 6.0 * float(np.max(np.abs(sol.x))))
+    if not sol.residual_norm <= bound:
         raise InvalidInput(
-            f"isolation_check needs residual_norm <= 1e-8, got {sol.residual_norm:.3e}"
+            f"isolation_check needs residual_norm <= {bound:.3e}, got {sol.residual_norm:.3e}"
         )
     a = symmetrized_matrix(sol.x, m)
     try:
@@ -168,7 +170,7 @@ def isolation_check(sol: ReducedSolution, m: InteractionMatrix) -> IsolationRepo
     with np.errstate(over="ignore", divide="ignore"):
         det_shift = float(np.prod(6.0 - eigs))
         log_abs_det = float(np.sum(np.log(np.abs(6.0 - eigs))))
-    u = sol.x**2
+    u = _pow2_scaled(sol.x) ** 2
     eig18 = float(np.linalg.norm(a @ u - 18.0 * u) / np.linalg.norm(u))
     scale = float(np.max(np.abs(eigs))) if k else 0.0
     pattern = "".join(
@@ -190,8 +192,19 @@ def _g(x: np.ndarray, m: InteractionMatrix) -> float:
     return float(x**3 @ m.m @ x**3)
 
 
+def _pow2_scaled(x: np.ndarray) -> np.ndarray:
+    """x times the power of two that puts max x in [1/2, 1).
+
+    The scaling is exact, so scale-free quantities computed from the result
+    round as they would from x, while powers of x no longer underflow or
+    overflow at extreme scales of the configuration.
+    """
+    return np.ldexp(x, -np.frexp(np.max(x))[1])
+
+
 def _unit(x: np.ndarray) -> np.ndarray:
     """x scaled onto the sphere sum x^4 = 1, where |a| = 1."""
+    x = _pow2_scaled(x)
     return x / np.sum(x**4) ** 0.25
 
 
@@ -226,7 +239,8 @@ def _newton(x, m: InteractionMatrix, opts: SolverOptions, roots=None, scale=1.0,
         if roots is not None:
             d = x - roots
             dd = np.sum(d * d, axis=1)
-            step = step / (1.0 + 2.0 * scale**2 * ((1.0 / (dd * (dd + scale**2))) @ d) @ step)
+            with np.errstate(over="ignore"):  # far roots: 1 / inf = 0 is the limit
+                step = step / (1.0 + 2.0 * scale**2 * ((1.0 / (dd * (dd + scale**2))) @ d) @ step)
         if not np.all(np.isfinite(step)):
             return None
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -311,7 +325,10 @@ def solve_equilibria(m: InteractionMatrix, options: SolverOptions = SolverOption
         runs -= 1
         roots = np.array([np.zeros(k)] + [h[0] for h in found])
         hit = _newton(starts[0][0], m, options, roots, xbar, starts[0][1])
-        if hit is None or any(np.max(np.abs(hit[0] - h[0])) < options.dedup_radius for h in found):
+        if hit is None or any(
+            np.max(np.abs(hit[0] - h[0])) < options.dedup_radius * max(1.0, np.max(h[0]))
+            for h in found
+        ):
             starts.pop(0)
         else:
             found.append(hit)

@@ -242,6 +242,19 @@ def test_main_end_to_end(tmp_path, capsys):
     assert main(["equilibria", "--config", str(conf)]) == 1
 
 
+def test_equilibria_on_a_widely_spaced_triangle(tmp_path):
+    # the residual there is large in absolute terms but within the solver's relative bound
+    side = 1e30
+    pts = [[0, 0, 0, 0, 0], [side, 0, 0, 0, 0], [side / 2, side * math.sqrt(3.0) / 2, 0, 0, 0]]
+    conf = tmp_path / "run.json"
+    conf.write_text(cfg_text(command="equilibria", points=pts))
+    out = tmp_path / "out.json"
+    assert main(["equilibria", "--config", str(conf), "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["count"] == 1
+    assert doc["solutions"][0]["isolation"]["isolated"]
+
+
 def test_main_seed_override(tmp_path):
     conf = tmp_path / "run.json"
     conf.write_text(cfg_text(command="k3-check", n_triangles=2))

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,6 +107,13 @@ def test_isolation_check_requires_converged_input(k2_matrix):
     bad = ReducedSolution(x=np.array([1.0, 1.0]), residual_norm=1e-3, tolerance=1e-3)
     with pytest.raises(InvalidInput):
         isolation_check(bad, k2_matrix)
+    # the bound is relative to the solution's size, as the solver's is
+    x = np.full(2, 1e10)
+    scale = 1.0 + 6.0 * 1e10
+    far = ReducedSolution(x=x, residual_norm=1e-6 * scale, tolerance=1e-12 * scale)
+    with pytest.raises(InvalidInput):
+        isolation_check(far, k2_matrix)
+    isolation_check(replace(far, residual_norm=1e-9 * scale), k2_matrix)
 
 
 def all_equal_solution(K):
@@ -373,6 +381,25 @@ def test_k2_closed_form_op(kappa):
         k2_closed_form(0.0, kappa)
     with pytest.raises(InvalidInput):
         k2_closed_form(1.0, 0.0)
+
+
+def test_solution_count_does_not_depend_on_scale():
+    # scaling the points by s scales x by s^(3/2): the same solutions, found
+    # without overflow, underflow or a duplicate at any scale the seed accepts
+    tri = np.zeros((3, 5))
+    tri[1, 0], tri[2, 0], tri[2, 1] = 1.0, 0.5, np.sqrt(3.0) / 2.0
+    for side in 10.0 ** np.arange(-3, 68, 5):
+        m = interaction_matrix(build_configuration(side * tri))
+        sols = solve_equilibria(m)
+        assert len(sols) == 1
+        assert isolation_check(sols[0], m).isolated
+    for seed in range(4):
+        pts = np.random.default_rng(seed).normal(size=(12, 5))
+        counts = {
+            len(solve_equilibria(interaction_matrix(build_configuration(s * pts))))
+            for s in (1e-3, 1.0, 1e10, 1e30, 1e60)
+        }
+        assert len(counts) == 1, (seed, counts)
 
 
 def test_solver_determinism():
