@@ -52,7 +52,8 @@ def test_parse_points_and_kappa(kappa):
     assert cfg.kappa is None
     assert interaction_matrix(build_configuration(cfg.points), cfg.kappa).kappa == kappa
     assert cfg.points.shape == (2, 5)
-    assert parse_run_config(cfg_text(command="equilibria", points=K2_POINTS, kappa=6.0)).kappa == 6.0
+    cfg = parse_run_config(cfg_text(command="equilibria", points=K2_POINTS, kappa=6.0))
+    assert cfg.kappa == 6.0
     with pytest.raises(ValidationError):
         parse_run_config(cfg_text(command="equilibria", kappa=1.0))
     with pytest.raises(ValidationError):
