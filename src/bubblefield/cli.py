@@ -23,7 +23,7 @@ import numpy as np
 
 from . import circulant, dynamics, equilibrium, groundstate
 from .config import build_configuration, interaction_matrix, kappa_closed_form
-from .errors import InvalidInput, NumericalFailure
+from .errors import InvalidInput, NumericalFailure, real
 
 __all__ = ["RunConfig", "ParseError", "ValidationError", "UnknownKey", "parse_run_config", "run", "main"]
 
@@ -121,9 +121,9 @@ def _build(doc: dict, command: str) -> RunConfig:
         raise ValidationError(f'"seed" must be a non-negative integer, got {seed!r}')
     kappa = doc.get("kappa")
     if kappa is not None:
-        kappa = float(kappa)
-        if not (kappa > 0 and math.isfinite(kappa)):
-            raise ValidationError(f'"kappa" must be positive and finite, got {kappa}')
+        kappa = real('"kappa"', kappa)
+        if not kappa > 0:
+            raise ValidationError(f'"kappa" must be positive, got {kappa}')
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
         raise ValidationError('"output" must be a string path')
@@ -150,7 +150,7 @@ def _build(doc: dict, command: str) -> RunConfig:
             if "alpha" not in initial or "beta" not in initial:
                 raise ValidationError('"initial" needs "alpha" and "beta"')
             initial = dynamics.TrajectoryState(
-                t=float(initial.get("t", 0.0)),
+                t=real('"initial.t"', initial.get("t", 0.0)),
                 alpha=np.asarray(initial["alpha"], dtype=float),
                 beta=np.asarray(initial["beta"], dtype=float),
             )
@@ -162,7 +162,7 @@ def _build(doc: dict, command: str) -> RunConfig:
             cfg,
             schedule=dynamics.PerturbationSchedule(**sch),
             initial=initial,
-            t_end=float(doc["t_end"]),
+            t_end=real('"t_end"', doc["t_end"]),
             integrator=dynamics.IntegratorOptions(
                 **_sub_object(doc, "integrator", _INTEGRATOR_KEYS)
             ),

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import InteractionMatrix
-from .errors import InvalidInput, NumericalFailure
+from .errors import InvalidInput, NumericalFailure, real
 
 __all__ = [
     "TrajectoryState",
@@ -85,7 +85,7 @@ class TrajectoryState:
 
     @property
     def K(self) -> int:
-        return self.alpha.shape[0]
+        return self.alpha.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -102,13 +102,18 @@ class PerturbationSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise InvalidInput(f"schedule kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
+        object.__setattr__(self, "amplitude", real("amplitude", self.amplitude))
+        object.__setattr__(self, "rate", real("rate", self.rate))
         if self.amplitude < 0:
             raise InvalidInput(f"amplitude must be >= 0, got {self.amplitude}")
         if self.kind != "zero" and not self.rate > 0:
             raise InvalidInput(f"decay rate must be positive, got {self.rate}")
         for name in ("dir1", "dir2"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+                d = np.asarray(getattr(self, name), dtype=float)
+                if not np.all(np.isfinite(d)):
+                    raise InvalidInput(f"schedule {name} must be finite, got {d}")
+                object.__setattr__(self, name, d)
 
     def _decay(self, t: float) -> float:
         if self.kind == "zero" or self.amplitude == 0.0:
@@ -140,8 +145,9 @@ class IntegratorOptions:
     max_step: float = math.inf
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, float(getattr(self, f.name)))
+        for f in fields(self):  # an infinite sample_dt or max_step means unbounded
+            value = real(f.name, getattr(self, f.name), f.name in ("sample_dt", "max_step"))
+            object.__setattr__(self, f.name, value)
         if not self.rtol > 0 or not self.atol >= 0:
             raise InvalidInput("rtol must be positive and atol non-negative")
         if not self.sample_dt > 0:
@@ -194,27 +200,33 @@ def _field_raw(alpha: np.ndarray, beta: np.ndarray, m: InteractionMatrix):
 
 
 def vector_field(state: TrajectoryState, m: InteractionMatrix):
-    """Autonomous field (dalpha, dbeta); perturbations are the integrator's job."""
+    """Autonomous field (dalpha, dbeta) at one state; perturbations are the integrator's job."""
+    if state.alpha.ndim != 1:  # on an (n, K) stack, m @ alpha mixes the samples
+        raise InvalidInput(f"expected one state, got alpha of shape {state.alpha.shape}")
     if np.any(state.alpha <= 0):
         raise NegativeAlpha(f"alpha must be entrywise positive, got min {state.alpha.min()}")
     return _field_raw(state.alpha, state.beta, m)
 
 
-def lyapunov(state: TrajectoryState, m: InteractionMatrix) -> float:
-    """L = 1/2 sum(2a-b)^2 + 3 sum a^2 - 2/3 sum_{i<j} m_ij a_i^1.5 a_j^1.5."""
+def lyapunov(state: TrajectoryState | Trajectory, m: InteractionMatrix):
+    """L = 1/2 sum(2a-b)^2 + 3 sum a^2 - 2/3 sum_{i<j} m_ij a_i^1.5 a_j^1.5.
+
+    Like lyapunov_rate and distance_to_set, reduces over the last axis: a
+    float for one state, an (n,) array for a stack of samples or a Trajectory.
+    """
     a, b = state.alpha, state.beta
     if np.any(a < 0):
         raise NegativeAlpha(f"alpha must be entrywise >= 0, got min {a.min()}")
     a32 = a**1.5
-    return float(
-        0.5 * np.sum((2.0 * a - b) ** 2)
-        + 3.0 * np.sum(a**2)
-        - (a32 @ (m.m @ a32)) / 3.0  # half of the 2/3-weighted i<j double sum
-    )
+    # half of the 2/3-weighted i<j double sum
+    coupling = np.matmul(a32[..., None, :], np.matmul(m.m, a32[..., :, None]))[..., 0, 0]
+    return 0.5 * np.sum((2.0 * a - b) ** 2, axis=-1) + 3.0 * np.sum(a**2, axis=-1) - coupling / 3.0
 
 
 def lyapunov_gradient(state: TrajectoryState, m: InteractionMatrix):
-    """(dL/dalpha, dL/dbeta) in closed form."""
+    """(dL/dalpha, dL/dbeta) at one state in closed form."""
+    if state.alpha.ndim != 1:
+        raise InvalidInput(f"expected one state, got alpha of shape {state.alpha.shape}")
     a, b = state.alpha, state.beta
     if np.any(a < 0):
         raise NegativeAlpha(f"alpha must be entrywise >= 0, got min {a.min()}")
@@ -223,23 +235,25 @@ def lyapunov_gradient(state: TrajectoryState, m: InteractionMatrix):
     return galpha, gbeta
 
 
-def lyapunov_rate(state: TrajectoryState) -> float:
+def lyapunov_rate(state: TrajectoryState | Trajectory):
     """Dissipation 5 sum_k (2 alpha_k - beta_k)^2 of L along the autonomous flow."""
-    return float(5.0 * np.sum((2.0 * state.alpha - state.beta) ** 2))
+    return 5.0 * np.sum((2.0 * state.alpha - state.beta) ** 2, axis=-1)
 
 
-def distance_to_set(state: TrajectoryState, equilibria) -> float:
+def distance_to_set(state: TrajectoryState | Trajectory, equilibria):
     """min over the list of max(||alpha - a||_inf, ||beta - c||_inf)."""
     eqs = list(equilibria)
     if not eqs:
         raise EmptySet("equilibrium list is empty")
-    return min(
-        max(
-            float(np.max(np.abs(state.alpha - e.a))),
-            float(np.max(np.abs(state.beta - e.c))),
-        )
-        for e in eqs
-    )
+    k = state.alpha.shape[-1]
+    if any(np.shape(e.a) != (k,) or np.shape(e.c) != (k,) for e in eqs):
+        raise InvalidInput(f"every equilibrium must have {k} components, as the state does")
+    ea = np.array([e.a for e in eqs])
+    ec = np.array([e.c for e in eqs])
+    return np.maximum(
+        np.abs(state.alpha[..., None, :] - ea).max(axis=-1),
+        np.abs(state.beta[..., None, :] - ec).max(axis=-1),
+    ).min(axis=-1)
 
 
 # Dormand-Prince 5(4) tableau (FSAL)
@@ -276,8 +290,8 @@ def integrate(
     """
     if np.any(initial.alpha <= 0):
         raise NegativeAlpha("initial alpha must be entrywise positive")
-    if not initial.t < t_end < math.inf:
-        raise InvalidInput(f"t_end must be finite and exceed the initial time {initial.t}")
+    if not -math.inf < initial.t < t_end < math.inf:
+        raise InvalidInput(f"t_end must be finite and exceed the finite initial time {initial.t}")
     if initial.alpha.ndim != 1 or initial.beta.shape != initial.alpha.shape:
         raise InvalidInput("alpha and beta must be vectors of equal length")
     k = initial.K
@@ -285,6 +299,9 @@ def integrate(
         raise InvalidInput(f"state has {k} components but the coupling matrix has {m.K}")
     if not (np.all(np.isfinite(initial.alpha)) and np.all(np.isfinite(initial.beta))):
         raise InvalidInput("initial state contains non-finite values")
+    eqs = [] if equilibria is None else list(equilibria)
+    if eqs:
+        distance_to_set(initial, eqs)  # rejects equilibria of the wrong length before any step
     dir1 = schedule._dir(schedule.dir1, k)
     dir2 = schedule._dir(schedule.dir2, k)
     forced = schedule.kind != "zero" and schedule.amplitude != 0.0
@@ -364,32 +381,19 @@ def integrate(
         ys[j] = y
         t = target
 
-    alphas, betas = ys[:, :k], ys[:, k:]
-    # Lyapunov diagnostics for all samples at once; the stacked matmuls
-    # reduce in the same order as lyapunov() on one sample.
-    sq = np.sum((2.0 * alphas - betas) ** 2, axis=1)
-    a32 = alphas**1.5
-    coupling = np.matmul(a32[:, None, :], np.matmul(m.m, a32[:, :, None]))[:, 0, 0]
-    lyap = 0.5 * sq + 3.0 * np.sum(alphas**2, axis=1) - coupling / 3.0
-    rate = 5.0 * sq
-    eqs = list(equilibria) if equilibria is not None else []
-    if eqs:
-        ea = np.array([e.a for e in eqs])
-        ec = np.array([e.c for e in eqs])
-        dist = np.maximum(
-            np.abs(alphas[:, None, :] - ea).max(axis=2),
-            np.abs(betas[:, None, :] - ec).max(axis=2),
-        ).min(axis=1)
-    else:
-        dist = np.full(ts.shape[0], math.nan)
+    samples = TrajectoryState(t=ts, alpha=ys[:, :k], beta=ys[:, k:])
+    dist = distance_to_set(samples, eqs) if eqs else np.full(ts.shape[0], math.nan)
     return Trajectory(
-        ts=ts, alpha=alphas, beta=betas, lyapunov=lyap, lyapunov_rate=rate, dist_to_eq=dist
+        ts=ts, alpha=samples.alpha, beta=samples.beta, lyapunov=lyapunov(samples, m),
+        lyapunov_rate=lyapunov_rate(samples), dist_to_eq=dist,
     )
 
 
 def omega_limit_estimate(traj: Trajectory, window: float) -> OmegaReport:
     """Bounding box and diameter of all samples with t >= t_end - window."""
     span = float(traj.ts[-1] - traj.ts[0])
+    if not window >= 0:
+        raise InvalidInput(f"window must be >= 0, got {window}")
     if window >= span:
         raise WindowTooLarge(f"window {window} must be smaller than the span {span}")
     t0 = traj.ts[-1] - window
@@ -407,13 +411,20 @@ def omega_limit_estimate(traj: Trajectory, window: float) -> OmegaReport:
     )
 
 
+def _exp(t: float) -> float:
+    """math.exp(t), or inf where e^t overflows a float (t above about 709.78)."""
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
+
+
 def to_physical(traj: Trajectory):
-    """Per-sample (s, lambda, b) with s = e^t, lambda = alpha/s^2, b = beta/s^3."""
-    out = []
-    for t, a, b in zip(traj.ts, traj.alpha, traj.beta):
-        s = math.exp(t)
-        out.append((s, a / s**2, b / s**3))
-    return out
+    """Per-sample (s, lambda, b) with s = e^t, lambda = alpha e^{-2t}, b = beta e^{-3t}."""
+    return [
+        (_exp(t), a * _exp(-2.0 * t), b * _exp(-3.0 * t))
+        for t, a, b in zip(traj.ts.tolist(), traj.alpha, traj.beta)
+    ]
 
 
 def trajectory_csv(traj: Trajectory) -> str:
@@ -425,7 +436,7 @@ def trajectory_csv(traj: Trajectory) -> str:
         + [f"beta_{i + 1}" for i in range(k)]
         + ["L", "L_rate", "dist_to_eq"]
     )
-    s = [math.exp(t) for t in traj.ts.tolist()]  # math.exp and np.exp can differ in the last bit
+    s = [_exp(t) for t in traj.ts.tolist()]  # math.exp and np.exp can differ in the last bit
     table = np.column_stack(
         [traj.ts, s, traj.alpha, traj.beta, traj.lyapunov, traj.lyapunov_rate, traj.dist_to_eq]
     )

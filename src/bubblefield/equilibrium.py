@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import InteractionMatrix
-from .errors import InvalidInput, NumericalFailure
+from .errors import InvalidInput, NumericalFailure, real
 
 __all__ = [
     "ReducedSolution",
@@ -110,8 +110,8 @@ class SolverOptions:
     extra_seeds: tuple = ()       # user-supplied starts for deflated Newton
 
     def __post_init__(self):
-        object.__setattr__(self, "tol", float(self.tol))
-        object.__setattr__(self, "dedup_radius", float(self.dedup_radius))
+        object.__setattr__(self, "tol", real("tol", self.tol))
+        object.__setattr__(self, "dedup_radius", real("dedup_radius", self.dedup_radius, True))
         if not self.tol > 0:
             raise InvalidInput(f"tol must be positive, got {self.tol}")
         if not self.dedup_radius >= 0:

@@ -1,9 +1,13 @@
-"""Shared exception bases.
+"""Shared exception bases and the number check of the option types.
 
 Every module defines its own concrete exceptions; they all derive from one
 of the two bases below so the CLI can map failures to exit codes
 (InvalidInput -> 1, NumericalFailure -> 2).
 """
+
+import math
+
+import numpy as np
 
 
 class BubblefieldError(Exception):
@@ -16,3 +20,12 @@ class InvalidInput(BubblefieldError):
 
 class NumericalFailure(BubblefieldError):
     """A numerical procedure could not complete."""
+
+
+def real(name: str, value, allow_inf: bool = False) -> float:
+    """value as a float; InvalidInput for a boolean, NaN, or an infinity unless allowed."""
+    x = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
+    if math.isnan(x) or (math.isinf(x) and not allow_inf):
+        kind = "a number" if allow_inf else "a finite number"
+        raise InvalidInput(f"{name} must be {kind}, got {value!r}")
+    return x

@@ -18,6 +18,7 @@ from bubblefield.cli import (
     run,
 )
 from bubblefield.config import build_configuration, interaction_matrix
+from bubblefield.equilibrium import lift, solve_equilibria
 from bubblefield.errors import InvalidInput
 
 K2_POINTS = [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]
@@ -160,6 +161,25 @@ def test_simulate_artifacts_and_determinism(tmp_path):
     assert header == "t,s,alpha_1,alpha_2,beta_1,beta_2,L,L_rate,dist_to_eq"
 
 
+def test_simulate_late_start(tmp_path, capsys):
+    # e^t overflows a float from t ~ 709.78 on; s is then written as inf
+    eq = lift(solve_equilibria(interaction_matrix(build_configuration(K2_POINTS)))[0])
+    conf = tmp_path / "run.json"
+    conf.write_text(
+        cfg_text(
+            command="simulate", points=K2_POINTS, schedule={"kind": "zero"}, t_end=712.0,
+            initial={"t": 705.0, "alpha": eq.a.tolist(), "beta": eq.c.tolist()},
+        )
+    )
+    out = tmp_path / "late.csv"
+    assert main(["simulate", "--config", str(conf), "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    s = [row.split(",")[1] for row in out.read_text().strip().split("\n")[1:]]
+    assert s[0] == f"{math.exp(705.0):.17g}" and s[-1] == "inf"
+    summary = json.loads((tmp_path / "late.summary.json").read_text())
+    assert summary["final_dist_to_eq"] <= 1e-9
+
+
 def test_k10_artifact(tmp_path):
     out = tmp_path / "k10.json"
     assert run(parse_run_config(cfg_text(command="k10", output=str(out)))) == 0
@@ -238,6 +258,7 @@ def test_main_end_to_end(tmp_path, capsys):
     assert main(["kappa-check", "--tol", "1e-9"]) == 1
     assert main(["k10", "--tol", "1e-9"]) == 1
     assert json.loads(capsys.readouterr().err.strip().split("\n")[-1])["error"] == "ValidationError"
+    assert main(["equilibria", "--config", str(conf), "--tol", "inf"]) == 1
     # a config file that is not UTF-8 text
     conf.write_bytes(b"\xff\xfe\x00")
     assert main(["equilibria", "--config", str(conf)]) == 1
@@ -271,6 +292,20 @@ def test_main_seed_override(tmp_path):
 
 
 AT_EQ = {"initial": "start-at-equilibrium:0,0.0", "t_end": 1}
+K3_POINTS = [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0.3, 1.2, 0, 0, 0]]
+
+
+def _schedule(**kw):
+    return {"command": "simulate", "points": K2_POINTS, **AT_EQ, "schedule": kw}
+
+
+def _integrator(**kw):
+    return {
+        "command": "simulate", "points": K2_POINTS, **AT_EQ,
+        "schedule": {"kind": "zero"}, "integrator": kw,
+    }
+
+
 MALFORMED = {
     "tol-not-a-number": {"command": "equilibria", "points": K2_POINTS, "solver": {"tol": "abc"}},
     "tol-negative": {"command": "equilibria", "points": K2_POINTS, "solver": {"tol": -1}},
@@ -326,6 +361,29 @@ MALFORMED = {
     "seed-cube-overflow": {"command": "equilibria", "points": [[0] * 5, [1e100, 0, 0, 0, 0]]},
     "couplings-overflow": {
         "command": "equilibria", "kappa": 1e300, "points": [[0] * 5, [1e-3, 0, 0, 0, 0]]
+    },
+    # non-finite and boolean numbers: before, these exited 2 or ran (exit 0)
+    "amplitude-nan": _schedule(kind="exponential", amplitude=math.nan),
+    "amplitude-inf": _schedule(kind="exponential", amplitude=math.inf),
+    "amplitude-true": _schedule(kind="exponential", amplitude=True),
+    "rate-inf": _schedule(kind="exponential", amplitude=0.1, rate=math.inf),
+    "dir1-nan": _schedule(kind="exponential", amplitude=0.1, dir1=[math.nan, 1]),
+    "dir2-nan": _schedule(kind="power", amplitude=0.1, dir2=[1, math.nan]),
+    "alpha_floor-inf": _integrator(alpha_floor=math.inf),
+    "rtol-inf": _integrator(rtol=math.inf),
+    "atol-inf": _integrator(atol=math.inf),
+    "tol-inf": {
+        "command": "simulate", "points": K3_POINTS, "schedule": {"kind": "zero"},
+        "initial": "start-at-equilibrium:0,0.0", "t_end": 0.3, "solver": {"tol": math.inf},
+    },
+    "tol-true": {
+        "command": "simulate", "points": K3_POINTS, "schedule": {"kind": "zero"},
+        "initial": "start-at-equilibrium:0,0.0", "t_end": 0.3, "solver": {"tol": True},
+    },
+    "kappa-true": {"command": "equilibria", "points": K2_POINTS, "kappa": True},
+    "initial-t-infinite": {
+        "command": "simulate", "points": K2_POINTS, "schedule": {"kind": "zero"}, "t_end": 1,
+        "initial": {"t": -math.inf, "alpha": [1, 1], "beta": [2, 2]},
     },
 }
 

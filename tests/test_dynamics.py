@@ -23,7 +23,7 @@ from bubblefield.dynamics import (
     vector_field,
 )
 from bubblefield.circulant import family_member
-from bubblefield.equilibrium import EquilibriumPoint, lift, solve_equilibria
+from bubblefield.equilibrium import EquilibriumPoint, SolverOptions, lift, solve_equilibria
 from bubblefield.errors import InvalidInput
 
 from conftest import random_matrix
@@ -236,6 +236,37 @@ def test_perturbation_schedules():
     assert np.allclose(ZERO.eps1(1.0, 3), np.zeros(3))
 
 
+NON_NUMBERS = {
+    "amplitude-nan": (PerturbationSchedule, {"kind": "exponential", "amplitude": math.nan}),
+    "amplitude-inf": (PerturbationSchedule, {"kind": "exponential", "amplitude": math.inf}),
+    "amplitude-true": (PerturbationSchedule, {"kind": "exponential", "amplitude": True}),
+    "rate-inf": (PerturbationSchedule, {"kind": "power", "amplitude": 0.1, "rate": math.inf}),
+    "rate-numpy-bool": (PerturbationSchedule, {"kind": "power", "rate": np.True_}),
+    "dir1-nan": (PerturbationSchedule, {"kind": "power", "dir1": [math.nan, 1.0]}),
+    "dir2-inf": (PerturbationSchedule, {"kind": "power", "dir2": [1.0, -math.inf]}),
+    "rtol-inf": (IntegratorOptions, {"rtol": math.inf}),
+    "atol-inf": (IntegratorOptions, {"atol": math.inf}),
+    "alpha_floor-inf": (IntegratorOptions, {"alpha_floor": math.inf}),
+    "sample_dt-nan": (IntegratorOptions, {"sample_dt": math.nan}),
+    "max_step-true": (IntegratorOptions, {"max_step": True}),
+    "tol-inf": (SolverOptions, {"tol": math.inf}),
+    "tol-true": (SolverOptions, {"tol": True}),
+    "dedup_radius-nan": (SolverOptions, {"dedup_radius": math.nan}),
+}
+
+
+@pytest.mark.parametrize("cls, kw", NON_NUMBERS.values(), ids=NON_NUMBERS.keys())
+def test_options_reject_non_finite_and_boolean_numbers(cls, kw):
+    with pytest.raises(InvalidInput):
+        cls(**kw)
+
+
+def test_options_accept_an_infinite_grid_step_and_dedup_radius():
+    opts = IntegratorOptions(sample_dt=math.inf, max_step=math.inf)
+    assert opts.sample_dt == opts.max_step == math.inf
+    assert SolverOptions(dedup_radius=math.inf).dedup_radius == math.inf
+
+
 def test_schedule_direction_shape_checked(k2_matrix):
     sch = PerturbationSchedule("exponential", amplitude=0.1, rate=1.0, dir1=np.ones(3))
     eq = k2_equilibrium(k2_matrix)
@@ -254,6 +285,9 @@ def test_distance_to_set(k2_matrix):
     assert distance_to_set(st2, [far, eq]) == distance_to_set(st2, [eq])
     with pytest.raises(EmptySet):
         distance_to_set(st, [])
+    k3 = EquilibriumPoint(a=np.ones(3), c=2.0 * np.ones(3))
+    with pytest.raises(InvalidInput):
+        distance_to_set(st, [eq, k3])
 
 
 def test_omega_limit_estimate(k2_matrix):
@@ -265,6 +299,10 @@ def test_omega_limit_estimate(k2_matrix):
     assert rep.t_start == pytest.approx(3.0)
     with pytest.raises(WindowTooLarge):
         omega_limit_estimate(traj, 4.0)
+    for window in (-1.0, math.nan):
+        with pytest.raises(InvalidInput):
+            omega_limit_estimate(traj, window)
+    assert omega_limit_estimate(traj, 0.0).t_start == traj.ts[-1]
 
 
 def test_to_physical_round_trip(k2_matrix):
@@ -279,6 +317,25 @@ def test_to_physical_round_trip(k2_matrix):
     for (s, lam, b), t, a, be in zip(phys, traj.ts, traj.alpha, traj.beta):
         assert np.max(np.abs(lam * s**2 - a)) <= 1e-14 * np.max(np.abs(a))
         assert np.max(np.abs(b * s**3 - be)) <= 1e-14 * max(np.max(np.abs(be)), 1e-30)
+
+
+def test_late_start_writes_infinite_s(k2_matrix):
+    # e^t overflows a float above t ~ 709.78, and e^{3t} above t ~ 236.6
+    eq = k2_equilibrium(k2_matrix)
+    traj = integrate(state_at(eq, t=705.0), k2_matrix, ZERO, 712.0, equilibria=[eq])
+    log_max = math.log(np.finfo(float).max)
+    overflows = traj.ts > log_max
+    assert overflows.any() and not overflows.all()
+    for (s, lam, b), t, a, be, over in zip(
+        to_physical(traj), traj.ts, traj.alpha, traj.beta, overflows
+    ):
+        assert s == (math.inf if over else math.exp(t))
+        assert np.array_equal(lam, a * math.exp(-2.0 * t))
+        assert np.array_equal(b, be * math.exp(-3.0 * t))
+    rows = trajectory_csv(traj).strip().split("\n")[1:]
+    oracle = csv_oracle(traj, exp=lambda t: math.inf if t > log_max else math.exp(t))
+    assert rows == oracle.strip().split("\n")[1:]
+    assert [r.split(",")[1] == "inf" for r in rows] == overflows.tolist()
 
 
 def test_physical_scale_recovers_separation_law(k2_matrix, kappa):
@@ -315,7 +372,7 @@ def test_trajectory_csv_format(k2_matrix):
     assert trajectory_csv(traj) == text
 
 
-def csv_oracle(traj):
+def csv_oracle(traj, exp=math.exp):
     """Reference exporter: every value through its own f-string."""
     k = traj.K
     cols = (
@@ -327,7 +384,7 @@ def csv_oracle(traj):
     lines = [",".join(cols)]
     for i, t in enumerate(traj.ts):
         row = (
-            [t, math.exp(t)]
+            [t, exp(t)]
             + list(traj.alpha[i])
             + list(traj.beta[i])
             + [traj.lyapunov[i], traj.lyapunov_rate[i], traj.dist_to_eq[i]]
@@ -366,9 +423,22 @@ def test_diagnostics_match_per_sample_functions(family):
     lyap = np.array([lyapunov(st, family.matrix) for st in samples])
     rate = np.array([lyapunov_rate(st) for st in samples])
     dist = np.array([distance_to_set(st, [e1, e2]) for st in samples])
-    assert np.array_equal(traj.lyapunov_rate, rate)
-    assert np.array_equal(traj.dist_to_eq, dist)
-    assert np.all(np.abs(traj.lyapunov - lyap) <= 1e-15 * (1.0 + np.abs(lyap)))
+    for per_sample, whole, recorded in (
+        (lyap, lyapunov(traj, family.matrix), traj.lyapunov),
+        (rate, lyapunov_rate(traj), traj.lyapunov_rate),
+        (dist, distance_to_set(traj, [e1, e2]), traj.dist_to_eq),
+    ):
+        assert np.array_equal(recorded, per_sample)
+        assert np.array_equal(recorded, whole)
+
+
+def test_one_state_functions_reject_a_stack(k2_matrix):
+    # an (n, K) stack with n == K would broadcast through m @ alpha without error
+    stack = TrajectoryState(0.0, np.ones((2, 2)), 2.0 * np.ones((2, 2)))
+    with pytest.raises(InvalidInput):
+        vector_field(stack, k2_matrix)
+    with pytest.raises(InvalidInput):
+        lyapunov_gradient(stack, k2_matrix)
 
 
 def test_forcing_directions_match_reference_solver(k3_equilateral):
@@ -406,3 +476,13 @@ def test_integrate_validation(k2_matrix):
         integrate(state_at(eq), k2_matrix, ZERO, -1.0)
     with pytest.raises(InvalidInput):
         IntegratorOptions(sample_dt=0.0)
+    with pytest.raises(InvalidInput):
+        integrate(state_at(eq, t=-math.inf), k2_matrix, ZERO, 1.0)
+    # a wrong-length equilibrium is rejected before the first step, which would
+    # otherwise end below this alpha floor
+    k3 = EquilibriumPoint(a=np.ones(3), c=2.0 * np.ones(3))
+    high_floor = IntegratorOptions(alpha_floor=1e3)
+    with pytest.raises(AlphaCollapse):
+        integrate(state_at(eq), k2_matrix, ZERO, 1.0, high_floor, equilibria=[eq])
+    with pytest.raises(InvalidInput):
+        integrate(state_at(eq), k2_matrix, ZERO, 1.0, high_floor, equilibria=[k3])
