@@ -23,7 +23,7 @@ import numpy as np
 
 from . import circulant, dynamics, equilibrium, groundstate
 from .config import build_configuration, interaction_matrix, kappa_closed_form
-from .errors import InvalidInput, NumericalFailure, real
+from .errors import InvalidInput, NumericalFailure, real, reals
 
 __all__ = ["RunConfig", "ParseError", "ValidationError", "UnknownKey", "parse_run_config", "run", "main"]
 
@@ -151,8 +151,8 @@ def _build(doc: dict, command: str) -> RunConfig:
                 raise ValidationError('"initial" needs "alpha" and "beta"')
             initial = dynamics.TrajectoryState(
                 t=real('"initial.t"', initial.get("t", 0.0)),
-                alpha=np.asarray(initial["alpha"], dtype=float),
-                beta=np.asarray(initial["beta"], dtype=float),
+                alpha=reals('"initial.alpha"', initial["alpha"]),
+                beta=reals('"initial.beta"', initial["beta"]),
             )
         elif not (isinstance(initial, str) and initial.startswith("start-at-equilibrium:")):
             raise ValidationError(
@@ -171,7 +171,7 @@ def _build(doc: dict, command: str) -> RunConfig:
     if command in ("equilibria", "simulate"):
         if "points" not in doc:
             raise ValidationError(f'"{command}" requires "points"')
-        cfg = replace(cfg, points=np.asarray(doc["points"], dtype=float))
+        cfg = replace(cfg, points=reals('"points"', doc["points"]))
 
     if command == "k3-check":
         n = doc.get("n_triangles", 50)

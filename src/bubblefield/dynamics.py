@@ -13,20 +13,22 @@ with eps -> 0 as t -> infinity.  Along the autonomous flow the functional
 
 is non-decreasing with dL/dt = 5 sum (2 alpha_k - beta_k)^2, vanishing
 exactly on the equilibrium set.  Integration uses an embedded
-Dormand-Prince 5(4) pair with PI step-size control; steps land exactly on
-the requested sample grid, and the run aborts if any alpha component falls
-below the admissible floor.
+Dormand-Prince 5(4) pair with PI step-size control; samples between step
+ends come from the pair's continuous extension, so the sample grid never
+sets the step size, and the run aborts if any alpha component falls below
+the admissible floor.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .config import InteractionMatrix
-from .errors import InvalidInput, NumericalFailure, real
+from .errors import InvalidInput, NumericalFailure, real, reals
 
 __all__ = [
     "TrajectoryState",
@@ -110,10 +112,7 @@ class PerturbationSchedule:
             raise InvalidInput(f"decay rate must be positive, got {self.rate}")
         for name in ("dir1", "dir2"):
             if getattr(self, name) is not None:
-                d = np.asarray(getattr(self, name), dtype=float)
-                if not np.all(np.isfinite(d)):
-                    raise InvalidInput(f"schedule {name} must be finite, got {d}")
-                object.__setattr__(self, name, d)
+                object.__setattr__(self, name, reals(f"schedule {name}", getattr(self, name)))
 
     def _decay(self, t: float) -> float:
         if self.kind == "zero" or self.amplitude == 0.0:
@@ -141,7 +140,7 @@ class IntegratorOptions:
     rtol: float = 1e-9
     atol: float = 1e-12
     alpha_floor: float = 1e-8
-    sample_dt: float = 0.1    # spacing of recorded samples (steps land on them)
+    sample_dt: float = 0.1    # spacing of recorded samples only; it never sets a step
     max_step: float = math.inf
 
     def __post_init__(self):
@@ -199,10 +198,20 @@ def _field_raw(alpha: np.ndarray, beta: np.ndarray, m: InteractionMatrix):
     return dalpha, dbeta
 
 
+def _check_shape(state, k: int | None = None, one: bool = False) -> None:
+    """InvalidInput unless alpha and beta share one shape with k entries on its last
+    axis, and, for one state, only that axis."""
+    shape, other = np.shape(state.alpha), np.shape(state.beta)
+    if one and len(shape) != 1:  # on an (n, K) stack, m @ alpha mixes the samples
+        raise InvalidInput(f"expected one state, got alpha of shape {shape}")
+    if shape != other or not shape or (k is not None and shape[-1] != k):
+        need = "" if k is None else f" with {k} components"
+        raise InvalidInput(f"alpha {shape} and beta {other} must share one shape{need}")
+
+
 def vector_field(state: TrajectoryState, m: InteractionMatrix):
     """Autonomous field (dalpha, dbeta) at one state; perturbations are the integrator's job."""
-    if state.alpha.ndim != 1:  # on an (n, K) stack, m @ alpha mixes the samples
-        raise InvalidInput(f"expected one state, got alpha of shape {state.alpha.shape}")
+    _check_shape(state, m.K, one=True)
     if np.any(state.alpha <= 0):
         raise NegativeAlpha(f"alpha must be entrywise positive, got min {state.alpha.min()}")
     return _field_raw(state.alpha, state.beta, m)
@@ -214,6 +223,7 @@ def lyapunov(state: TrajectoryState | Trajectory, m: InteractionMatrix):
     Like lyapunov_rate and distance_to_set, reduces over the last axis: a
     float for one state, an (n,) array for a stack of samples or a Trajectory.
     """
+    _check_shape(state, m.K)
     a, b = state.alpha, state.beta
     if np.any(a < 0):
         raise NegativeAlpha(f"alpha must be entrywise >= 0, got min {a.min()}")
@@ -225,8 +235,7 @@ def lyapunov(state: TrajectoryState | Trajectory, m: InteractionMatrix):
 
 def lyapunov_gradient(state: TrajectoryState, m: InteractionMatrix):
     """(dL/dalpha, dL/dbeta) at one state in closed form."""
-    if state.alpha.ndim != 1:
-        raise InvalidInput(f"expected one state, got alpha of shape {state.alpha.shape}")
+    _check_shape(state, m.K, one=True)
     a, b = state.alpha, state.beta
     if np.any(a < 0):
         raise NegativeAlpha(f"alpha must be entrywise >= 0, got min {a.min()}")
@@ -237,6 +246,7 @@ def lyapunov_gradient(state: TrajectoryState, m: InteractionMatrix):
 
 def lyapunov_rate(state: TrajectoryState | Trajectory):
     """Dissipation 5 sum_k (2 alpha_k - beta_k)^2 of L along the autonomous flow."""
+    _check_shape(state)
     return 5.0 * np.sum((2.0 * state.alpha - state.beta) ** 2, axis=-1)
 
 
@@ -245,6 +255,7 @@ def distance_to_set(state: TrajectoryState | Trajectory, equilibria):
     eqs = list(equilibria)
     if not eqs:
         raise EmptySet("equilibrium list is empty")
+    _check_shape(state)
     k = state.alpha.shape[-1]
     if any(np.shape(e.a) != (k,) or np.shape(e.c) != (k,) for e in eqs):
         raise InvalidInput(f"every equilibrium must have {k} components, as the state does")
@@ -270,7 +281,19 @@ _DP_A = [
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
-_DP_E = np.append(_DP_A[6], 0.0) - _DP_B4  # the last stage row is the 5th-order weights
+_DP_B5 = np.append(_DP_A[6], 0.0)  # the last stage row is the 5th-order weights
+_DP_E = _DP_B5 - _DP_B4
+# Continuous extension (dopri5 CONTD5; Hairer, Norsett & Wanner, Solving ODEs I,
+# II.6): y(t + theta h) = y + h P(theta) @ _DP_W @ ks with
+# P = [theta, theta (1-theta), theta^2 (1-theta), theta^2 (1-theta)^2].
+_DP_W = np.array([
+    _DP_B5,
+    np.eye(7)[0] - _DP_B5,
+    2.0 * _DP_B5 - np.eye(7)[0] - np.eye(7)[6],
+    [-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+     -10690763975 / 1880347072, 701980252875 / 199316789632,
+     -1453857185 / 822651844, 69997945 / 29380423],
+])
 
 
 def integrate(
@@ -283,20 +306,22 @@ def integrate(
 ) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) integration with samples every sample_dt.
 
-    Steps are clamped to land exactly on the sample grid and on t_end.
-    Raises AlphaCollapse (with the exit time) when any alpha component drops
-    below options.alpha_floor, and StepUnderflow when the controller cannot
-    make progress with steps above 1e-14.
+    The PI controller, options.max_step and t_end alone set the steps; the
+    last step lands exactly on t_end.  A sample inside a step is the step's
+    5th-order continuous extension (no extra field evaluation), one on a step
+    end is that step's solution.  After a step that leaves the state bitwise
+    unchanged, the next step is capped at a quarter ULP of movement per
+    component, so an exact equilibrium stays exactly fixed.  Raises
+    AlphaCollapse (with the exit time) when any alpha component of a sample
+    or a step end drops below options.alpha_floor, and StepUnderflow when
+    the controller cannot make progress with steps above 1e-14.
     """
     if np.any(initial.alpha <= 0):
         raise NegativeAlpha("initial alpha must be entrywise positive")
     if not -math.inf < initial.t < t_end < math.inf:
         raise InvalidInput(f"t_end must be finite and exceed the finite initial time {initial.t}")
-    if initial.alpha.ndim != 1 or initial.beta.shape != initial.alpha.shape:
-        raise InvalidInput("alpha and beta must be vectors of equal length")
+    _check_shape(initial, m.K, one=True)
     k = initial.K
-    if k != m.K:
-        raise InvalidInput(f"state has {k} components but the coupling matrix has {m.K}")
     if not (np.all(np.isfinite(initial.alpha)) and np.all(np.isfinite(initial.beta))):
         raise InvalidInput("initial state contains non-finite values")
     eqs = [] if equilibria is None else list(equilibria)
@@ -333,53 +358,85 @@ def integrate(
     ts = np.array([t] + sample_ts)
     ys = np.empty((ts.shape[0], y.shape[0]))
     ys[0] = y
+    basis = np.empty((ts.shape[0], 4))  # the interpolant's polynomials at the samples in a step
+    dense = np.empty((4, y.shape[0]))   # and their coefficients
     ks = np.empty((7, y.shape[0]))  # row 0 carries f(t, y) between steps (FSAL)
     rhs(t, y, ks[0])
     # per stage: node, the earlier stages (transposed), tableau row, output row
     stages = [(_DP_C[i], ks[:i].T, _DP_A[i], ks[i]) for i in range(1, 7)]
     ks_t = ks.T
-    h = min(1e-2, options.sample_dt, options.max_step)
+    t_stop = t_end - 1e-12 * max(1.0, abs(t_end))
+    h = min(1e-2, options.max_step)
     err_prev = None
+    j = 1  # the first sample not yet written
 
-    for j, target in enumerate(sample_ts, start=1):
-        t_stop = target - 1e-12 * max(1.0, abs(target))
-        while t < t_stop:
-            h = min(h, options.max_step, target - t)
-            if h < 1e-14:
-                raise StepUnderflow(f"step size {h:.3e} below 1e-14 at t={t:.6g}")
-            try:
-                # the last stage's input is the 5th-order solution (FSAL), checked by rhs
-                for c, ks_prev, a, k_i in stages:
-                    y5 = y + h * (ks_prev @ a)
-                    rhs(t + c * h, y5, k_i)
-            except FloatingPointError:
-                h *= 0.5
-                err_prev = None
-                continue
-            scale = options.atol + options.rtol * np.maximum(np.abs(y), np.abs(y5))
-            err = math.sqrt(np.add.reduce((h * (ks_t @ _DP_E) / scale) ** 2) / (2 * k))
-            if err <= 1.0:
-                t = t + h
-                y = y5
-                ks[0] = ks[6]  # FSAL
-                if y[:k].min() < options.alpha_floor:
-                    raise AlphaCollapse(
-                        f"alpha fell below the floor {options.alpha_floor:.0e} at t={t:.6g}",
-                        t_exit=t,
-                    )
-                # PI controller (order 5 propagation)
-                e = max(err, 1e-10)
-                if err_prev is None:
-                    fac = 0.9 * e ** (-0.2)
-                else:
-                    fac = 0.9 * e ** (-0.14) * err_prev**0.08
-                err_prev = e
-                h = h * min(5.0, max(0.2, fac))
-            else:
-                h = h * max(0.2, 0.9 * err ** (-0.2))
-                err_prev = None
-        ys[j] = y
-        t = target
+    while t < t_stop:
+        h = min(h, options.max_step)
+        last = t + h >= t_stop
+        if last:
+            h = t_end - t
+        if h < 1e-14:
+            raise StepUnderflow(f"step size {h:.3e} below 1e-14 at t={t:.6g}")
+        try:
+            # the last stage's input is the 5th-order solution (FSAL), checked by rhs
+            for c, ks_prev, a, k_i in stages:
+                y5 = y + h * (ks_prev @ a)
+                rhs(t + c * h, y5, k_i)
+        except FloatingPointError:
+            h *= 0.5
+            err_prev = None
+            continue
+        scale = options.atol + options.rtol * np.maximum(np.abs(y), np.abs(y5))
+        err = math.sqrt(np.add.reduce((h * (ks_t @ _DP_E) / scale) ** 2) / (2 * k))
+        if err > 1.0:
+            h = h * max(0.2, 0.9 * err ** (-0.2))
+            err_prev = None
+            continue
+        t_new = t_end if last else t + h
+        t_exit = t_new if y5[:k].min() < options.alpha_floor else None
+        j_new = bisect.bisect_right(sample_ts, t_new, j - 1) + 1  # ts[j:j_new] in (t, t_new]
+        j_in = j_new - 1 if j_new > j and sample_ts[j_new - 2] == t_new else j_new
+        if j_in > j:  # samples inside the step, from the continuous extension
+            th = basis[j:j_in]
+            np.subtract(ts[j:j_in], t, out=th[:, 0])
+            th[:, 0] /= h
+            np.subtract(1.0, th[:, 0], out=th[:, 1])
+            th[:, 1] *= th[:, 0]
+            np.multiply(th[:, 1], th[:, 0], out=th[:, 2])
+            np.multiply(th[:, 1], th[:, 1], out=th[:, 3])
+            np.matmul(_DP_W, ks, out=dense)
+            dense *= h
+            seg = ys[j:j_in]
+            np.matmul(th, dense, out=seg)
+            seg += y
+            # no stage evaluation has checked these states
+            ok = (seg[:, :k] >= options.alpha_floor).all(axis=1) & np.isfinite(seg).all(axis=1)
+            if not ok.all():
+                t_exit = float(ts[j + int(np.argmin(ok))])
+        ys[j_in:j_new] = y5  # a sample on the step end takes the step's solution
+        j = j_new
+        if t_exit is not None:
+            raise AlphaCollapse(
+                f"alpha fell below the floor {options.alpha_floor:.0e} at t={t_exit:.6g}",
+                t_exit=t_exit,
+            )
+        # PI controller (order 5 propagation)
+        e = max(err, 1e-10)
+        if err_prev is None:
+            fac = 0.9 * e ** (-0.2)
+        else:
+            fac = 0.9 * e ** (-0.14) * err_prev**0.08
+        err_prev = e
+        h = h * min(5.0, max(0.2, fac))
+        if (y5 == y).all():
+            # A step that rounds to no move keeps the state only while h |f_i| stays
+            # below half an ULP of y_i; cap the next at a quarter, clear of the tie.
+            ulps_per_time = np.max(np.abs(ks[6]) / np.spacing(np.abs(y)))
+            if ulps_per_time > 0.0:
+                h = min(h, 0.25 / ulps_per_time)
+        t, y = t_new, y5
+        ks[0] = ks[6]  # FSAL
+    ys[j:] = y  # t_end within the end tolerance of the start: no step was taken
 
     samples = TrajectoryState(t=ts, alpha=ys[:, :k], beta=ys[:, k:])
     dist = distance_to_set(samples, eqs) if eqs else np.full(ts.shape[0], math.nan)

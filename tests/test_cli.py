@@ -385,6 +385,18 @@ MALFORMED = {
         "command": "simulate", "points": K2_POINTS, "schedule": {"kind": "zero"}, "t_end": 1,
         "initial": {"t": -math.inf, "alpha": [1, 1], "beta": [2, 2]},
     },
+    # booleans inside arrays: before, these were read as 1.0 and 0.0
+    "points-boolean": {"command": "equilibria", "points": [[0, 0, 0, 0, 0], [True, 0, 0, 0, 0]]},
+    "initial-alpha-boolean": {
+        "command": "simulate", "points": K2_POINTS, "schedule": {"kind": "zero"}, "t_end": 1,
+        "initial": {"alpha": [True, True], "beta": [2, 2]},
+    },
+    "initial-beta-boolean": {
+        "command": "simulate", "points": K2_POINTS, "schedule": {"kind": "zero"}, "t_end": 1,
+        "initial": {"alpha": [1, 1], "beta": [2, False]},
+    },
+    "dir1-boolean": _schedule(kind="power", amplitude=0.1, dir1=[True, False]),
+    "dir2-boolean": _schedule(kind="exponential", amplitude=0.1, dir2=[1.0, True]),
 }
 
 

@@ -23,7 +23,9 @@ from bubblefield.dynamics import (
     vector_field,
 )
 from bubblefield.circulant import family_member
-from bubblefield.equilibrium import EquilibriumPoint, SolverOptions, lift, solve_equilibria
+from bubblefield.equilibrium import (
+    EquilibriumPoint, SolverOptions, k2_closed_form, lift, solve_equilibria,
+)
 from bubblefield.errors import InvalidInput
 
 from conftest import random_matrix
@@ -244,6 +246,8 @@ NON_NUMBERS = {
     "rate-numpy-bool": (PerturbationSchedule, {"kind": "power", "rate": np.True_}),
     "dir1-nan": (PerturbationSchedule, {"kind": "power", "dir1": [math.nan, 1.0]}),
     "dir2-inf": (PerturbationSchedule, {"kind": "power", "dir2": [1.0, -math.inf]}),
+    "dir1-true": (PerturbationSchedule, {"kind": "power", "dir1": [True, 1.0]}),
+    "dir2-numpy-bool": (PerturbationSchedule, {"kind": "power", "dir2": np.array([False, True])}),
     "rtol-inf": (IntegratorOptions, {"rtol": math.inf}),
     "atol-inf": (IntegratorOptions, {"atol": math.inf}),
     "alpha_floor-inf": (IntegratorOptions, {"alpha_floor": math.inf}),
@@ -439,6 +443,82 @@ def test_one_state_functions_reject_a_stack(k2_matrix):
         vector_field(stack, k2_matrix)
     with pytest.raises(InvalidInput):
         lyapunov_gradient(stack, k2_matrix)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(np.ones(3), 2.0 * np.ones(3)), (np.ones(2), 2.0 * np.ones(3)), (np.ones(2), np.ones(1))],
+    ids=["K3-state-on-K2", "beta-longer", "beta-shorter"],
+)
+def test_state_shape_mismatch_raises_invalid_input(k2_matrix, alpha, beta):
+    st = TrajectoryState(0.0, alpha, beta)
+    eq = k2_equilibrium(k2_matrix)
+    for call in (
+        lambda: vector_field(st, k2_matrix),
+        lambda: lyapunov(st, k2_matrix),
+        lambda: lyapunov_gradient(st, k2_matrix),
+        lambda: distance_to_set(st, [eq]),
+    ):
+        with pytest.raises(InvalidInput):
+            call()
+    if alpha.shape != beta.shape:
+        with pytest.raises(InvalidInput):
+            lyapunov_rate(st)
+
+
+def test_final_state_does_not_depend_on_the_sample_grid(k2_matrix):
+    # dense output: the grid only says where samples are read off the steps
+    eq = k2_equilibrium(k2_matrix)
+    forced = PerturbationSchedule("exponential", amplitude=0.01, rate=1.0)
+    for start, schedule in (
+        (state_at(eq), forced),
+        (TrajectoryState(0.0, eq.a * 1.01, eq.c * 0.99), ZERO),
+    ):
+        ends = []
+        for dt in (1e-3, 0.1, math.inf):
+            tr = integrate(start, k2_matrix, schedule, 1.0, IntegratorOptions(sample_dt=dt))
+            assert tr.ts[-1] == 1.0 and len(tr.ts) == {1e-3: 1001, 0.1: 11, math.inf: 2}[dt]
+            ends.append(np.concatenate([tr.alpha[-1], tr.beta[-1]]))
+        assert np.max(np.abs(ends[0] - np.concatenate([start.alpha, start.beta]))) > 1e-4
+        assert all(np.array_equal(ends[0], e) for e in ends[1:])
+
+
+def test_equilibria_stay_exactly_fixed_on_a_fine_grid(k2_matrix, kappa, family):
+    # k2_closed_form has f_beta ~ 2e-16: a step of a half-ULP move is a rounding tie
+    fine = IntegratorOptions(sample_dt=1e-3)
+    eq2 = k2_closed_form(1.0, kappa)
+    traj = integrate(state_at(eq2), k2_matrix, ZERO, 10.0, fine, equilibria=[eq2])
+    assert len(traj.ts) == 10001 and np.max(traj.dist_to_eq) == 0.0
+    eq10 = lift(family_member(0.37, family))
+    traj = integrate(state_at(eq10), family.matrix, ZERO, 3.5, fine, equilibria=[eq10])
+    assert len(traj.ts) == 3501 and np.max(traj.dist_to_eq) == 0.0
+
+
+def test_dense_samples_carry_the_requested_accuracy(k2_matrix):
+    eq = k2_equilibrium(k2_matrix)
+    forced = PerturbationSchedule("exponential", amplitude=0.01, rate=1.0)
+    for start, schedule in (
+        (state_at(eq), forced),
+        (TrajectoryState(0.0, eq.a * 1.01, eq.c * 0.99), ZERO),
+    ):
+        tr = integrate(start, k2_matrix, schedule, 1.0, IntegratorOptions(sample_dt=1e-3))
+        ref = integrate(
+            start, k2_matrix, schedule, 1.0,
+            IntegratorOptions(rtol=1e-13, atol=1e-16, sample_dt=1e-3),
+        )
+        assert np.array_equal(tr.ts, ref.ts)
+        assert np.max(np.abs(tr.alpha - ref.alpha)) <= 1e-7
+        assert np.max(np.abs(tr.beta - ref.beta)) <= 1e-7
+
+
+def test_alpha_collapse_at_the_first_interpolated_sample(k2_matrix):
+    # the first step (h = 1e-2) ends below the floor, and so does its first sample
+    eq = k2_equilibrium(k2_matrix)
+    with pytest.raises(AlphaCollapse) as exc:
+        integrate(
+            state_at(eq), k2_matrix, ZERO, 1.0, IntegratorOptions(alpha_floor=1e3, sample_dt=1e-3)
+        )
+    assert exc.value.t_exit == 1e-3
 
 
 def test_forcing_directions_match_reference_solver(k3_equilateral):
