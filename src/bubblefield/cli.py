@@ -66,7 +66,7 @@ _ALLOWED_KEYS = {
     "k3-check": _COMMON_KEYS | {"n_triangles", "solver"},
     "kappa-check": _COMMON_KEYS | {"quadrature"},
 }
-_SOLVER_KEYS = {"tol", "dedup_radius", "n_random", "max_iter"}
+_SOLVER_KEYS = {"tol", "n_random", "max_iter"}
 _INTEGRATOR_KEYS = {"rtol", "atol", "alpha_floor", "sample_dt", "max_step"}
 _SCHEDULE_KEYS = {"kind", "amplitude", "rate", "dir1", "dir2"}
 _QUADRATURE_KEYS = {"r_max", "n_panels"}

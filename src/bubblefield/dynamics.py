@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 SCHEDULE_KINDS = ("zero", "exponential", "power")
+MAX_SAMPLES = 10**6  # cap on (t_end - t) / sample_dt, checked before the grid is allocated
 
 
 class NegativeAlpha(InvalidInput):
@@ -320,6 +321,8 @@ def integrate(
         raise NegativeAlpha("initial alpha must be entrywise positive")
     if not -math.inf < initial.t < t_end < math.inf:
         raise InvalidInput(f"t_end must be finite and exceed the finite initial time {initial.t}")
+    if not (t_end - initial.t) / options.sample_dt <= MAX_SAMPLES:
+        raise InvalidInput(f"more than {MAX_SAMPLES} samples of sample_dt up to t_end {t_end}")
     _check_shape(initial, m.K, one=True)
     k = initial.K
     if not (np.all(np.isfinite(initial.alpha)) and np.all(np.isfinite(initial.beta))):

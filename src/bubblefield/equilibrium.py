@@ -7,8 +7,8 @@ The reduced system in x_k = sqrt(a_k) reads
 whose solutions lift to equilibrium pairs (a, c) = (x^2, 2 x^2).  At a
 solution, conjugating the Jacobian by diag(x) yields 6I - A with the
 symmetric matrix A_ij = 3 m_ij x_i x_j; A always carries the eigenvalue 18
-with eigenvector x^2, and a solution is isolated exactly when det(6I - A)
-stays away from zero.
+with eigenvector x^2.  The Newton-Kantorovich test certifies a solution
+isolated, and its uniqueness ball tells a new Newton hit from a known one.
 """
 
 from __future__ import annotations
@@ -90,32 +90,31 @@ class EquilibriumPoint:
 
 @dataclass(frozen=True)
 class IsolationReport:
-    """Spectrum of the symmetrized matrix A and the det(6I - A) certificate."""
+    """Spectrum of the symmetrized matrix A and the Newton-Kantorovich certificate."""
 
     a_matrix: np.ndarray
     eigenvalues: np.ndarray  # sorted ascending
     det_shift: float         # det(6I - A); +-inf once the product overflows
     log_abs_det_shift: float  # sum log|6 - mu|: finite at any K, -inf only if det is 0
     eig18_residual: float    # ||A u - 18 u|| / ||u||, u = x^2
-    isolated: bool
+    isolated: bool           # the Newton-Kantorovich test passes
     sign_pattern: str        # one character per eigenvalue: '-', '0' or '+'
+    kantorovich_h: float     # h = beta L eta; the test needs h <= 1/2
+    existence_radius: float  # a true solution lies this close to x; inf if the test fails
+    uniqueness_radius: float  # and is the only one this close; 0.0 if the test fails
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-12            # residual max-norm <= tol * (1 + ||6x||_inf)
-    dedup_radius: float = 1e-6    # max-norm dedup distance on x, relative to max(1, max x)
     n_random: int = 64            # deflation budget: deflated Newton runs beyond one per start
     max_iter: int = 200           # cap on all ascent steps and on each Newton run's iterations
     extra_seeds: tuple = ()       # user-supplied starts for deflated Newton
 
     def __post_init__(self):
         object.__setattr__(self, "tol", real("tol", self.tol))
-        object.__setattr__(self, "dedup_radius", real("dedup_radius", self.dedup_radius, True))
         if not self.tol > 0:
             raise InvalidInput(f"tol must be positive, got {self.tol}")
-        if not self.dedup_radius >= 0:
-            raise InvalidInput(f"dedup_radius must be >= 0, got {self.dedup_radius}")
         for name, low in (("n_random", 0), ("max_iter", 1)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
@@ -146,15 +145,43 @@ def symmetrized_matrix(x, m: InteractionMatrix) -> np.ndarray:
     return 3.0 * m.m * np.outer(x, x)
 
 
-def isolation_check(sol: ReducedSolution, m: InteractionMatrix) -> IsolationReport:
-    """Certify (non-)isolation of a solution through the spectrum of A.
+def _certificate(x: np.ndarray, m: InteractionMatrix, f: np.ndarray):
+    """(h, r0, r1) of the Newton-Kantorovich test at x with residual f, in max-norms.
 
-    isolated is true iff |det(6I - A)| > 1e-8 * 6^K, a threshold scaled to
-    the natural magnitude of det(6I).  The test is made on
-    log_abs_det_shift = sum(log|6 - mu|), so it holds for any K; det_shift
-    itself is the plain product of the shifted eigenvalues and may overflow
-    to +-inf for large K.  The residual must meet the solver's relative form
-    of the bound, max|f| <= 1e-8 * (1 + 6 max|x|).
+    beta = ||J^-1||, eta = || |J^-1| (|f| + gamma) || with gamma = (K + 2)
+    2^-53 (6x + m x^3) bounding the rounding of f; J is L-Lipschitz with
+    L = 6 ||m|| (max x + R) on the ball of radius R = max x / 10 around x.
+    If h = beta L eta <= 1/2 and r0 <= R, a solution lies within
+    r0 = (1 - sqrt(1 - 2h)) / (beta L) of x and no other within
+    r1 = min(R, (1 + sqrt(1 - 2h)) / (beta L)) (Ortega & Rheinboldt 1970,
+    12.6.2); a failed test gives r0 = inf and r1 = 0.0.  The test is
+    evaluated in floating point, not in interval arithmetic.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            jinv = np.abs(np.linalg.inv(reduced_jacobian(x, m)))
+        except np.linalg.LinAlgError:
+            return math.inf, math.inf, 0.0
+        gamma = (x.shape[0] + 2) * 2.0**-53 * (6.0 * x + m.m @ x**3)
+        beta = float(np.max(np.sum(jinv, axis=1)))
+        eta = float(np.max(jinv @ (np.abs(f) + gamma)))
+        big_r = float(np.max(x)) / 10.0
+        bl = beta * 6.0 * float(np.max(np.sum(m.m, axis=1))) * 11.0 * big_r  # max x + R = 11 R
+        h = bl * eta
+        root = math.sqrt(1.0 - 2.0 * h) if h <= 0.5 else math.nan
+        r0 = 2.0 * eta / (1.0 + root)  # (1 - root) / (beta L) without the cancellation
+        if not r0 <= big_r:  # NaN, and so a failure, whenever h > 1/2
+            return h, math.inf, 0.0
+    return h, r0, min(big_r, (1.0 + root) / bl)
+
+
+def isolation_check(sol: ReducedSolution, m: InteractionMatrix) -> IsolationReport:
+    """Certify (non-)isolation of a solution by the Newton-Kantorovich test (_certificate).
+
+    The spectrum of A is reported alongside: log_abs_det_shift is finite for
+    any K, while det_shift, the plain product of the shifted eigenvalues,
+    may overflow to +-inf.  The residual must meet the solver's relative
+    form of the bound, max|f| <= 1e-8 * (1 + 6 max|x|).
     """
     bound = 1e-8 * (1.0 + 6.0 * float(np.max(np.abs(sol.x))))
     if not sol.residual_norm <= bound:
@@ -166,13 +193,13 @@ def isolation_check(sol: ReducedSolution, m: InteractionMatrix) -> IsolationRepo
         eigs = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as e:
         raise SpectrumFailure(f"symmetric eigensolver failed: {e}") from e
-    k = sol.K
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         det_shift = float(np.prod(6.0 - eigs))
         log_abs_det = float(np.sum(np.log(np.abs(6.0 - eigs))))
+        h, r0, r1 = _certificate(sol.x, m, reduced_residual(sol.x, m))
     u = _pow2_scaled(sol.x) ** 2
     eig18 = float(np.linalg.norm(a @ u - 18.0 * u) / np.linalg.norm(u))
-    scale = float(np.max(np.abs(eigs))) if k else 0.0
+    scale = float(np.max(np.abs(eigs))) if sol.K else 0.0
     pattern = "".join(
         "0" if abs(e) <= 1e-10 * max(scale, 1.0) else ("-" if e < 0 else "+") for e in eigs
     )
@@ -182,8 +209,11 @@ def isolation_check(sol: ReducedSolution, m: InteractionMatrix) -> IsolationRepo
         det_shift=det_shift,
         log_abs_det_shift=log_abs_det,
         eig18_residual=eig18,
-        isolated=log_abs_det > math.log(1e-8) + k * math.log(6.0),
+        isolated=r1 > 0.0,
         sign_pattern=pattern,
+        kantorovich_h=h,
+        existence_radius=r0,
+        uniqueness_radius=r1,
     )
 
 
@@ -209,7 +239,7 @@ def _unit(x: np.ndarray) -> np.ndarray:
 
 
 def _newton(x, m: InteractionMatrix, opts: SolverOptions, roots=None, scale=1.0, f=None):
-    """Damped Newton from x (residual f, if known): (x, max|f|, threshold) of a solution, or None.
+    """Damped Newton from x (residual f, if known): (x, max|f|, threshold, f) at a root, or None.
 
     The minimum-norm least-squares step (bounded where J is near-singular,
     as on non-isolated solution manifolds) is halved until it keeps x > 0
@@ -234,7 +264,7 @@ def _newton(x, m: InteractionMatrix, opts: SolverOptions, roots=None, scale=1.0,
         if nf <= thresh:
             # a solution has 6 max(x) <= (max row sum) max(x)^3; points near 0 do not
             floor = math.sqrt(6.0 / float(np.max(np.sum(m.m, axis=1))))
-            return (x, nf, thresh) if np.max(x) >= floor * (1.0 - opts.tol) else None
+            return (x, nf, thresh, f) if np.max(x) >= floor * (1.0 - opts.tol) else None
         step = np.linalg.lstsq(reduced_jacobian(x, m), -f, rcond=None)[0]
         if roots is not None:
             d = x - roots
@@ -303,7 +333,8 @@ def solve_equilibria(m: InteractionMatrix, options: SolverOptions = SolverOption
     solution deflated: a run starts from the symmetric seed (exact for
     equal-distance configurations) and from each extra seed, and a run that
     finds a new solution is repeated from the same start, within
-    1 + n_random + len(extra_seeds) runs in all.  No random draw is made.
+    1 + n_random + len(extra_seeds) runs in all; no random draw is made.  A
+    hit is a known solution if within the larger of their uniqueness radii.
     A seed, the symmetric one included, needs x > 0 and a finite residual.
     """
     k = m.K
@@ -320,21 +351,22 @@ def solve_equilibria(m: InteractionMatrix, options: SolverOptions = SolverOption
     found = [_ascend(m, options)]
     if found[0] is None:
         raise NoSolutionFound(f"sphere ascent found no solution in max_iter = {options.max_iter}")
+    radii = []  # uniqueness radius of each found solution, certified once a hit needs it
     runs = 1 + options.n_random + len(options.extra_seeds)
     while starts and runs:
         runs -= 1
         roots = np.array([np.zeros(k)] + [h[0] for h in found])
         hit = _newton(starts[0][0], m, options, roots, xbar, starts[0][1])
-        if hit is None or any(
-            np.max(np.abs(hit[0] - h[0])) < options.dedup_radius * max(1.0, np.max(h[0]))
-            for h in found
-        ):
-            starts.pop(0)
-        else:
-            found.append(hit)
+        if hit is not None:
+            radii += [_certificate(x, m, f)[2] for x, _, _, f in found[len(radii):] + [hit]]
+            if all(np.max(np.abs(hit[0] - h[0])) > max(radii[-1], r) for h, r in zip(found, radii)):
+                found.append(hit)
+                continue
+            radii.pop()
+        starts.pop(0)
 
     sols = []
-    for x, nf, thresh in sorted(found, key=lambda h: tuple(h[0])):
+    for x, nf, thresh, _ in sorted(found, key=lambda h: tuple(h[0])):
         x = x.copy()
         x.setflags(write=False)
         sols.append(ReducedSolution(x=x, residual_norm=float(nf), tolerance=float(thresh)))

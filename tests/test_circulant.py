@@ -234,11 +234,13 @@ def test_zero_modes_of_interaction_matrix(family):
 
 
 def test_family_member_not_isolated(family):
-    sol = family_member(1.23, family)
-    rep = isolation_check(sol, family.matrix)
-    assert not rep.isolated
-    assert rep.eig18_residual <= 1e-8
-    assert np.min(np.abs(6.0 - rep.eigenvalues)) <= 1e-6
+    for t in (0.37, 1.23):
+        rep = isolation_check(family_member(t, family), family.matrix)
+        # the Newton-Kantorovich test fails: no existence or uniqueness ball
+        assert not rep.isolated and rep.kantorovich_h > 0.5
+        assert rep.existence_radius == math.inf and rep.uniqueness_radius == 0.0
+        assert rep.eig18_residual <= 1e-8
+        assert np.min(np.abs(6.0 - rep.eigenvalues)) <= 1e-6
 
 
 def test_member_close_to_curve_sampling(family):

@@ -311,8 +311,8 @@ MALFORMED = {
     "tol-negative": {"command": "equilibria", "points": K2_POINTS, "solver": {"tol": -1}},
     "n_random-negative": {"command": "equilibria", "points": K2_POINTS, "solver": {"n_random": -5}},
     "max_iter-zero": {"command": "equilibria", "points": K2_POINTS, "solver": {"max_iter": 0}},
-    "dedup_radius-list": {
-        "command": "equilibria", "points": K2_POINTS, "solver": {"dedup_radius": [1]}
+    "dedup_radius-unknown-key": {
+        "command": "equilibria", "points": K2_POINTS, "solver": {"dedup_radius": 1e-6}
     },
     "kappa-string": {"command": "equilibria", "points": K2_POINTS, "kappa": "x"},
     "points-string": {"command": "equilibria", "points": "abc"},
@@ -320,6 +320,10 @@ MALFORMED = {
     "amplitude-string": {
         "command": "simulate", "points": K2_POINTS, **AT_EQ,
         "schedule": {"kind": "exponential", "amplitude": "big"},
+    },
+    "t_end-huge-grid": {  # 1e13 samples at the default sample_dt: rejected before allocation
+        "command": "simulate", "points": K2_POINTS, **AT_EQ,
+        "schedule": {"kind": "zero"}, "t_end": 1e12,
     },
     "t_end-string": {
         "command": "simulate", "points": K2_POINTS, **AT_EQ,
@@ -400,15 +404,21 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("doc", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_config_exits_1(doc, tmp_path, capsys, monkeypatch):
+# the cases whose error class is asserted too
+MALFORMED_ERROR = {"dedup_radius-unknown-key": "UnknownKey", "t_end-huge-grid": "InvalidInput"}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_config_exits_1(case, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    doc = MALFORMED[case]
     conf = tmp_path / "run.json"
     conf.write_text(json.dumps(doc))
     assert main([doc["command"], "--config", str(conf)]) == 1
     lines = capsys.readouterr().err.strip().split("\n")
     assert len(lines) == 1
-    assert "error" in json.loads(lines[0])
+    err = json.loads(lines[0])
+    assert err["error"] == MALFORMED_ERROR.get(case, err["error"])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
@@ -417,7 +427,7 @@ FULL_CONFIGS = [
     {
         "command": "equilibria", "seed": 1, "kappa": 20.0, "output": "eq.json",
         "points": K2_POINTS,
-        "solver": {"tol": 1e-12, "dedup_radius": 1e-6, "n_random": 4, "max_iter": 50},
+        "solver": {"tol": 1e-12, "n_random": 4, "max_iter": 50},
     },
     {
         "command": "simulate", "points": K2_POINTS, "t_end": 1.0,

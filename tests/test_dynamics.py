@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bubblefield import dynamics
 from bubblefield.dynamics import (
     AlphaCollapse,
     EmptySet,
@@ -255,7 +256,6 @@ NON_NUMBERS = {
     "max_step-true": (IntegratorOptions, {"max_step": True}),
     "tol-inf": (SolverOptions, {"tol": math.inf}),
     "tol-true": (SolverOptions, {"tol": True}),
-    "dedup_radius-nan": (SolverOptions, {"dedup_radius": math.nan}),
 }
 
 
@@ -265,10 +265,22 @@ def test_options_reject_non_finite_and_boolean_numbers(cls, kw):
         cls(**kw)
 
 
-def test_options_accept_an_infinite_grid_step_and_dedup_radius():
+def test_options_accept_an_infinite_grid_step():
     opts = IntegratorOptions(sample_dt=math.inf, max_step=math.inf)
     assert opts.sample_dt == opts.max_step == math.inf
-    assert SolverOptions(dedup_radius=math.inf).dedup_radius == math.inf
+
+
+def test_oversized_sample_grid_rejected_up_front(k2_matrix, monkeypatch):
+    # the grid is counted before it is built: t_end = 1e12 would need 1e13 samples
+    start = state_at(k2_equilibrium(k2_matrix))
+    with pytest.raises(InvalidInput, match="samples"):
+        integrate(start, k2_matrix, ZERO, 1e12)
+    # the cap counts sample_dt steps after the initial time
+    monkeypatch.setattr(dynamics, "MAX_SAMPLES", 10)
+    opts = IntegratorOptions(sample_dt=0.1)
+    assert integrate(start, k2_matrix, ZERO, 1.0, opts).ts.shape == (11,)
+    with pytest.raises(InvalidInput, match="samples"):
+        integrate(start, k2_matrix, ZERO, 1.1, opts)
 
 
 def test_schedule_direction_shape_checked(k2_matrix):

@@ -142,7 +142,19 @@ def test_isolation_check_large_k(K):
         assert rep.det_shift == -np.inf  # 6^400 overflows; the verdict and the log do not
 
 
-@pytest.mark.parametrize("distance", [1.0, 2.0, 5.0])
+def assert_certified_near(sol, m, x_star):
+    """The certificate passes and its existence ball holds the exact solution x_star."""
+    rep = isolation_check(sol, m)
+    assert rep.isolated and rep.kantorovich_h <= 0.5
+    assert rep.existence_radius < rep.uniqueness_radius
+    # x_star itself is a float, so allow the few ulp of its own rounding
+    ulp = np.max(np.spacing(x_star))
+    assert np.max(np.abs(sol.x - x_star)) <= rep.existence_radius + 4.0 * ulp
+    # the radius covers the rounding of the residual, so it is never below one ulp
+    assert rep.existence_radius >= ulp
+
+
+@pytest.mark.parametrize("distance", [1e-3, 1.0, 2.0, 5.0, 1e30])
 def test_solve_k2_closed_form(distance, kappa):
     cfg = build_configuration([[0, 0, 0, 0, 0], [distance, 0, 0, 0, 0]])
     m = interaction_matrix(cfg)
@@ -151,13 +163,15 @@ def test_solve_k2_closed_form(distance, kappa):
     a = lift(sols[0]).a
     target = 6.0 * distance**3 / kappa
     assert np.max(np.abs(a - target)) <= 1e-10 * target
+    assert_certified_near(sols[0], m, np.sqrt(k2_closed_form(distance, kappa).a))
 
 
 def test_solve_k3_equilateral(k3_equilateral, kappa):
     sols = solve_equilibria(k3_equilateral)
     target = 3.0 / kappa
-    best = min(np.max(np.abs(lift(s).a - target)) for s in sols)
-    assert best <= 1e-10 * target
+    best = min(sols, key=lambda s: np.max(np.abs(lift(s).a - target)))
+    assert np.max(np.abs(lift(best).a - target)) <= 1e-10 * target
+    assert_certified_near(best, k3_equilateral, np.full(3, np.sqrt(target)))
 
 
 def test_solve_k10_family_member(family):
@@ -298,9 +312,11 @@ def test_solutions_exist_and_are_valid():
             assert np.all(s.x > 0)
             assert np.max(np.abs(reduced_residual(s.x, m))) <= s.tolerance
             assert np.max(s.x) >= floor
+        # each solution lies outside every other's uniqueness ball
+        radii = [isolation_check(s, m).uniqueness_radius for s in sols]
         for i, s in enumerate(sols):
-            for t in sols[i + 1 :]:
-                assert np.max(np.abs(s.x - t.x)) >= opts.dedup_radius
+            for t, r in zip(sols[i + 1 :], radii[i + 1 :]):
+                assert np.max(np.abs(s.x - t.x)) > max(radii[i], r)
 
     check()
 
