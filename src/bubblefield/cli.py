@@ -28,6 +28,7 @@ from .errors import InvalidInput, NumericalFailure, real, reals
 __all__ = ["RunConfig", "ParseError", "ValidationError", "UnknownKey", "parse_run_config", "run", "main"]
 
 COMMANDS = ("equilibria", "simulate", "k10", "k3-check", "kappa-check")
+MAX_TRIANGLES = 10**5  # cap on k3-check's n_triangles: a few ms each keeps a run to minutes
 
 
 class ParseError(InvalidInput):
@@ -175,8 +176,10 @@ def _build(doc: dict, command: str) -> RunConfig:
 
     if command == "k3-check":
         n = doc.get("n_triangles", 50)
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValidationError(f'"n_triangles" must be a positive integer, got {n!r}')
+        if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_TRIANGLES:
+            raise ValidationError(
+                f'"n_triangles" must be an integer from 1 to {MAX_TRIANGLES}, got {n!r}'
+            )
         cfg = replace(cfg, n_triangles=n)
 
     if command == "kappa-check":

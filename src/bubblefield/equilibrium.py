@@ -140,9 +140,14 @@ def reduced_jacobian(x, m: InteractionMatrix) -> np.ndarray:
 def symmetrized_matrix(x, m: InteractionMatrix) -> np.ndarray:
     """A with A_ij = 3 m_ij x_i x_j (zero diagonal); requires x > 0 entrywise."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    if (x <= 0).any():
         raise NonPositiveComponent(f"x must be entrywise positive, got min {x.min()}")
     return 3.0 * m.m * np.outer(x, x)
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u), u = 2^-53: the relative rounding of an n-term sum."""
+    return n * 2.0**-53 / (1.0 - n * 2.0**-53)
 
 
 def _certificate(x: np.ndarray, m: InteractionMatrix, f: np.ndarray):
@@ -151,22 +156,35 @@ def _certificate(x: np.ndarray, m: InteractionMatrix, f: np.ndarray):
     beta = ||J^-1||, eta = || |J^-1| (|f| + gamma) || with gamma = (K + 2)
     2^-53 (6x + m x^3) bounding the rounding of f; J is L-Lipschitz with
     L = 6 ||m|| (max x + R) on the ball of radius R = max x / 10 around x.
+    J^-1 is known only through its rounded inverse X: delta =
+    ||I - XJ|| + gamma_{K+1} || |X| |J| || bounds E = I - XJ with the
+    rounding of XJ, and delta < 1 gives J^-1 = (I - E)^-1 X, so
+    ||J^-1 v|| <= || |X| |v| || / (1 - delta): beta and eta are those of
+    |X| times (1 + gamma_K) / (1 - delta), and delta >= 1 fails the test.
     If h = beta L eta <= 1/2 and r0 <= R, a solution lies within
     r0 = (1 - sqrt(1 - 2h)) / (beta L) of x and no other within
     r1 = min(R, (1 + sqrt(1 - 2h)) / (beta L)) (Ortega & Rheinboldt 1970,
     12.6.2); a failed test gives r0 = inf and r1 = 0.0.  The test is
     evaluated in floating point, not in interval arithmetic.
     """
+    k = x.shape[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        j = reduced_jacobian(x, m)
         try:
-            jinv = np.abs(np.linalg.inv(reduced_jacobian(x, m)))
+            xinv = np.linalg.inv(j)
         except np.linalg.LinAlgError:
             return math.inf, math.inf, 0.0
-        gamma = (x.shape[0] + 2) * 2.0**-53 * (6.0 * x + m.m @ x**3)
-        beta = float(np.max(np.sum(jinv, axis=1)))
-        eta = float(np.max(jinv @ (np.abs(f) + gamma)))
-        big_r = float(np.max(x)) / 10.0
-        bl = beta * 6.0 * float(np.max(np.sum(m.m, axis=1))) * 11.0 * big_r  # max x + R = 11 R
+        jinv = np.abs(xinv)
+        delta = float(np.add.reduce(np.abs(np.eye(k) - xinv @ j), axis=1).max())
+        delta += _gamma(k + 1) * float(np.add.reduce(jinv @ np.abs(j), axis=1).max())
+        if not delta < 1.0:  # NaN too
+            return math.inf, math.inf, 0.0
+        grow = (1.0 + _gamma(k)) / (1.0 - delta)
+        gamma = (k + 2) * 2.0**-53 * (6.0 * x + m.m @ x**3)
+        beta = float(np.add.reduce(jinv, axis=1).max()) * grow
+        eta = float((jinv @ (np.abs(f) + gamma)).max()) * grow
+        big_r = float(x.max()) / 10.0
+        bl = beta * 6.0 * float(np.add.reduce(m.m, axis=1).max()) * 11.0 * big_r  # max x + R = 11 R
         h = bl * eta
         root = math.sqrt(1.0 - 2.0 * h) if h <= 0.5 else math.nan
         r0 = 2.0 * eta / (1.0 + root)  # (1 - root) / (beta L) without the cancellation
@@ -183,7 +201,7 @@ def isolation_check(sol: ReducedSolution, m: InteractionMatrix) -> IsolationRepo
     may overflow to +-inf.  The residual must meet the solver's relative
     form of the bound, max|f| <= 1e-8 * (1 + 6 max|x|).
     """
-    bound = 1e-8 * (1.0 + 6.0 * float(np.max(np.abs(sol.x))))
+    bound = 1e-8 * (1.0 + 6.0 * float(np.abs(sol.x).max()))
     if not sol.residual_norm <= bound:
         raise InvalidInput(
             f"isolation_check needs residual_norm <= {bound:.3e}, got {sol.residual_norm:.3e}"
@@ -194,15 +212,13 @@ def isolation_check(sol: ReducedSolution, m: InteractionMatrix) -> IsolationRepo
     except np.linalg.LinAlgError as e:
         raise SpectrumFailure(f"symmetric eigensolver failed: {e}") from e
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        det_shift = float(np.prod(6.0 - eigs))
-        log_abs_det = float(np.sum(np.log(np.abs(6.0 - eigs))))
+        det_shift = float(np.multiply.reduce(6.0 - eigs))
+        log_abs_det = float(np.add.reduce(np.log(np.abs(6.0 - eigs))))
         h, r0, r1 = _certificate(sol.x, m, reduced_residual(sol.x, m))
     u = _pow2_scaled(sol.x) ** 2
     eig18 = float(np.linalg.norm(a @ u - 18.0 * u) / np.linalg.norm(u))
-    scale = float(np.max(np.abs(eigs))) if sol.K else 0.0
-    pattern = "".join(
-        "0" if abs(e) <= 1e-10 * max(scale, 1.0) else ("-" if e < 0 else "+") for e in eigs
-    )
+    zero = 1e-10 * max(float(np.abs(eigs).max()) if sol.K else 0.0, 1.0)
+    pattern = "".join("0" if abs(e) <= zero else ("-" if e < 0 else "+") for e in eigs)
     return IsolationReport(
         a_matrix=a,
         eigenvalues=eigs,
@@ -229,59 +245,61 @@ def _pow2_scaled(x: np.ndarray) -> np.ndarray:
     round as they would from x, while powers of x no longer underflow or
     overflow at extreme scales of the configuration.
     """
-    return np.ldexp(x, -np.frexp(np.max(x))[1])
+    return np.ldexp(x, -math.frexp(x.max())[1])
 
 
 def _unit(x: np.ndarray) -> np.ndarray:
     """x scaled onto the sphere sum x^4 = 1, where |a| = 1."""
     x = _pow2_scaled(x)
-    return x / np.sum(x**4) ** 0.25
+    return x / np.add.reduce(x**4) ** 0.25
 
 
-def _newton(x, m: InteractionMatrix, opts: SolverOptions, roots=None, scale=1.0, f=None):
+def _newton(x, m: InteractionMatrix, opts: SolverOptions, roots, scale2=1.0, f=None):
     """Damped Newton from x (residual f, if known): (x, max|f|, threshold, f) at a root, or None.
 
     The minimum-norm least-squares step (bounded where J is near-singular,
-    as on non-isolated solution manifolds) is halved until it keeps x > 0
-    and lowers |M f|^2.  A run fails after max_iter iterations, on a point
-    below the bound every solution meets, or when _HALVINGS halvings do not
-    descend: it then stalls at a local minimum of |M f|.  M = 1 unless the
-    rows of roots are deflated: M = prod_r (1 + scale^2 / |x - r|^2), and
-    the step rescaled by 1 / (1 - grad log M . step) is the Newton step of
-    M f (Farrell, Birkisson & Funke, SIAM J. Sci. Comput. 37(4), 2015).
+    as on non-isolated solution manifolds) is halved until it keeps x > 0,
+    checked only up to the first trial that does (halving is exact and
+    rounding monotone), and lowers |M f|^2.  A run fails after max_iter
+    iterations, on a point below the bound every solution meets, or when
+    _HALVINGS halvings do not descend: it stalls at a local minimum of |M f|.
+    M = prod_r (1 + scale2 / |x - r|^2) over the rows r of roots (1 if none),
+    and the step rescaled by 1 / (1 - grad log M . step) is the Newton step
+    of M f (Farrell, Birkisson & Funke, SIAM J. Sci. Comput. 37(4), 2015).
     """
 
-    def merit(y, f=None):
+    def merit(y, f=None):  # f, |M f|^2 and the |y - r|^2 at y
         f = reduced_residual(y, m) if f is None else f
-        w = 1.0 if roots is None else np.prod(1.0 + scale**2 / np.sum((y - roots) ** 2, axis=1))
-        return f, w * w * (f @ f)
+        dd = np.add.reduce((y - roots) ** 2, axis=1)
+        w = np.multiply.reduce(1.0 + scale2 / dd)
+        return f, w * w * (f @ f), dd
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f, m0 = merit(x, f)
+        f, m0, dd = merit(x, f)
     for _ in range(opts.max_iter):
-        nf = float(np.max(np.abs(f)))
-        thresh = opts.tol * (1.0 + 6.0 * float(np.max(np.abs(x))))
+        nf = float(np.maximum.reduce(np.abs(f)))
+        thresh = opts.tol * (1.0 + 6.0 * float(np.maximum.reduce(x)))  # x > 0 throughout
         if nf <= thresh:
             # a solution has 6 max(x) <= (max row sum) max(x)^3; points near 0 do not
-            floor = math.sqrt(6.0 / float(np.max(np.sum(m.m, axis=1))))
-            return (x, nf, thresh, f) if np.max(x) >= floor * (1.0 - opts.tol) else None
+            floor = math.sqrt(6.0 / float(np.maximum.reduce(np.add.reduce(m.m, axis=1))))
+            return (x, nf, thresh, f) if np.maximum.reduce(x) >= floor * (1.0 - opts.tol) else None
         step = np.linalg.lstsq(reduced_jacobian(x, m), -f, rcond=None)[0]
-        if roots is not None:
-            d = x - roots
-            dd = np.sum(d * d, axis=1)
-            with np.errstate(over="ignore"):  # far roots: 1 / inf = 0 is the limit
-                step = step / (1.0 + 2.0 * scale**2 * ((1.0 / (dd * (dd + scale**2))) @ d) @ step)
-        if not np.all(np.isfinite(step)):
+        with np.errstate(over="ignore"):  # far roots: 1 / inf = 0 is the limit
+            step = step / (1.0 + 2.0 * scale2 * ((1.0 / (dd * (dd + scale2))) @ (x - roots)) @ step)
+        if not np.isfinite(step).all():
             return None
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # skip the halvings from 1 that would leave the orthant
-            edge = np.min(-x / step, where=step < 0, initial=np.inf)
-            lam = 2.0 ** min(0.0, np.floor(np.log2(edge)))
-            trials = (x + lam * 0.5**h * step for h in range(_HALVINGS + 1))
-            evaluated = ((y, *merit(y)) for y in trials if np.all(y > 0))  # (y, f, merit)
-            x, f, m0 = next((e for e in evaluated if e[2] < m0), (None, None, None))
-        if x is None:
-            return None
+            edge = np.minimum.reduce(-x / step, where=step < 0, initial=np.inf)
+            lam = 2.0 ** min(0.0, np.floor(np.log2(edge))) if edge < 1.0 else 1.0
+            trial = None  # merit(y) of the first y > 0, then of each later y
+            for h in range(_HALVINGS + 1):
+                y = x + lam * 0.5**h * step
+                if (trial or np.minimum.reduce(y) > 0.0) and (trial := merit(y))[1] < m0:
+                    break
+            else:
+                return None
+        x, (f, m0, dd) = y, trial
     return None
 
 
@@ -303,7 +321,7 @@ def _ascend(m: InteractionMatrix, opts: SolverOptions):
         for _ in range(5):
             x = _unit(np.sqrt(x * (m.m @ x**3)))
         g = _g(x, m)
-        hit = _newton(math.sqrt(6.0 / g) * x, m, opts)
+        hit = _newton(math.sqrt(6.0 / g) * x, m, opts, np.empty((0, m.K)))
         if hit is None:
             continue
         u = _unit(hit[0])
@@ -314,7 +332,7 @@ def _ascend(m: InteractionMatrix, opts: SolverOptions):
         mu[np.argmax(np.abs(vecs.T @ hit[0] ** 2))] = -np.inf  # the eigenvalue 18
         # an eigenvalue of 6 up to rounding lies on a curve of solutions, along
         # which G is constant (the K = 10 family): no direction raises G there
-        if np.max(mu) <= 6.0 * (1.0 + 1e-8):
+        if mu.max() <= 6.0 * (1.0 + 1e-8):
             return hit
         a, v = u**2, vecs[:, np.argmax(mu)]
         with np.errstate(invalid="ignore"):  # a + s v leaving the orthant gives NaN
@@ -356,10 +374,10 @@ def solve_equilibria(m: InteractionMatrix, options: SolverOptions = SolverOption
     while starts and runs:
         runs -= 1
         roots = np.array([np.zeros(k)] + [h[0] for h in found])
-        hit = _newton(starts[0][0], m, options, roots, xbar, starts[0][1])
+        hit = _newton(starts[0][0], m, options, roots, xbar**2, starts[0][1])
         if hit is not None:
             radii += [_certificate(x, m, f)[2] for x, _, _, f in found[len(radii):] + [hit]]
-            if all(np.max(np.abs(hit[0] - h[0])) > max(radii[-1], r) for h, r in zip(found, radii)):
+            if all(np.abs(hit[0] - h[0]).max() > max(radii[-1], r) for h, r in zip(found, radii)):
                 found.append(hit)
                 continue
             radii.pop()

@@ -200,6 +200,21 @@ def test_k3_check_artifact(tmp_path):
         assert tri["min_abs_det_shift"] > 1e-6
 
 
+def test_k3_check_caps_n_triangles(tmp_path, capsys, monkeypatch):
+    # a run of a billion triangles is rejected while parsing, before any is drawn
+    with pytest.raises(ValidationError):
+        parse_run_config(cfg_text(command="k3-check", n_triangles=10**9))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "MAX_TRIANGLES", 2)
+    assert parse_run_config(cfg_text(command="k3-check", n_triangles=2)).n_triangles == 2
+    conf = tmp_path / "run.json"
+    conf.write_text(cfg_text(command="k3-check", n_triangles=3))
+    assert main(["k3-check", "--config", str(conf)]) == 1
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ValidationError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
 def test_kappa_check_artifact(tmp_path):
     out = tmp_path / "kc.json"
     assert run(parse_run_config(cfg_text(command="kappa-check", output=str(out)))) == 0

@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -293,6 +294,117 @@ def test_solver_work_does_not_depend_on_rounding(monkeypatch):
             solve_equilibria(interaction_matrix(build_configuration(pts @ q + rng.normal(size=5))))
             counts.add(len(calls))
         assert len(counts) == 1, (k, sorted(counts))
+
+
+def newton_oracle(x, m, opts, roots=None, scale=1.0, f=None):
+    """The damped Newton run written plainly: the lean _newton must repeat it bit for bit.
+
+    Same trials, same positivity test on each, same merit |M f|^2, through
+    the fromnumeric reductions and two chained generators.
+    """
+    import bubblefield.equilibrium as eq
+
+    def merit(y, f=None):
+        f = eq.reduced_residual(y, m) if f is None else f
+        w = 1.0 if roots is None else np.prod(1.0 + scale**2 / np.sum((y - roots) ** 2, axis=1))
+        return f, w * w * (f @ f)
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f, m0 = merit(x, f)
+    for _ in range(opts.max_iter):
+        nf = float(np.max(np.abs(f)))
+        thresh = opts.tol * (1.0 + 6.0 * float(np.max(np.abs(x))))
+        if nf <= thresh:
+            floor = math.sqrt(6.0 / float(np.max(np.sum(m.m, axis=1))))
+            return (x, nf, thresh, f) if np.max(x) >= floor * (1.0 - opts.tol) else None
+        step = np.linalg.lstsq(eq.reduced_jacobian(x, m), -f, rcond=None)[0]
+        if roots is not None:
+            d = x - roots
+            dd = np.sum(d * d, axis=1)
+            with np.errstate(over="ignore"):
+                step = step / (1.0 + 2.0 * scale**2 * ((1.0 / (dd * (dd + scale**2))) @ d) @ step)
+        if not np.all(np.isfinite(step)):
+            return None
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            edge = np.min(-x / step, where=step < 0, initial=np.inf)
+            lam = 2.0 ** min(0.0, np.floor(np.log2(edge)))
+            trials = (x + lam * 0.5**h * step for h in range(eq._HALVINGS + 1))
+            evaluated = ((y, *merit(y)) for y in trials if np.all(y > 0))
+            x, f, m0 = next((e for e in evaluated if e[2] < m0), (None, None, None))
+        if x is None:
+            return None
+    return None
+
+
+def test_newton_matches_readable_oracle(monkeypatch):
+    # every Newton run of the solver, ascent polishes and deflated runs alike,
+    # on the cluster pool and 64 triangle-sweep triangles
+    import bubblefield.equilibrium as eq
+
+    calls = []
+    residual = eq.reduced_residual
+    monkeypatch.setattr(eq, "reduced_residual", lambda x, m: calls.append(1) or residual(x, m))
+    lean, runs = eq._newton, []
+
+    def recorded(x, m, opts, roots, scale2=1.0, f=None):
+        before = len(calls)
+        hit = lean(x, m, opts, roots, scale2, f)
+        runs.append((x, m, opts, roots, scale2, f, hit, len(calls) - before))
+        return hit
+
+    monkeypatch.setattr(eq, "_newton", recorded)
+    rng = np.random.default_rng(1)
+    for m in cluster_pool() + [random_matrix(3, rng) for _ in range(64)]:
+        solve_equilibria(m)
+    assert sum(len(r[3]) == 0 for r in runs) > 100 and sum(len(r[3]) > 0 for r in runs) > 100
+    assert sum(r[6] is not None for r in runs) > 100
+    for x, m, opts, roots, scale2, f, hit, n_calls in runs:
+        deflated = len(roots) > 0  # a polish deflates no root
+        scale = np.sqrt(6.0 / np.mean(np.sum(m.m, axis=1))) if deflated else 1.0
+        assert scale**2 == scale2 or not deflated  # the square of the symmetric seed value
+        before = len(calls)
+        want = newton_oracle(x, m, opts, roots if deflated else None, scale, f)
+        assert len(calls) - before == n_calls
+        assert (hit is None) == (want is None)
+        if hit is not None:
+            assert hit[0].tobytes() == want[0].tobytes() and hit[3].tobytes() == want[3].tobytes()
+            assert (hit[1], hit[2]) == (want[1], want[2])
+
+
+def test_certificate_bounds_the_rounded_inverse(monkeypatch, k3_equilateral):
+    # beta and eta come from X = inv(J); an X whose residual ||I - XJ|| reaches 1
+    # bounds nothing, while a merely scaled one is corrected by 1 / (1 - delta)
+    sol = solve_equilibria(k3_equilateral)[0]
+    rep = isolation_check(sol, k3_equilateral)
+    assert rep.isolated
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: -inv(a))  # |X| exact, delta = 2
+    bad = isolation_check(sol, k3_equilateral)
+    assert not bad.isolated and bad.kantorovich_h > 0.5
+    assert bad.existence_radius == np.inf and bad.uniqueness_radius == 0.0
+    monkeypatch.setattr(np.linalg, "inv", lambda a: 0.5 * inv(a))  # |X| too small, delta = 1/2
+    half = isolation_check(sol, k3_equilateral)
+    assert half.isolated and half.kantorovich_h >= rep.kantorovich_h * (1.0 - 1e-12)
+    assert half.uniqueness_radius <= rep.uniqueness_radius * (1.0 + 1e-12)
+
+
+def test_hit_inside_either_uniqueness_ball_is_a_duplicate(monkeypatch):
+    # a deflated hit is a known solution when within the larger of the two radii:
+    # here the second solution lies outside the first one's ball but inside its own
+    import bubblefield.equilibrium as eq
+
+    m = next(m for m in cluster_pool() if len(solve_equilibria(m)) == 2)
+    first, second = solve_equilibria(m)
+    gap = float(np.max(np.abs(first.x - second.x)))
+    certified = []
+
+    def certificate(x, m, f):
+        certified.append(x)
+        return 0.0, 0.0, (gap / 10.0 if len(certified) == 1 else 10.0 * gap)
+
+    monkeypatch.setattr(eq, "_certificate", certificate)
+    assert len(solve_equilibria(m)) == 1
+    assert len(certified) > 1
 
 
 def test_solutions_exist_and_are_valid():
