@@ -53,7 +53,7 @@ class RunConfig:
     solver: equilibrium.SolverOptions = equilibrium.SolverOptions()
     integrator: dynamics.IntegratorOptions = dynamics.IntegratorOptions()
     schedule: dynamics.PerturbationSchedule | None = None
-    initial: dynamics.TrajectoryState | str | None = None  # or "start-at-equilibrium:i,offset"
+    initial: dynamics.TrajectoryState | tuple | None = None  # or (index, offset) of the directive
     t_end: float | None = None
     n_triangles: int = 50
     quadrature: groundstate.QuadratureSpec = groundstate.QuadratureSpec()
@@ -65,26 +65,35 @@ _ALLOWED_KEYS = {
     "simulate": _COMMON_KEYS | {"points", "solver", "integrator", "schedule", "initial", "t_end"},
     "k10": _COMMON_KEYS,
     "k3-check": _COMMON_KEYS | {"n_triangles", "solver"},
-    "kappa-check": _COMMON_KEYS | {"quadrature"},
+    "kappa-check": _COMMON_KEYS - {"kappa"} | {"quadrature"},  # its quadrature does not use kappa
 }
-_SOLVER_KEYS = {"tol", "n_random", "max_iter"}
-_INTEGRATOR_KEYS = {"rtol", "atol", "alpha_floor", "sample_dt", "max_step"}
-_SCHEDULE_KEYS = {"kind", "amplitude", "rate", "dir1", "dir2"}
-_QUADRATURE_KEYS = {"r_max", "n_panels"}
+# the keys that a command or a section must give
+_REQUIRED = {
+    "equilibria": {"points"},
+    "simulate": {"points", "schedule", "initial", "t_end"},
+    "schedule": {"kind"},
+}
+# each sub-object: the option type it builds and the keys that type takes
+_SECTIONS = {
+    "solver": (equilibrium.SolverOptions, {"tol", "n_random", "max_iter"}),
+    "integrator": (
+        dynamics.IntegratorOptions, {"rtol", "atol", "alpha_floor", "sample_dt", "max_step"}
+    ),
+    "schedule": (dynamics.PerturbationSchedule, {"kind", "amplitude", "rate", "dir1", "dir2"}),
+    "quadrature": (groundstate.QuadratureSpec, {"r_max", "n_panels"}),
+}
+_AT_EQUILIBRIUM = "start-at-equilibrium:"
 
 
-def _check_keys(obj: dict, allowed: set, where: str):
+def _check_keys(obj, where: str, allowed: set, required=()):
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where} must be an object")
     unknown = set(obj) - allowed
     if unknown:
-        raise UnknownKey(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-
-
-def _sub_object(doc: dict, key: str, allowed: set) -> dict:
-    obj = doc.get(key, {})
-    if not isinstance(obj, dict):
-        raise ValidationError(f'"{key}" must be an object')
-    _check_keys(obj, allowed, f'"{key}"')
-    return obj
+        raise UnknownKey(f"unknown key(s) in {where}: {', '.join(sorted(map(str, unknown)))}")
+    missing = sorted(set(required) - set(obj))
+    if missing:
+        raise ValidationError(f"{where} requires {', '.join(map(json.dumps, missing))}")
 
 
 def _decode(text: str):
@@ -101,7 +110,7 @@ def parse_run_config(document: str | dict) -> RunConfig:
 
     Defaults are filled in and unknown keys raise UnknownKey.  Each option
     type checks its own fields; a value that cannot be converted raises
-    ValidationError.
+    ValidationError.  Only the directive's index is left to the run.
     """
     doc = _decode(document) if isinstance(document, str) else document
     if not isinstance(doc, dict):
@@ -109,11 +118,31 @@ def parse_run_config(document: str | dict) -> RunConfig:
     command = doc.get("command")
     if command not in COMMANDS:
         raise ValidationError(f'"command" must be one of {COMMANDS}, got {command!r}')
-    _check_keys(doc, _ALLOWED_KEYS[command], "run config")
+    _check_keys(doc, f'"{command}" run config', _ALLOWED_KEYS[command], _REQUIRED.get(command, ()))
     try:
         return _build(doc, command)
     except (TypeError, ValueError, OverflowError) as e:
         raise ValidationError(f"unusable value in run config: {e}") from e
+
+
+def _initial(value):
+    """An "initial" object as a TrajectoryState, the directive as (index, offset)."""
+    if isinstance(value, dict):
+        _check_keys(value, '"initial"', {"t", "alpha", "beta"}, {"alpha", "beta"})
+        return dynamics.TrajectoryState(
+            t=real('"initial.t"', value.get("t", 0.0)),
+            alpha=reals('"initial.alpha"', value["alpha"]),
+            beta=reals('"initial.beta"', value["beta"]),
+        )
+    if isinstance(value, str) and value.startswith(_AT_EQUILIBRIUM) and value.count(",") == 1:
+        index, offset = value[len(_AT_EQUILIBRIUM):].split(",")
+        offset = real('"initial" offset', offset)
+        if index.isdigit() and offset > -1.0:
+            return int(index), offset
+    raise ValidationError(
+        f'"initial" must be an object or "{_AT_EQUILIBRIUM}<index>,<offset>" with an integer'
+        f" index >= 0 and an offset > -1, got {value!r}"
+    )
 
 
 def _build(doc: dict, command: str) -> RunConfig:
@@ -128,65 +157,27 @@ def _build(doc: dict, command: str) -> RunConfig:
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
         raise ValidationError('"output" must be a string path')
-
-    sol = _sub_object(doc, "solver", _SOLVER_KEYS)
-    cfg = RunConfig(
+    n = doc.get("n_triangles", 50)
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_TRIANGLES:
+        raise ValidationError(
+            f'"n_triangles" must be an integer from 1 to {MAX_TRIANGLES}, got {n!r}'
+        )
+    sections = {}
+    for name, (kind, keys) in _SECTIONS.items():
+        if name in doc:
+            _check_keys(doc[name], f'"{name}"', keys, _REQUIRED.get(name, ()))
+            sections[name] = kind(**doc[name])
+    return RunConfig(
         command=command,
         seed=seed,
         kappa=kappa,
         output=output,
-        solver=equilibrium.SolverOptions(**sol),
+        points=reals('"points"', doc["points"]) if "points" in doc else None,
+        initial=_initial(doc["initial"]) if "initial" in doc else None,
+        t_end=real('"t_end"', doc["t_end"]) if "t_end" in doc else None,
+        n_triangles=n,
+        **sections,
     )
-
-    if command == "simulate":
-        for key in ("schedule", "initial", "t_end"):
-            if key not in doc:
-                raise ValidationError(f'"simulate" requires "{key}"')
-        sch = _sub_object(doc, "schedule", _SCHEDULE_KEYS)
-        if "kind" not in sch:
-            raise ValidationError('"schedule" requires "kind"')
-        initial = doc["initial"]
-        if isinstance(initial, dict):
-            _check_keys(initial, {"t", "alpha", "beta"}, '"initial"')
-            if "alpha" not in initial or "beta" not in initial:
-                raise ValidationError('"initial" needs "alpha" and "beta"')
-            initial = dynamics.TrajectoryState(
-                t=real('"initial.t"', initial.get("t", 0.0)),
-                alpha=reals('"initial.alpha"', initial["alpha"]),
-                beta=reals('"initial.beta"', initial["beta"]),
-            )
-        elif not (isinstance(initial, str) and initial.startswith("start-at-equilibrium:")):
-            raise ValidationError(
-                '"initial" must be an object or "start-at-equilibrium:<index>,<offset>"'
-            )
-        cfg = replace(
-            cfg,
-            schedule=dynamics.PerturbationSchedule(**sch),
-            initial=initial,
-            t_end=real('"t_end"', doc["t_end"]),
-            integrator=dynamics.IntegratorOptions(
-                **_sub_object(doc, "integrator", _INTEGRATOR_KEYS)
-            ),
-        )
-
-    if command in ("equilibria", "simulate"):
-        if "points" not in doc:
-            raise ValidationError(f'"{command}" requires "points"')
-        cfg = replace(cfg, points=reals('"points"', doc["points"]))
-
-    if command == "k3-check":
-        n = doc.get("n_triangles", 50)
-        if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_TRIANGLES:
-            raise ValidationError(
-                f'"n_triangles" must be an integer from 1 to {MAX_TRIANGLES}, got {n!r}'
-            )
-        cfg = replace(cfg, n_triangles=n)
-
-    if command == "kappa-check":
-        quad = _sub_object(doc, "quadrature", _QUADRATURE_KEYS)
-        cfg = replace(cfg, quadrature=groundstate.QuadratureSpec(**quad))
-
-    return cfg
 
 
 def _fmt(value) -> str:
@@ -215,9 +206,7 @@ def _fmt(value) -> str:
 
 
 def _write(path: str, text: str):
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         fh.write(text)
     print(f"wrote {path}")
@@ -232,7 +221,7 @@ def _solution_record(sol: equilibrium.ReducedSolution, m) -> dict:
         "c": list(lifted.c),
         "residual_norm": sol.residual_norm,
         "tolerance": sol.tolerance,
-        "isolation": {k: v for k, v in asdict(report).items() if k != "a_matrix"},
+        "isolation": asdict(report),
     }
 
 
@@ -255,21 +244,15 @@ def _run_simulate(cfg: RunConfig) -> None:
     conf = build_configuration(cfg.points)
     m = interaction_matrix(conf, cfg.kappa)
     state = cfg.initial
-    at_equilibrium = isinstance(state, str)
-    if at_equilibrium:
-        try:
-            idx_s, off_s = state[len("start-at-equilibrium:"):].split(",")
-            idx, offset = int(idx_s), float(off_s)
-        except ValueError as e:
-            raise ValidationError(f"bad start-at-equilibrium directive: {state!r}") from e
     try:
         eqs = [equilibrium.lift(s) for s in equilibrium.solve_equilibria(m, cfg.solver)]
     except equilibrium.NoSolutionFound:
-        if at_equilibrium:
+        if isinstance(state, tuple):
             raise
         eqs = []
-    if at_equilibrium:
-        if not 0 <= idx < len(eqs):
+    if isinstance(state, tuple):  # start at an equilibrium: (index, offset)
+        idx, offset = state
+        if not idx < len(eqs):
             raise ValidationError(f"equilibrium index {idx} out of range (found {len(eqs)})")
         alpha = (1.0 + offset) * eqs[idx].a
         state = dynamics.TrajectoryState(t=0.0, alpha=alpha, beta=2.0 * alpha)
@@ -367,12 +350,9 @@ def run(config: RunConfig) -> int:
     """Execute a validated run config; returns the process exit code."""
     try:
         _RUNNERS[config.command](config)
-    except InvalidInput as e:
+    except (InvalidInput, NumericalFailure, OSError) as e:  # OSError: an unwritable output
         _emit_error(e)
-        return 1
-    except NumericalFailure as e:
-        _emit_error(e)
-        return 2
+        return 2 if isinstance(e, NumericalFailure) else 1
     return 0
 
 

@@ -92,7 +92,6 @@ class EquilibriumPoint:
 class IsolationReport:
     """Spectrum of the symmetrized matrix A and the Newton-Kantorovich certificate."""
 
-    a_matrix: np.ndarray
     eigenvalues: np.ndarray  # sorted ascending
     det_shift: float         # det(6I - A); +-inf once the product overflows
     log_abs_det_shift: float  # sum log|6 - mu|: finite at any K, -inf only if det is 0
@@ -220,7 +219,6 @@ def isolation_check(sol: ReducedSolution, m: InteractionMatrix) -> IsolationRepo
     zero = 1e-10 * max(float(np.abs(eigs).max()) if sol.K else 0.0, 1.0)
     pattern = "".join("0" if abs(e) <= zero else ("-" if e < 0 else "+") for e in eigs)
     return IsolationReport(
-        a_matrix=a,
         eigenvalues=eigs,
         det_shift=det_shift,
         log_abs_det_shift=log_abs_det,
@@ -313,8 +311,9 @@ def _ascend(m: InteractionMatrix, opts: SolverOptions):
     is tried, and counts only if its G on the sphere is no lower.  At a
     solution the Hessian of G on the sphere is a positive multiple of A - 6I
     off the eigenvector x^2 of the eigenvalue 18, so any other eigenvalue
-    above 6 marks a saddle: the iterate steps along its eigenvector to
-    higher G and ascends again, within the same max_iter steps.
+    above 6 at a solution the Newton-Kantorovich test isolates marks a
+    saddle: the iterate steps along its eigenvector to higher G and ascends
+    again, within the same max_iter steps.
     """
     x = _unit(np.ones(m.K))
     for _ in range(opts.max_iter // 5):
@@ -330,9 +329,9 @@ def _ascend(m: InteractionMatrix, opts: SolverOptions):
             continue
         mu, vecs = np.linalg.eigh(symmetrized_matrix(hit[0], m))
         mu[np.argmax(np.abs(vecs.T @ hit[0] ** 2))] = -np.inf  # the eigenvalue 18
-        # an eigenvalue of 6 up to rounding lies on a curve of solutions, along
-        # which G is constant (the K = 10 family): no direction raises G there
-        if mu.max() <= 6.0 * (1.0 + 1e-8):
+        # a hit the certificate cannot isolate is kept: on a curve of solutions
+        # (the K = 10 family) G is constant, and no direction raises it
+        if mu.max() <= 6.0 or _certificate(hit[0], m, hit[3])[2] == 0.0:
             return hit
         a, v = u**2, vecs[:, np.argmax(mu)]
         with np.errstate(invalid="ignore"):  # a + s v leaving the orthant gives NaN

@@ -39,7 +39,12 @@ from bubblefield.circulant import (
     family_tangent,
     solve_b0,
 )
-from bubblefield.config import build_configuration, interaction_matrix, kappa_closed_form
+from bubblefield.config import (
+    InteractionMatrix,
+    build_configuration,
+    interaction_matrix,
+    kappa_closed_form,
+)
 from bubblefield.dynamics import (
     IntegratorOptions,
     PerturbationSchedule,
@@ -350,16 +355,35 @@ def _shooting_system(ys, flow, alpha0, y_eq, unstable):
     return res, dists
 
 
+def _copies_flow(m, schedule, rtol, n):
+    """flow(ys, i): integrate the n rows of ys from node i to node i + 1 in one
+    integrate() run of n decoupled copies of the system; returns the end states.
+
+    The copies share a block-diagonal coupling matrix, and the default forcing
+    direction (all ones) forces each copy as it forces the system alone."""
+    k = m.K
+    copies = InteractionMatrix(np.kron(np.eye(n), m.m), m.kappa)
+
+    def flow(ys, i):
+        t0, t1 = _C8_NODES[i], _C8_NODES[i + 1]
+        start = TrajectoryState(t0, ys[:, :k].ravel(), ys[:, k:].ravel())
+        opts = IntegratorOptions(rtol=rtol, sample_dt=t1 - t0)
+        traj = integrate(start, copies, schedule, t1, opts)
+        return np.hstack([traj.alpha[-1].reshape(n, k), traj.beta[-1].reshape(n, k)])
+
+    return flow
+
+
 def _shooting_matrix(ys, flow, k, unstable, h=1e-7):
-    """Jacobian of the shooting residual at the nodes `ys`; the segment blocks
-    are forward differences of flow."""
+    """Jacobian of the shooting residual at the nodes `ys`; the segment blocks are
+    forward differences of flow, which takes a segment's base state and its
+    perturbations together (see _copies_flow)."""
     n, d = ys.shape
     jac = np.zeros(((n - 1) * d + k + len(unstable), n * d))
     for i in range(n - 1):
         rows = slice(i * d, (i + 1) * d)
-        end = flow(ys[i], i)[0]
-        for j in range(d):
-            jac[rows, i * d + j] = (flow(ys[i] + h * np.eye(d)[j], i)[0] - end) / h
+        ends = flow(ys[i] + np.vstack([np.zeros(d), h * np.eye(d)]), i)
+        jac[rows, i * d : (i + 1) * d] = ((ends[1:] - ends[0]) / h).T
         jac[rows, (i + 1) * d : (i + 2) * d] = -np.eye(d)
     jac[(n - 1) * d : (n - 1) * d + k, :k] = np.eye(k)
     jac[(n - 1) * d + k :, (n - 1) * d :] = unstable
@@ -412,7 +436,7 @@ def test_criterion_8_convergence_experiment():
     # The Jacobian only steers the iteration, so a loose rtol suffices for it.  The
     # system has one equation more than unknowns; it is consistent because the data
     # are symmetric in the two bubbles, so Newton steps are least-squares solutions.
-    coarse = _segment_flow(m, sch, eq, 1e-6)
+    coarse = _copies_flow(m, sch, 1e-6, 2 * k + 1)
     pinv = np.linalg.pinv(_shooting_matrix(guess, coarse, k, unstable))
     ys, (res, dists) = _shoot(guess, system(1e-9), pinv)
     ys_ref, (_, dists_ref) = _shoot(ys, system(1e-12), pinv)

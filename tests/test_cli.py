@@ -78,6 +78,8 @@ def test_parse_rejects_bad_documents():
         parse_run_config(
             cfg_text(command="equilibria", points=K2_POINTS, solver={"bogus": 1})
         )
+    with pytest.raises(UnknownKey):  # a decoded object need not have string keys
+        parse_run_config({"command": "k10", 1: 2, "seed": 0})
     with pytest.raises(ValidationError):
         parse_run_config(cfg_text(command="equilibria", points=K2_POINTS, seed=-1))
     with pytest.raises(ValidationError):
@@ -259,6 +261,34 @@ def test_numerical_exit_code(tmp_path, capsys, monkeypatch):
     assert err["error"] in ("StepUnderflow", "AlphaCollapse")
 
 
+@pytest.mark.parametrize(
+    "directive",
+    ["zero,0.1", "0", "0,0.1,2", "0,nan", "0,inf", "-1,0.1", "0,-1", "0,", ",0.1", "1.0,0.1"],
+)
+def test_malformed_directive_rejected_while_parsing(directive):
+    # the whole directive is checked before any solve; only its index waits for the run
+    doc = {**_schedule(kind="zero"), "initial": "start-at-equilibrium:" + directive}
+    with pytest.raises(InvalidInput):
+        parse_run_config(doc)
+
+
+def test_directive_parsed_once():
+    doc = {**_schedule(kind="zero"), "initial": "start-at-equilibrium:1,-0.25"}
+    assert parse_run_config(doc).initial == (1, -0.25)
+
+
+@pytest.mark.parametrize("command", ["k10", "kappa-check"])
+def test_unwritable_output_exits_1(command, tmp_path, capsys):
+    # a directory as the output path, and a path below a regular file
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for out, error in ((tmp_path, "IsADirectoryError"), (afile / "x.json", "FileExistsError")):
+        assert main([command, "--output", str(out)]) == 1
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == error
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
 def test_main_end_to_end(tmp_path, capsys):
     conf = tmp_path / "run.json"
     conf.write_text(cfg_text(command="equilibria", points=K2_POINTS))
@@ -416,11 +446,17 @@ MALFORMED = {
     },
     "dir1-boolean": _schedule(kind="power", amplitude=0.1, dir1=[True, False]),
     "dir2-boolean": _schedule(kind="exponential", amplitude=0.1, dir2=[1.0, True]),
+    # the quadrature does not depend on kappa, so kappa-check takes none
+    "kappa-check-kappa": {"command": "kappa-check", "kappa": 6.0},
 }
 
 
 # the cases whose error class is asserted too
-MALFORMED_ERROR = {"dedup_radius-unknown-key": "UnknownKey", "t_end-huge-grid": "InvalidInput"}
+MALFORMED_ERROR = {
+    "dedup_radius-unknown-key": "UnknownKey",
+    "t_end-huge-grid": "InvalidInput",
+    "kappa-check-kappa": "UnknownKey",
+}
 
 
 @pytest.mark.parametrize("case", MALFORMED)
@@ -521,12 +557,7 @@ def _readme_table_keys() -> dict:
 
 
 def test_readme_config_table_matches_parser():
-    sections = {
-        "solver": cli._SOLVER_KEYS,
-        "integrator": cli._INTEGRATOR_KEYS,
-        "schedule": cli._SCHEDULE_KEYS,
-        "quadrature": cli._QUADRATURE_KEYS,
-    }
+    sections = {name: keys for name, (_, keys) in cli._SECTIONS.items()}
     documented = _readme_table_keys()
     for command, allowed in cli._ALLOWED_KEYS.items():
         accepted = {f"{k}.{sub}" for k in allowed & sections.keys() for sub in sections[k]}
