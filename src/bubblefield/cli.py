@@ -284,7 +284,8 @@ def _run_simulate(cfg: RunConfig) -> None:
 
 def _run_k10(cfg: RunConfig) -> None:
     fam = circulant.build_family(cfg.kappa)
-    _write(cfg.output or "k10.json", _fmt(circulant.k10_report(fam)) + "\n")
+    doc = {"command": "k10", "kappa": fam.kappa, **circulant.k10_report(fam)}
+    _write(cfg.output or "k10.json", _fmt(doc) + "\n")
 
 
 def _random_triangle(rng: np.random.Generator) -> np.ndarray:

@@ -16,7 +16,10 @@ exactly on the equilibrium set.  Integration uses an embedded
 Dormand-Prince 5(4) pair with PI step-size control; samples between step
 ends come from the pair's continuous extension, so the sample grid never
 sets the step size, and the run aborts if any alpha component falls below
-the admissible floor.
+the admissible floor.  An autonomous run that reaches a state no later step
+can move (an exact equilibrium, up to rounding) stops stepping and fills
+the remaining samples with that state, bit for bit what the steps would
+have written.
 """
 
 from __future__ import annotations
@@ -295,6 +298,7 @@ _DP_W = np.array([
      -10690763975 / 1880347072, 701980252875 / 199316789632,
      -1453857185 / 822651844, 69997945 / 29380423],
 ])
+_DP_P_MAX = np.array([1.0, 1 / 4, 4 / 27, 1 / 16])  # max of |P_r(theta)| on [0, 1]
 
 
 def integrate(
@@ -316,6 +320,33 @@ def integrate(
     AlphaCollapse (with the exit time) when any alpha component of a sample
     or a step end drops below options.alpha_floor, and StepUnderflow when
     the controller cannot make progress with steps above 1e-14.
+
+    An unforced run stops stepping once no later step can move the state,
+    and the remaining samples are that state; they are exactly the samples
+    the steps would have written.  After a step that leaves y unchanged,
+    every later step is at most h_max = min(max_step, cap) + (t_end - t_stop),
+    with cap the quarter-ULP cap above and t_stop the loop's end tolerance
+    (the last step may pass the cap by that much; the tail is doubled and
+    h_max raised by a relative 1e-9 to cover the rounding of t + h).  The
+    loop replays a step of h_max with every stage at f(y) and exits when:
+
+    (a) all six stage inputs equal y and the error estimate is at most
+        1e-10, the controller's floor.  Rounding is monotone (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2002, ch. 2), so at
+        every h <= h_max the stage inputs are y, the stages f(y), the step
+        is accepted, and the controller never shrinks the next step;
+    (b) the continuous extension's increment at h_max, bounded with the
+        maxima of |P_r| on [0, 1], 1, 1/4, 4/27 and 1/16, and raised by a
+        relative 1e-9 for the rounding of the interpolation, lies below half
+        the smaller gap next to each y_i, so every interpolated sample rounds
+        to y.  A power of two has only half a spacing below it, and a zero
+        component has no gap (its sign could still flip): such a state
+        never exits;
+    (c) the next step, min(h, max_step), is at least 1e-14: by (a) later
+        steps only grow from there, up to min(max_step, cap), so no
+        StepUnderflow is lost.
+
+    A field that is exactly zero moves nothing at any step and exits at once.
     """
     if np.any(initial.alpha <= 0):
         raise NegativeAlpha("initial alpha must be entrywise positive")
@@ -338,7 +369,7 @@ def integrate(
     def rhs(t: float, y: np.ndarray, out: np.ndarray) -> None:
         """Write the full right-hand side at the stacked state y = (alpha, beta) into out."""
         alpha = y[:k]
-        if not alpha.min() > 0.0 or not np.isfinite(y).all():
+        if not np.minimum.reduce(alpha) > 0.0 or not np.logical_and.reduce(np.isfinite(y)):
             raise FloatingPointError  # stage left the admissible region
         da, db = _field_raw(alpha, y[k:], m)
         if forced:
@@ -435,11 +466,32 @@ def integrate(
             # A step that rounds to no move keeps the state only while h |f_i| stays
             # below half an ULP of y_i; cap the next at a quarter, clear of the tie.
             ulps_per_time = np.max(np.abs(ks[6]) / np.spacing(np.abs(y)))
-            if ulps_per_time > 0.0:
-                h = min(h, 0.25 / ulps_per_time)
+            cap = 0.25 / ulps_per_time if ulps_per_time > 0.0 else math.inf
+            h = min(h, cap)
+            if not forced and min(h, options.max_step) >= 1e-14:
+                if not ks[6].any():
+                    break  # a zero field moves nothing at any step
+                # Replay the longest step still to come with every stage at f(y): if
+                # it cannot move the state, no later step can (see the docstring).
+                h_max = (min(options.max_step, cap) + 2.0 * (t_end - t_stop)) * (1.0 + 1e-9)
+                ks[:6] = ks[6]
+                if h_max < math.inf and all(
+                    (y + h_max * (ks_prev @ a) == y).all() for _, ks_prev, a, _ in stages
+                ):
+                    err_max = math.sqrt(
+                        np.add.reduce((h_max * (ks_t @ _DP_E) / scale) ** 2) / (2 * k)
+                    )
+                    np.matmul(_DP_W, ks, out=dense)
+                    dense *= h_max
+                    mag = np.abs(y)
+                    half_gap = 0.5 * (mag - np.nextafter(mag, 0.0))  # 0 where y_i is 0
+                    if err_max <= 1e-10 and (
+                        (_DP_P_MAX @ np.abs(dense)) * (1.0 + 1e-9) < half_gap
+                    ).all():
+                        break
         t, y = t_new, y5
         ks[0] = ks[6]  # FSAL
-    ys[j:] = y  # t_end within the end tolerance of the start: no step was taken
+    ys[j:] = y  # after a frozen exit, or when t_end is within the end tolerance of the start
 
     samples = TrajectoryState(t=ts, alpha=ys[:, :k], beta=ys[:, k:])
     dist = distance_to_set(samples, eqs) if eqs else np.full(ts.shape[0], math.nan)

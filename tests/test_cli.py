@@ -17,11 +17,12 @@ from bubblefield.cli import (
     parse_run_config,
     run,
 )
-from bubblefield.config import build_configuration, interaction_matrix
+from bubblefield.config import build_configuration, interaction_matrix, kappa_closed_form
 from bubblefield.equilibrium import lift, solve_equilibria
 from bubblefield.errors import InvalidInput
 
 K2_POINTS = [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]
+TRIANGLE_POINTS = [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0.5, math.sqrt(3.0) / 2.0, 0, 0, 0]]
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -182,12 +183,47 @@ def test_simulate_late_start(tmp_path, capsys):
     assert summary["final_dist_to_eq"] <= 1e-9
 
 
+def test_simulate_from_an_exact_equilibrium_stays_there(tmp_path):
+    # the autonomous flow from a solver equilibrium never moves it, so every
+    # sample is the start and the run ends without stepping through the grid
+    conf = tmp_path / "run.json"
+    conf.write_text(
+        cfg_text(
+            command="simulate", points=TRIANGLE_POINTS, schedule={"kind": "zero"},
+            initial="start-at-equilibrium:0,0", t_end=20.0, integrator={"sample_dt": 0.01},
+        )
+    )
+    blobs = []
+    for name in ("a.csv", "b.csv"):
+        out = tmp_path / name
+        assert main(["simulate", "--config", str(conf), "--output", str(out)]) == 0
+        summary = tmp_path / (name[:-4] + ".summary.json")
+        assert json.loads(summary.read_text())["final_dist_to_eq"] == 0.0
+        blobs.append(out.read_bytes() + summary.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
 def test_k10_artifact(tmp_path):
     out = tmp_path / "k10.json"
     assert run(parse_run_config(cfg_text(command="k10", output=str(out)))) == 0
     doc = json.loads(out.read_text())
-    assert set(doc) == {"B0", "lambda", "a", "b", "max_family_residual", "kernel_residual"}
+    assert set(doc) == {
+        "command", "kappa", "B0", "lambda", "a", "b", "max_family_residual", "kernel_residual"
+    }
+    assert doc["command"] == "k10" and doc["kappa"] == kappa_closed_form()
     assert 4.70 < doc["B0"] < 4.71
+
+
+def test_k10_artifact_records_its_kappa(tmp_path):
+    # kappa scales the coupling matrix, so a, b and lambda depend on it; B0 does not
+    docs = []
+    for kappa in (6.0, 30.0):
+        out = tmp_path / f"k10_{kappa}.json"
+        assert run(parse_run_config(cfg_text(command="k10", kappa=kappa, output=str(out)))) == 0
+        docs.append(json.loads(out.read_text()))
+        assert docs[-1]["kappa"] == kappa
+    assert docs[0]["B0"] == docs[1]["B0"]
+    assert all(docs[0][key] != docs[1][key] for key in ("a", "b", "lambda"))
 
 
 def test_k3_check_artifact(tmp_path):

@@ -24,6 +24,7 @@ from bubblefield.dynamics import (
     vector_field,
 )
 from bubblefield.circulant import family_member
+from bubblefield.config import build_configuration, interaction_matrix
 from bubblefield.equilibrium import (
     EquilibriumPoint, SolverOptions, k2_closed_form, lift, solve_equilibria,
 )
@@ -363,15 +364,12 @@ def test_physical_scale_recovers_separation_law(k2_matrix, kappa):
 
 
 def test_family_member_drift_probe(family):
-    # each curve point is a fixed point; round-off seeds the unstable mode-18
-    # pair, which grows like e^{6t}, so the probe horizon stays below t ~ 4
-    from bubblefield.circulant import family_member
-
+    # each curve point is a fixed point, and the quarter-ULP step cap keeps an
+    # exact one bitwise fixed, so round-off never seeds the unstable mode-18
+    # pair (it would grow like e^{6t}) at any horizon
     eq = lift(family_member(0.37, family))
-    traj = integrate(
-        state_at(eq), family.matrix, ZERO, 3.5, equilibria=[eq]
-    )
-    assert np.max(traj.dist_to_eq) <= 1e-6
+    traj = integrate(state_at(eq), family.matrix, ZERO, 20.0, equilibria=[eq])
+    assert np.max(traj.dist_to_eq) == 0.0
 
 
 def test_trajectory_csv_format(k2_matrix):
@@ -504,6 +502,56 @@ def test_equilibria_stay_exactly_fixed_on_a_fine_grid(k2_matrix, kappa, family):
     eq10 = lift(family_member(0.37, family))
     traj = integrate(state_at(eq10), family.matrix, ZERO, 3.5, fine, equilibria=[eq10])
     assert len(traj.ts) == 3501 and np.max(traj.dist_to_eq) == 0.0
+
+
+def _count_field_calls(monkeypatch):
+    calls = []
+    field = dynamics._field_raw
+    monkeypatch.setattr(dynamics, "_field_raw", lambda *a: calls.append(1) or field(*a))
+    return calls
+
+
+def _frozen_starts(k2_matrix, kappa, family):
+    eq10 = lift(family_member(0.37, family))
+    return [(k2_closed_form(1.0, kappa), k2_matrix, 10.0), (eq10, family.matrix, 3.5)]
+
+
+@pytest.mark.parametrize("max_step", [math.inf, 1e-3])
+def test_a_frozen_autonomous_run_stops_stepping(monkeypatch, k2_matrix, kappa, family, max_step):
+    # stepping through to t_end would take 493 (K = 2), 1,015 (K = 10) and 37
+    # (zero field) field evaluations at an unbounded max_step, 60,001, 21,001
+    # and 60,001 at 1e-3
+    calls = _count_field_calls(monkeypatch)
+    fine = IntegratorOptions(sample_dt=1e-3, max_step=max_step)
+    # at separation 1.5 the K = 2 closed form's field is exactly zero
+    m15 = interaction_matrix(build_configuration([[0, 0, 0, 0, 0], [1.5, 0, 0, 0, 0]]), kappa)
+    eq15 = k2_closed_form(1.5, kappa)
+    assert not np.any(vector_field(state_at(eq15), m15))
+    for eq, m, t_end in _frozen_starts(k2_matrix, kappa, family) + [(eq15, m15, 10.0)]:
+        calls.clear()
+        traj = integrate(state_at(eq), m, ZERO, t_end, fine, equilibria=[eq])
+        assert len(calls) <= 30
+        n = len(traj.ts)
+        assert traj.alpha.tobytes() == np.tile(eq.a, (n, 1)).tobytes()
+        assert traj.beta.tobytes() == np.tile(eq.c, (n, 1)).tobytes()
+
+
+def test_a_forced_run_from_an_equilibrium_keeps_stepping(monkeypatch, k2_matrix, kappa, family):
+    # forcing too small to move the state: every step is taken, and the samples
+    # are the ones the unforced run fills in without stepping
+    calls = _count_field_calls(monkeypatch)
+    fine = IntegratorOptions(sample_dt=1e-3)
+    tiny = PerturbationSchedule("exponential", amplitude=1e-300, rate=1.0)
+    for eq, m, t_end in _frozen_starts(k2_matrix, kappa, family):
+        counts = []
+        for span in (0.25, 0.5, 1.0):
+            calls.clear()
+            forced = integrate(state_at(eq), m, tiny, span * t_end, fine)
+            counts.append(len(calls))
+            free = integrate(state_at(eq), m, ZERO, span * t_end, fine)
+            assert forced.alpha.tobytes() == free.alpha.tobytes()
+            assert forced.beta.tobytes() == free.beta.tobytes()
+        assert counts[0] < counts[1] < counts[2]
 
 
 def test_dense_samples_carry_the_requested_accuracy(k2_matrix):
