@@ -155,8 +155,8 @@ class IntegratorOptions:
             raise InvalidInput("rtol must be positive and atol non-negative")
         if not self.sample_dt > 0:
             raise InvalidInput(f"sample_dt must be positive, got {self.sample_dt}")
-        if not self.max_step > 0:
-            raise InvalidInput(f"max_step must be positive, got {self.max_step}")
+        if not self.max_step >= 1e-14:  # no step below 1e-14 is ever taken
+            raise InvalidInput(f"max_step must be at least 1e-14, got {self.max_step}")
         if not self.alpha_floor >= 0:
             raise InvalidInput(f"alpha_floor must be >= 0, got {self.alpha_floor}")
 
@@ -316,7 +316,8 @@ def integrate(
     5th-order continuous extension (no extra field evaluation), one on a step
     end is that step's solution.  After a step that leaves the state bitwise
     unchanged, the next step is capped at a quarter ULP of movement per
-    component, so an exact equilibrium stays exactly fixed.  Raises
+    component, so an exact equilibrium stays exactly fixed.  A start with an
+    alpha component below options.alpha_floor is invalid input.  Raises
     AlphaCollapse (with the exit time) when any alpha component of a sample
     or a step end drops below options.alpha_floor, and StepUnderflow when
     the controller cannot make progress with steps above 1e-14.
@@ -358,6 +359,10 @@ def integrate(
     k = initial.K
     if not (np.all(np.isfinite(initial.alpha)) and np.all(np.isfinite(initial.beta))):
         raise InvalidInput("initial state contains non-finite values")
+    if not initial.alpha.min() >= options.alpha_floor:
+        raise InvalidInput(
+            f"initial alpha {initial.alpha.min():.3e} below alpha_floor {options.alpha_floor:.0e}"
+        )
     eqs = [] if equilibria is None else list(equilibria)
     if eqs:
         distance_to_set(initial, eqs)  # rejects equilibria of the wrong length before any step

@@ -7,8 +7,9 @@ The reduced system in x_k = sqrt(a_k) reads
 whose solutions lift to equilibrium pairs (a, c) = (x^2, 2 x^2).  At a
 solution, conjugating the Jacobian by diag(x) yields 6I - A with the
 symmetric matrix A_ij = 3 m_ij x_i x_j; A always carries the eigenvalue 18
-with eigenvector x^2.  The Newton-Kantorovich test certifies a solution
-isolated, and its uniqueness ball tells a new Newton hit from a known one.
+with eigenvector x^2.  One eigendecomposition of A gives the Newton step, the
+spectrum and the Newton-Kantorovich test, which certifies a solution isolated;
+its uniqueness ball tells a new Newton hit from a known one.
 """
 
 from __future__ import annotations
@@ -149,17 +150,32 @@ def _gamma(n: int) -> float:
     return n * 2.0**-53 / (1.0 - n * 2.0**-53)
 
 
-def _certificate(x: np.ndarray, m: InteractionMatrix, f: np.ndarray):
+def _spectrum(x: np.ndarray, m: InteractionMatrix):
+    """(mu, v, r): eigh of A, mu ascending, and r = 1 / (6 - mu) but 0 where cut.
+
+    D^-1 v diag(r) v^T D pseudo-inverts J = D^-1 (6I - A) D, D = diag(x), with the
+    cut |6 - mu| <= K 2^-52 max|6 - mu| of lstsq's default rcond (the K = 10 kernel).
+    """
+    try:
+        mu, v = np.linalg.eigh(3.0 * m.m * (x * x[:, None]))
+    except np.linalg.LinAlgError as e:
+        raise SpectrumFailure(f"symmetric eigensolver failed: {e}") from e
+    d = 6.0 - mu
+    d[np.abs(d) <= x.shape[0] * 2.0**-52 * max(d[0], -d[-1])] = np.inf  # 1 / inf = 0
+    return mu, v, 1.0 / d
+
+
+def _certificate(x: np.ndarray, m: InteractionMatrix, f: np.ndarray, v, r):
     """(h, r0, r1) of the Newton-Kantorovich test at x with residual f, in max-norms.
 
     beta = ||J^-1||, eta = || |J^-1| (|f| + gamma) || with gamma = (K + 2)
     2^-53 (6x + m x^3) bounding the rounding of f; J is L-Lipschitz with
     L = 6 ||m|| (max x + R) on the ball of radius R = max x / 10 around x.
-    J^-1 is known only through its rounded inverse X: delta =
+    J^-1 is known only through X = D^-1 v diag(r) v^T D from _spectrum: delta =
     ||I - XJ|| + gamma_{K+1} || |X| |J| || bounds E = I - XJ with the
     rounding of XJ, and delta < 1 gives J^-1 = (I - E)^-1 X, so
-    ||J^-1 v|| <= || |X| |v| || / (1 - delta): beta and eta are those of
-    |X| times (1 + gamma_K) / (1 - delta), and delta >= 1 fails the test.
+    ||J^-1 w|| <= || |X| |w| || / (1 - delta): beta and eta are those of
+    |X| times (1 + gamma_K) / (1 - delta), and delta >= 1 (a cut) fails the test.
     If h = beta L eta <= 1/2 and r0 <= R, a solution lies within
     r0 = (1 - sqrt(1 - 2h)) / (beta L) of x and no other within
     r1 = min(R, (1 + sqrt(1 - 2h)) / (beta L)) (Ortega & Rheinboldt 1970,
@@ -169,10 +185,7 @@ def _certificate(x: np.ndarray, m: InteractionMatrix, f: np.ndarray):
     k = x.shape[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         j = reduced_jacobian(x, m)
-        try:
-            xinv = np.linalg.inv(j)
-        except np.linalg.LinAlgError:
-            return math.inf, math.inf, 0.0
+        xinv = (v * r) @ v.T * x / x[:, None]
         jinv = np.abs(xinv)
         delta = float(np.add.reduce(np.abs(np.eye(k) - xinv @ j), axis=1).max())
         delta += _gamma(k + 1) * float(np.add.reduce(jinv @ np.abs(j), axis=1).max())
@@ -206,14 +219,11 @@ def isolation_check(sol: ReducedSolution, m: InteractionMatrix) -> IsolationRepo
             f"isolation_check needs residual_norm <= {bound:.3e}, got {sol.residual_norm:.3e}"
         )
     a = symmetrized_matrix(sol.x, m)
-    try:
-        eigs = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as e:
-        raise SpectrumFailure(f"symmetric eigensolver failed: {e}") from e
+    eigs, v, r = _spectrum(sol.x, m)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         det_shift = float(np.multiply.reduce(6.0 - eigs))
         log_abs_det = float(np.add.reduce(np.log(np.abs(6.0 - eigs))))
-        h, r0, r1 = _certificate(sol.x, m, reduced_residual(sol.x, m))
+        h, r0, r1 = _certificate(sol.x, m, reduced_residual(sol.x, m), v, r)
     u = _pow2_scaled(sol.x) ** 2
     eig18 = float(np.linalg.norm(a @ u - 18.0 * u) / np.linalg.norm(u))
     zero = 1e-10 * max(float(np.abs(eigs).max()) if sol.K else 0.0, 1.0)
@@ -255,7 +265,7 @@ def _unit(x: np.ndarray) -> np.ndarray:
 def _newton(x, m: InteractionMatrix, opts: SolverOptions, roots, scale2=1.0, f=None):
     """Damped Newton from x (residual f, if known): (x, max|f|, threshold, f) at a root, or None.
 
-    The minimum-norm least-squares step (bounded where J is near-singular,
+    The step -J^-1 f (from _spectrum, whose cut bounds it where J is near-singular,
     as on non-isolated solution manifolds) is halved until it keeps x > 0,
     checked only up to the first trial that does (halving is exact and
     rounding monotone), and lowers |M f|^2.  A run fails after max_iter
@@ -281,7 +291,8 @@ def _newton(x, m: InteractionMatrix, opts: SolverOptions, roots, scale2=1.0, f=N
             # a solution has 6 max(x) <= (max row sum) max(x)^3; points near 0 do not
             floor = math.sqrt(6.0 / float(np.maximum.reduce(np.add.reduce(m.m, axis=1))))
             return (x, nf, thresh, f) if np.maximum.reduce(x) >= floor * (1.0 - opts.tol) else None
-        step = np.linalg.lstsq(reduced_jacobian(x, m), -f, rcond=None)[0]
+        _, v, r = _spectrum(x, m)
+        step = -(v @ (r * ((x * f) @ v))) / x
         with np.errstate(over="ignore"):  # far roots: 1 / inf = 0 is the limit
             step = step / (1.0 + 2.0 * scale2 * ((1.0 / (dd * (dd + scale2))) @ (x - roots)) @ step)
         if not np.isfinite(step).all():
@@ -327,11 +338,11 @@ def _ascend(m: InteractionMatrix, opts: SolverOptions):
         g_hit = _g(u, m)
         if not g_hit >= g * (1.0 - opts.tol):
             continue
-        mu, vecs = np.linalg.eigh(symmetrized_matrix(hit[0], m))
+        mu, vecs, r = _spectrum(hit[0], m)
         mu[np.argmax(np.abs(vecs.T @ hit[0] ** 2))] = -np.inf  # the eigenvalue 18
         # a hit the certificate cannot isolate is kept: on a curve of solutions
         # (the K = 10 family) G is constant, and no direction raises it
-        if mu.max() <= 6.0 or _certificate(hit[0], m, hit[3])[2] == 0.0:
+        if mu.max() <= 6.0 or _certificate(hit[0], m, hit[3], vecs, r)[2] == 0.0:
             return hit
         a, v = u**2, vecs[:, np.argmax(mu)]
         with np.errstate(invalid="ignore"):  # a + s v leaving the orthant gives NaN
@@ -375,7 +386,8 @@ def solve_equilibria(m: InteractionMatrix, options: SolverOptions = SolverOption
         roots = np.array([np.zeros(k)] + [h[0] for h in found])
         hit = _newton(starts[0][0], m, options, roots, xbar**2, starts[0][1])
         if hit is not None:
-            radii += [_certificate(x, m, f)[2] for x, _, _, f in found[len(radii):] + [hit]]
+            certify = found[len(radii):] + [hit]
+            radii += [_certificate(x, m, f, *_spectrum(x, m)[1:])[2] for x, _, _, f in certify]
             if all(np.abs(hit[0] - h[0]).max() > max(radii[-1], r) for h, r in zip(found, radii)):
                 found.append(hit)
                 continue

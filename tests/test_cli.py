@@ -5,6 +5,7 @@ import pathlib
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from bubblefield import cli
@@ -297,6 +298,22 @@ def test_numerical_exit_code(tmp_path, capsys, monkeypatch):
     assert err["error"] in ("StepUnderflow", "AlphaCollapse")
 
 
+def test_eigensolver_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # a LinAlgError inside the solve is a numerical failure: one JSON error line, no artifact
+    monkeypatch.chdir(tmp_path)
+
+    def eigh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    conf = tmp_path / "run.json"
+    conf.write_text(cfg_text(command="equilibria", points=K2_POINTS))
+    assert main(["equilibria", "--config", str(conf), "--output", "eq.json"]) == 2
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "SpectrumFailure"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
 @pytest.mark.parametrize(
     "directive",
     ["zero,0.1", "0", "0,0.1,2", "0,nan", "0,inf", "-1,0.1", "0,-1", "0,", ",0.1", "1.0,0.1"],
@@ -435,6 +452,15 @@ MALFORMED = {
         "command": "simulate", "points": K2_POINTS, **AT_EQ,
         "schedule": {"kind": "zero"}, "integrator": {"max_step": 0},
     },
+    # before, these exited 2: StepUnderflow at t = 0, and AlphaCollapse at the first sample
+    "max_step-below-1e-14": {
+        "command": "simulate", "points": K2_POINTS, **AT_EQ,
+        "schedule": {"kind": "zero"}, "integrator": {"max_step": 1e-15},
+    },
+    "start-below-alpha_floor": {
+        "command": "simulate", "points": [[0, 0, 0, 0, 0], [1e-3, 0, 0, 0, 0]], **AT_EQ,
+        "schedule": {"kind": "zero"},
+    },
     "t_end-infinite": {
         "command": "simulate", "points": K2_POINTS, **AT_EQ,
         "schedule": {"kind": "zero"}, "t_end": math.inf,
@@ -491,6 +517,8 @@ MALFORMED = {
 MALFORMED_ERROR = {
     "dedup_radius-unknown-key": "UnknownKey",
     "t_end-huge-grid": "InvalidInput",
+    "max_step-below-1e-14": "InvalidInput",
+    "start-below-alpha_floor": "InvalidInput",
     "kappa-check-kappa": "UnknownKey",
 }
 

@@ -255,6 +255,7 @@ NON_NUMBERS = {
     "alpha_floor-inf": (IntegratorOptions, {"alpha_floor": math.inf}),
     "sample_dt-nan": (IntegratorOptions, {"sample_dt": math.nan}),
     "max_step-true": (IntegratorOptions, {"max_step": True}),
+    "max_step-below-1e-14": (IntegratorOptions, {"max_step": 1e-15}),  # no step that small is taken
     "tol-inf": (SolverOptions, {"tol": math.inf}),
     "tol-true": (SolverOptions, {"tol": True}),
 }
@@ -571,13 +572,19 @@ def test_dense_samples_carry_the_requested_accuracy(k2_matrix):
         assert np.max(np.abs(tr.beta - ref.beta)) <= 1e-7
 
 
+def half_equilibrium(m):
+    """Half the K = 2 equilibrium, where alpha decreases from t = 0, and a floor one ULP under."""
+    eq = k2_equilibrium(m)
+    start = TrajectoryState(t=0.0, alpha=eq.a / 2.0, beta=eq.c / 2.0)
+    return start, float(np.nextafter(start.alpha.min(), 0.0))
+
+
 def test_alpha_collapse_at_the_first_interpolated_sample(k2_matrix):
-    # the first step (h = 1e-2) ends below the floor, and so does its first sample
-    eq = k2_equilibrium(k2_matrix)
+    # the start lies on the floor's right side, the first step ends below it,
+    # and so does its first sample
+    start, floor = half_equilibrium(k2_matrix)
     with pytest.raises(AlphaCollapse) as exc:
-        integrate(
-            state_at(eq), k2_matrix, ZERO, 1.0, IntegratorOptions(alpha_floor=1e3, sample_dt=1e-3)
-        )
+        integrate(start, k2_matrix, ZERO, 1.0, IntegratorOptions(alpha_floor=floor, sample_dt=1e-3))
     assert exc.value.t_exit == 1e-3
 
 
@@ -618,11 +625,15 @@ def test_integrate_validation(k2_matrix):
         IntegratorOptions(sample_dt=0.0)
     with pytest.raises(InvalidInput):
         integrate(state_at(eq, t=-math.inf), k2_matrix, ZERO, 1.0)
+    # a start below the alpha floor is invalid input, not a collapse at t = 0
+    with pytest.raises(InvalidInput, match="below alpha_floor"):
+        integrate(state_at(eq), k2_matrix, ZERO, 1.0, IntegratorOptions(alpha_floor=1e3))
     # a wrong-length equilibrium is rejected before the first step, which would
     # otherwise end below this alpha floor
     k3 = EquilibriumPoint(a=np.ones(3), c=2.0 * np.ones(3))
-    high_floor = IntegratorOptions(alpha_floor=1e3)
+    start, floor = half_equilibrium(k2_matrix)
+    high_floor = IntegratorOptions(alpha_floor=floor)
     with pytest.raises(AlphaCollapse):
-        integrate(state_at(eq), k2_matrix, ZERO, 1.0, high_floor, equilibria=[eq])
+        integrate(start, k2_matrix, ZERO, 1.0, high_floor, equilibria=[eq])
     with pytest.raises(InvalidInput):
-        integrate(state_at(eq), k2_matrix, ZERO, 1.0, high_floor, equilibria=[k3])
+        integrate(start, k2_matrix, ZERO, 1.0, high_floor, equilibria=[k3])

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bubblefield.circulant import THETA
+from bubblefield.circulant import THETA, family_member, family_tangent
 from bubblefield.config import InteractionMatrix, build_configuration, interaction_matrix
 from bubblefield.equilibrium import (
     NonPositiveComponent,
@@ -13,6 +13,7 @@ from bubblefield.equilibrium import (
     NoSolutionFound,
     ReducedSolution,
     SolverOptions,
+    SpectrumFailure,
     isolation_check,
     k2_closed_form,
     lift,
@@ -301,7 +302,9 @@ def newton_oracle(x, m, opts, roots=None, scale=1.0, f=None):
     """The damped Newton run written plainly: the lean _newton must repeat it bit for bit.
 
     Same trials, same positivity test on each, same merit |M f|^2, through
-    the fromnumeric reductions and two chained generators.
+    the fromnumeric reductions and two chained generators.  The step is
+    -J^-1 f with J = D^-1 (6I - A) D, D = diag(x), inverted through one eigh
+    of A, each 1 / (6 - mu) cut to 0 where |6 - mu| <= K 2^-52 max|6 - mu|.
     """
     import bubblefield.equilibrium as eq
 
@@ -318,7 +321,12 @@ def newton_oracle(x, m, opts, roots=None, scale=1.0, f=None):
         if nf <= thresh:
             floor = math.sqrt(6.0 / float(np.max(np.sum(m.m, axis=1))))
             return (x, nf, thresh, f) if np.max(x) >= floor * (1.0 - opts.tol) else None
-        step = np.linalg.lstsq(eq.reduced_jacobian(x, m), -f, rcond=None)[0]
+        mu, v = np.linalg.eigh(eq.symmetrized_matrix(x, m))
+        shift = 6.0 - mu
+        cut = np.abs(shift) <= len(x) * 2.0**-52 * np.max(np.abs(shift))
+        with np.errstate(divide="ignore"):
+            r = np.where(cut, 0.0, 1.0 / shift)
+        step = -(v @ (r * ((x * f) @ v))) / x
         if roots is not None:
             d = x - roots
             dd = np.sum(d * d, axis=1)
@@ -373,20 +381,47 @@ def test_newton_matches_readable_oracle(monkeypatch):
 
 
 def test_certificate_bounds_the_rounded_inverse(monkeypatch, k3_equilateral):
-    # beta and eta come from X = inv(J); an X whose residual ||I - XJ|| reaches 1
-    # bounds nothing, while a merely scaled one is corrected by 1 / (1 - delta)
+    # beta and eta come from X = D^-1 v diag(r) v^T D, the spectrum's inverse of J;
+    # an X whose residual ||I - XJ|| reaches 1 bounds nothing, while a merely
+    # scaled one is corrected by 1 / (1 - delta)
+    import bubblefield.equilibrium as eq
+
     sol = solve_equilibria(k3_equilateral)[0]
     rep = isolation_check(sol, k3_equilateral)
     assert rep.isolated
-    inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda a: -inv(a))  # |X| exact, delta = 2
+    spectrum = eq._spectrum
+
+    def scaled(c):
+        def patched(x, m):
+            mu, v, r = spectrum(x, m)
+            return mu, v, c * r
+        return patched
+
+    monkeypatch.setattr(eq, "_spectrum", scaled(-1.0))  # |X| exact, delta = 2
     bad = isolation_check(sol, k3_equilateral)
     assert not bad.isolated and bad.kantorovich_h > 0.5
     assert bad.existence_radius == np.inf and bad.uniqueness_radius == 0.0
-    monkeypatch.setattr(np.linalg, "inv", lambda a: 0.5 * inv(a))  # |X| too small, delta = 1/2
+    monkeypatch.setattr(eq, "_spectrum", scaled(0.5))  # |X| too small, delta = 1/2
     half = isolation_check(sol, k3_equilateral)
     assert half.isolated and half.kantorovich_h >= rep.kantorovich_h * (1.0 - 1e-12)
     assert half.uniqueness_radius <= rep.uniqueness_radius * (1.0 + 1e-12)
+
+
+def test_spectrum_cuts_the_kernel_on_the_k10_curve(family):
+    # 6 is an eigenvalue of A on the curve, in floating point exactly so at t = 0.37;
+    # its 1 / (6 - mu) is cut to 0 and no other is, and the cut direction D^-1 v is
+    # the curve's tangent, the kernel of J, so no Newton step moves along it
+    import bubblefield.equilibrium as eq
+
+    for t in (0.0, 0.37, 1.9):
+        x = family_member(t, family).x
+        mu, v, r = eq._spectrum(x, family.matrix)
+        cut = r == 0.0
+        assert cut.sum() == 1 and abs(6.0 - mu[cut][0]) <= 1e-14
+        assert np.array_equal(r[~cut], 1.0 / (6.0 - mu[~cut]))
+        kernel, tangent = v[:, cut][:, 0] / x, family_tangent(t, family)
+        cosine = abs(kernel @ tangent) / (np.linalg.norm(kernel) * np.linalg.norm(tangent))
+        assert cosine >= 1.0 - 1e-12
 
 
 def test_hit_inside_either_uniqueness_ball_is_a_duplicate(monkeypatch):
@@ -399,13 +434,37 @@ def test_hit_inside_either_uniqueness_ball_is_a_duplicate(monkeypatch):
     gap = float(np.max(np.abs(first.x - second.x)))
     certified = []
 
-    def certificate(x, m, f):
+    def certificate(x, m, f, v, r):
         certified.append(x)
         return 0.0, 0.0, (gap / 10.0 if len(certified) == 1 else 10.0 * gap)
 
     monkeypatch.setattr(eq, "_certificate", certificate)
     assert len(solve_equilibria(m)) == 1
     assert len(certified) > 1
+
+
+def test_eigensolver_failure_in_a_solve_is_a_spectrum_failure(monkeypatch):
+    # the Newton steps, the saddle test and the certificates share one eigh:
+    # a LinAlgError at its first, a middle or its last call in a solve that
+    # finds two solutions is a NumericalFailure, never a raw ValueError
+    m = next(m for m in cluster_pool() if len(solve_equilibria(m)) == 2)
+    eigh, calls = np.linalg.eigh, []
+
+    def counted(a, fail_at=None):
+        calls.append(1)
+        if len(calls) == fail_at:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    solve_equilibria(m)
+    n = len(calls)
+    assert n > 10
+    for fail_at in (1, n // 2, n):
+        calls.clear()
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: counted(a, fail_at))
+        with pytest.raises(SpectrumFailure, match="did not converge"):
+            solve_equilibria(m)
 
 
 def test_solutions_exist_and_are_valid():
