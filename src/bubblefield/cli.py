@@ -1,13 +1,13 @@
 """Configuration ingestion, subcommand dispatch, and deterministic reports.
 
-One JSON run-config file describes an experiment; a handful of flags
-(--output, --seed, --tol) override it.  All randomness (the k3-check
-triangles; the equilibrium solver draws none) flows from the single "seed"
-field and every report is written with 17-significant-digit floats, so
-identical config + seed yields byte-identical artifacts.
+One JSON run-config file describes an experiment.  A command has --output,
+and --seed and --tol where it takes "seed" and "solver"; main writes them into
+the document before the one parse.  Randomness (only k3-check's triangles)
+flows from "seed", and every report is written with 17-significant-digit
+floats, so identical config + seed yields byte-identical artifacts.
 
-Exit codes: 0 success, 1 invalid input, 2 numerical failure; failures also
-emit a machine-readable JSON object on stderr.
+Exit codes: 0 success, 1 invalid input (a malformed command line too), 2
+numerical failure; failures also emit a machine-readable JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,6 +43,11 @@ class UnknownKey(InvalidInput):
     """The run config contains a key the schema does not define."""
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed command line is invalid input: exit 1, not 2
+        raise ValidationError(message)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     command: str
@@ -59,12 +64,13 @@ class RunConfig:
     quadrature: groundstate.QuadratureSpec = groundstate.QuadratureSpec()
 
 
-_COMMON_KEYS = {"command", "seed", "kappa", "output"}
+_COMMON_KEYS = {"command", "kappa", "output"}
 _ALLOWED_KEYS = {
-    "equilibria": _COMMON_KEYS | {"points", "solver"},
-    "simulate": _COMMON_KEYS | {"points", "solver", "integrator", "schedule", "initial", "t_end"},
+    "equilibria": _COMMON_KEYS | {"seed", "points", "solver"},
+    "simulate": _COMMON_KEYS
+    | {"seed", "points", "solver", "integrator", "schedule", "initial", "t_end"},
     "k10": _COMMON_KEYS,
-    "k3-check": _COMMON_KEYS | {"n_triangles", "solver"},
+    "k3-check": _COMMON_KEYS | {"seed", "n_triangles", "solver"},
     "kappa-check": _COMMON_KEYS - {"kappa"} | {"quadrature"},  # its quadrature does not use kappa
 }
 # the keys that a command or a section must give
@@ -110,7 +116,9 @@ def parse_run_config(document: str | dict) -> RunConfig:
 
     Defaults are filled in and unknown keys raise UnknownKey.  Each option
     type checks its own fields; a value that cannot be converted raises
-    ValidationError.  Only the directive's index is left to the run.
+    ValidationError.  A simulate run that can never start (dynamics.check_run,
+    with K the number of points) is rejected too.  Only the directive's index
+    and the points themselves are left to the run.
     """
     doc = _decode(document) if isinstance(document, str) else document
     if not isinstance(doc, dict):
@@ -120,9 +128,14 @@ def parse_run_config(document: str | dict) -> RunConfig:
         raise ValidationError(f'"command" must be one of {COMMANDS}, got {command!r}')
     _check_keys(doc, f'"{command}" run config', _ALLOWED_KEYS[command], _REQUIRED.get(command, ()))
     try:
-        return _build(doc, command)
+        cfg = _build(doc, command)
     except (TypeError, ValueError, OverflowError) as e:
         raise ValidationError(f"unusable value in run config: {e}") from e
+    if command == "simulate" and cfg.points.ndim == 2:  # other shapes fail the run's first step
+        state = cfg.initial if isinstance(cfg.initial, dynamics.TrajectoryState) else None
+        t0 = 0.0 if state is None else state.t  # the directive starts at t = 0
+        dynamics.check_run(t0, cfg.t_end, len(cfg.points), cfg.schedule, cfg.integrator, state)
+    return cfg
 
 
 def _initial(value):
@@ -364,20 +377,21 @@ def _emit_error(e: Exception):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="bubblefield",
         description="multi-bubble reduction toolkit: equilibria, modulation flow, spectra",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, keys in _ALLOWED_KEYS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON run-config file")
         p.add_argument("--output", help="artifact path override")
-        p.add_argument("--seed", type=int, help="random seed override")
-        p.add_argument("--tol", type=float, help="solver.tol override")
-    args = parser.parse_args(argv)
-
+        if "seed" in keys:
+            p.add_argument("--seed", type=int, help="random seed override")
+        if "solver" in keys:
+            p.add_argument("--tol", type=float, help="solver.tol override")
     try:
+        args = parser.parse_args(argv)
         doc = {"command": args.command}
         if args.config:
             with open(args.config) as fh:
@@ -386,15 +400,12 @@ def main(argv=None) -> int:
                 raise ValidationError(
                     f'config file says command {doc["command"]!r} but CLI asked for {args.command!r}'
                 )
-        if args.seed is not None and isinstance(doc, dict):
-            doc["seed"] = args.seed  # validated with the rest of the config
+        given = {k: v for k, v in vars(args).items() if v is not None}
+        if isinstance(doc, dict):  # the overrides are validated with the rest of the config
+            doc.update((k, given[k]) for k in ("seed", "output") if k in given)
+            if "tol" in given and isinstance(doc.setdefault("solver", {}), dict):
+                doc["solver"]["tol"] = given["tol"]
         cfg = parse_run_config(doc)
-        if args.output is not None:
-            cfg = replace(cfg, output=args.output)
-        if args.tol is not None:
-            if "solver" not in _ALLOWED_KEYS[args.command]:
-                raise ValidationError(f"--tol does not apply to {args.command}")
-            cfg = replace(cfg, solver=replace(cfg.solver, tol=args.tol))
     except (InvalidInput, OSError, UnicodeDecodeError) as e:
         _emit_error(e)
         return 1

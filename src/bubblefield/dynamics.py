@@ -213,6 +213,19 @@ def _check_shape(state, k: int | None = None, one: bool = False) -> None:
         raise InvalidInput(f"alpha {shape} and beta {other} must share one shape{need}")
 
 
+def check_run(t0: float, t_end: float, k: int, schedule, options, initial=None):
+    """InvalidInput unless a run of k components can start: a finite t_end above the
+    finite start time t0, at most MAX_SAMPLES samples, an initial state (if given)
+    and forcing directions of k components.  Returns the two directions."""
+    if not -math.inf < t0 < t_end < math.inf:
+        raise InvalidInput(f"t_end must be finite and exceed the finite initial time {t0}")
+    if not (t_end - t0) / options.sample_dt <= MAX_SAMPLES:
+        raise InvalidInput(f"more than {MAX_SAMPLES} samples of sample_dt up to t_end {t_end}")
+    if initial is not None:
+        _check_shape(initial, k, one=True)
+    return schedule._dir(schedule.dir1, k), schedule._dir(schedule.dir2, k)
+
+
 def vector_field(state: TrajectoryState, m: InteractionMatrix):
     """Autonomous field (dalpha, dbeta) at one state; perturbations are the integrator's job."""
     _check_shape(state, m.K, one=True)
@@ -351,11 +364,7 @@ def integrate(
     """
     if np.any(initial.alpha <= 0):
         raise NegativeAlpha("initial alpha must be entrywise positive")
-    if not -math.inf < initial.t < t_end < math.inf:
-        raise InvalidInput(f"t_end must be finite and exceed the finite initial time {initial.t}")
-    if not (t_end - initial.t) / options.sample_dt <= MAX_SAMPLES:
-        raise InvalidInput(f"more than {MAX_SAMPLES} samples of sample_dt up to t_end {t_end}")
-    _check_shape(initial, m.K, one=True)
+    dir1, dir2 = check_run(initial.t, t_end, m.K, schedule, options, initial)
     k = initial.K
     if not (np.all(np.isfinite(initial.alpha)) and np.all(np.isfinite(initial.beta))):
         raise InvalidInput("initial state contains non-finite values")
@@ -366,8 +375,6 @@ def integrate(
     eqs = [] if equilibria is None else list(equilibria)
     if eqs:
         distance_to_set(initial, eqs)  # rejects equilibria of the wrong length before any step
-    dir1 = schedule._dir(schedule.dir1, k)
-    dir2 = schedule._dir(schedule.dir2, k)
     forced = schedule.kind != "zero" and schedule.amplitude != 0.0
     decay = schedule._decay
 

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _HALVINGS = 8  # Newton step halvings before a run fails; a converging run needs at most 5
+MAX_TOL = 1e-8  # the largest solver tol: isolation_check needs max|f| <= MAX_TOL (1 + 6 max|x|)
 
 
 class NonPositiveComponent(InvalidInput):
@@ -106,15 +107,15 @@ class IsolationReport:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    tol: float = 1e-12            # residual max-norm <= tol * (1 + ||6x||_inf)
+    tol: float = 1e-12            # residual max-norm <= tol * (1 + ||6x||_inf); tol <= MAX_TOL
     n_random: int = 64            # deflation budget: deflated Newton runs beyond one per start
     max_iter: int = 200           # cap on all ascent steps and on each Newton run's iterations
     extra_seeds: tuple = ()       # user-supplied starts for deflated Newton
 
     def __post_init__(self):
         object.__setattr__(self, "tol", real("tol", self.tol))
-        if not self.tol > 0:
-            raise InvalidInput(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol <= MAX_TOL:
+            raise InvalidInput(f"tol must be positive and at most {MAX_TOL:g}, got {self.tol}")
         for name, low in (("n_random", 0), ("max_iter", 1)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
@@ -211,9 +212,9 @@ def isolation_check(sol: ReducedSolution, m: InteractionMatrix) -> IsolationRepo
     The spectrum of A is reported alongside: log_abs_det_shift is finite for
     any K, while det_shift, the plain product of the shifted eigenvalues,
     may overflow to +-inf.  The residual must meet the solver's relative
-    form of the bound, max|f| <= 1e-8 * (1 + 6 max|x|).
+    form of the bound at its largest tol, max|f| <= MAX_TOL * (1 + 6 max|x|).
     """
-    bound = 1e-8 * (1.0 + 6.0 * float(np.abs(sol.x).max()))
+    bound = MAX_TOL * (1.0 + 6.0 * float(np.abs(sol.x).max()))
     if not sol.residual_norm <= bound:
         raise InvalidInput(
             f"isolation_check needs residual_norm <= {bound:.3e}, got {sol.residual_norm:.3e}"

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bubblefield import cli
+from bubblefield import cli, equilibrium
 from bubblefield.cli import (
     ParseError,
     RunConfig,
@@ -362,6 +362,94 @@ def test_main_end_to_end(tmp_path, capsys):
     assert main(["equilibria", "--config", str(conf)]) == 1
 
 
+# malformed command lines: argparse's own exit code was 2, the numerical-failure code
+USAGE_ERRORS = {
+    "no-command": [],
+    "unknown-command": ["fly"],
+    "unknown-flag": ["equilibria", "--bogus"],
+    "flag-without-value": ["k10", "--output"],
+    "seed-not-an-integer": ["k3-check", "--seed", "abc"],
+    "tol-not-a-number": ["equilibria", "--tol", "x"],
+    "seed-on-k10": ["k10", "--seed", "1"],
+    "seed-on-kappa-check": ["kappa-check", "--seed", "1"],
+    "tol-on-k10": ["k10", "--tol", "1e-9"],
+    "tol-on-kappa-check": ["kappa-check", "--tol", "1e-9"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_malformed_command_line_exits_1(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    lines = err.strip().split("\n")
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ValidationError"
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+def _flags(command, capsys) -> set:
+    """The long flags of a subcommand, as its help lists them."""
+    with pytest.raises(SystemExit) as e:
+        main([command, "-h"])
+    assert e.value.code == 0
+    return set(re.findall(r"--[a-z]+", capsys.readouterr().out)) - {"--help"}
+
+
+def test_flags_follow_the_keys(capsys):
+    # a flag exists exactly where the key it overrides does
+    overrides = {"--output": "output", "--seed": "seed", "--tol": "solver"}
+    for command, keys in cli._ALLOWED_KEYS.items():
+        expected = {"--config"} | {flag for flag, key in overrides.items() if key in keys}
+        assert _flags(command, capsys) == expected, command
+
+
+def test_readme_synopsis_matches_parser(capsys):
+    synopsis = dict(re.findall(r"^bubblefield (\S+) +(.*)$", README.read_text(), re.M))
+    assert synopsis.keys() == set(cli.COMMANDS)
+    for command, line in synopsis.items():
+        assert set(re.findall(r"--[a-z]+", line)) == _flags(command, capsys), command
+
+
+def test_main_fails_only_with_one_json_line(tmp_path, capsys, monkeypatch):
+    # any command line: exit 0 only through run, else exit 1 with one JSON error line
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    monkeypatch.chdir(tmp_path)
+    paths = []
+    for i, doc in enumerate(FULL_CONFIGS):
+        (tmp_path / f"{i}.json").write_text(json.dumps(doc))
+        paths.append(f"{i}.json")
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda cfg: runs.append(cfg) or 0)
+    # no OS command line carries NUL; -h and every prefix of --help print help and exit 0
+    junk = st.text(st.characters(blacklist_characters="\x00"), max_size=8).filter(
+        lambda t: not (t.startswith("-h") or "--help".startswith(t.split("=")[0]))
+    )
+    values = st.sampled_from(paths) | st.integers().map(str) | st.floats().map(str) | junk
+    flags = st.sampled_from(["--config", "--output", "--seed", "--tol"])
+    # a flag and its value (often a config file), or a lone flag or value
+    configs = st.sampled_from(paths).map(lambda path: ("--config", path))
+    tokens = st.tuples(flags, values) | configs | st.tuples(flags | values)
+    argvs = st.tuples(st.sampled_from(cli.COMMANDS) | junk, st.lists(tokens, max_size=4))
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(argvs)
+    def check(argv):
+        runs.clear()
+        capsys.readouterr()
+        try:
+            code = main([argv[0], *(token for group in argv[1] for token in group)])
+        except SystemExit as e:
+            raise AssertionError(f"main exited {e.code}") from e
+        err = capsys.readouterr().err
+        if runs:
+            assert code == 0 and err == ""
+        else:
+            assert code == 1 and err.count("\n") == 1 and "error" in json.loads(err)
+
+    check()
+
+
 def test_equilibria_on_a_widely_spaced_triangle(tmp_path):
     # the residual there is large in absolute terms but within the solver's relative bound
     side = 1e30
@@ -407,6 +495,8 @@ def _integrator(**kw):
 MALFORMED = {
     "tol-not-a-number": {"command": "equilibria", "points": K2_POINTS, "solver": {"tol": "abc"}},
     "tol-negative": {"command": "equilibria", "points": K2_POINTS, "solver": {"tol": -1}},
+    # isolation_check certifies residuals only up to 1e-8 (1 + 6 max x)
+    "tol-above-1e-8": {"command": "equilibria", "points": K2_POINTS, "solver": {"tol": 2e-8}},
     "n_random-negative": {"command": "equilibria", "points": K2_POINTS, "solver": {"n_random": -5}},
     "max_iter-zero": {"command": "equilibria", "points": K2_POINTS, "solver": {"max_iter": 0}},
     "dedup_radius-unknown-key": {
@@ -510,7 +600,32 @@ MALFORMED = {
     "dir2-boolean": _schedule(kind="exponential", amplitude=0.1, dir2=[1.0, True]),
     # the quadrature does not depend on kappa, so kappa-check takes none
     "kappa-check-kappa": {"command": "kappa-check", "kappa": 6.0},
+    # k10 and kappa-check draw nothing, so they take no seed
+    "k10-seed": {"command": "k10", "seed": 1},
+    "kappa-check-seed": {"command": "kappa-check", "seed": 1},
 }
+
+
+def _never_runs(**kw):
+    """A K = 2 simulate config; with max_iter 4 its solve raises NoSolutionFound (exit 2)."""
+    return {
+        "command": "simulate", "points": K2_POINTS, **AT_EQ, "schedule": {"kind": "zero"},
+        "solver": {"max_iter": 4}, **kw,
+    }
+
+
+# runs that can never start, rejected while parsing: before, each was found after the
+# solve, so those that start at an equilibrium exited 2 with NoSolutionFound
+NEVER_RUNS = {
+    "dir1-length-3": _never_runs(schedule={"kind": "power", "dir1": [1, 1, 1]}),
+    "dir2-length-3": _never_runs(schedule={"kind": "exponential", "dir2": [1, 1, 1]}),
+    "initial-alpha-length-3": _never_runs(initial={"alpha": [1, 1, 1], "beta": [2, 2, 2]}),
+    "initial-beta-length-3": _never_runs(initial={"alpha": [1, 1], "beta": [2, 2, 2]}),
+    "t_end-at-the-start": _never_runs(t_end=0),
+    "t_end-before-initial-t": _never_runs(initial={"t": 5, "alpha": [1, 1], "beta": [2, 2]}),
+    "t_end-over-the-sample-cap": _never_runs(t_end=2e6),
+}
+MALFORMED.update(NEVER_RUNS)
 
 
 # the cases whose error class is asserted too
@@ -520,12 +635,17 @@ MALFORMED_ERROR = {
     "max_step-below-1e-14": "InvalidInput",
     "start-below-alpha_floor": "InvalidInput",
     "kappa-check-kappa": "UnknownKey",
+    "k10-seed": "UnknownKey",
+    "kappa-check-seed": "UnknownKey",
 }
 
 
 @pytest.mark.parametrize("case", MALFORMED)
 def test_malformed_config_exits_1(case, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    solves = []
+    solve = equilibrium.solve_equilibria
+    monkeypatch.setattr(equilibrium, "solve_equilibria", lambda *a: solves.append(a) or solve(*a))
     doc = MALFORMED[case]
     conf = tmp_path / "run.json"
     conf.write_text(json.dumps(doc))
@@ -535,6 +655,7 @@ def test_malformed_config_exits_1(case, tmp_path, capsys, monkeypatch):
     err = json.loads(lines[0])
     assert err["error"] == MALFORMED_ERROR.get(case, err["error"])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+    assert not (case in NEVER_RUNS and solves)
 
 
 # one valid config per command with every settable field present
@@ -554,7 +675,7 @@ FULL_CONFIGS = [
             "rtol": 1e-9, "atol": 1e-12, "alpha_floor": 1e-8, "sample_dt": 0.1, "max_step": 1.0
         },
     },
-    {"command": "k10", "seed": 1, "kappa": 20.0, "output": "k10.json"},
+    {"command": "k10", "kappa": 20.0, "output": "k10.json"},
     {"command": "k3-check", "n_triangles": 2, "solver": {"tol": 1e-12}},
     {
         "command": "kappa-check",

@@ -258,6 +258,7 @@ NON_NUMBERS = {
     "max_step-below-1e-14": (IntegratorOptions, {"max_step": 1e-15}),  # no step that small is taken
     "tol-inf": (SolverOptions, {"tol": math.inf}),
     "tol-true": (SolverOptions, {"tol": True}),
+    "tol-above-1e-8": (SolverOptions, {"tol": 2e-8}),  # above what isolation_check certifies
 }
 
 

@@ -8,6 +8,7 @@ import pytest
 from bubblefield.circulant import THETA, family_member, family_tangent
 from bubblefield.config import InteractionMatrix, build_configuration, interaction_matrix
 from bubblefield.equilibrium import (
+    MAX_TOL,
     NonPositiveComponent,
     NonPositiveDistance,
     NoSolutionFound,
@@ -117,6 +118,16 @@ def test_isolation_check_requires_converged_input(k2_matrix):
     with pytest.raises(InvalidInput):
         isolation_check(far, k2_matrix)
     isolation_check(replace(far, residual_norm=1e-9 * scale), k2_matrix)
+
+
+def test_every_allowed_tol_passes_the_isolation_gate():
+    # solver.tol is capped where isolation_check's bound is: before, tol = 1e-7 gave this
+    # K = 16 configuration a solution that isolation_check refused (9.18e-08 > 3.20e-08)
+    m = cluster_pool()[1]
+    with pytest.raises(InvalidInput):
+        SolverOptions(tol=1e-7)
+    for sol in solve_equilibria(m, SolverOptions(tol=MAX_TOL)):
+        isolation_check(sol, m)
 
 
 def all_equal_solution(K):
