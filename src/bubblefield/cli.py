@@ -168,8 +168,8 @@ def _build(doc: dict, command: str) -> RunConfig:
         if not kappa > 0:
             raise ValidationError(f'"kappa" must be positive, got {kappa}')
     output = doc.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ValidationError('"output" must be a string path')
+    if output is not None and (not isinstance(output, str) or "\x00" in output):
+        raise ValidationError('"output" must be a string path without a NUL character')
     n = doc.get("n_triangles", 50)
     if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_TRIANGLES:
         raise ValidationError(
@@ -394,6 +394,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         doc = {"command": args.command}
         if args.config:
+            if "\x00" in args.config:  # open() would raise ValueError
+                raise ValidationError("--config path contains a NUL character")
             with open(args.config) as fh:
                 doc = _decode(fh.read())
             if isinstance(doc, dict) and doc.setdefault("command", args.command) != args.command:

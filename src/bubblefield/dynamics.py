@@ -552,7 +552,13 @@ def to_physical(traj: Trajectory):
 
 
 def trajectory_csv(traj: Trajectory) -> str:
-    """CSV export: t, s, alpha_1..alpha_K, beta_1..beta_K, L, L_rate, dist_to_eq."""
+    """CSV export: t, s, alpha_1..alpha_K, beta_1..beta_K, L, L_rate, dist_to_eq.
+
+    Every value is written as its own `%.17g`, which round-trips exactly.  The
+    state columns (alpha through dist_to_eq) are formatted once for each run of
+    consecutive rows that are equal bit for bit, as a frozen trajectory's are, and
+    only t and s are formatted per row; the bytes are those of per-value `%.17g`.
+    """
     k = traj.K
     cols = (
         ["t", "s"]
@@ -560,11 +566,19 @@ def trajectory_csv(traj: Trajectory) -> str:
         + [f"beta_{i + 1}" for i in range(k)]
         + ["L", "L_rate", "dist_to_eq"]
     )
-    s = [_exp(t) for t in traj.ts.tolist()]  # math.exp and np.exp can differ in the last bit
-    table = np.column_stack(
-        [traj.ts, s, traj.alpha, traj.beta, traj.lyapunov, traj.lyapunov_rate, traj.dist_to_eq]
+    state = np.column_stack(
+        [traj.alpha, traj.beta, traj.lyapunov, traj.lyapunov_rate, traj.dist_to_eq]
     )
-    fmt = ",".join(["%.17g"] * len(cols))
+    # bits, not ==: 0.0 and -0.0 format differently, and NaN never equals itself
+    bits = state.view(np.uint64)
+    new = np.ones(state.shape[0], dtype=bool)
+    new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    fmt = ",".join(["%.17g"] * state.shape[1])
+    tails = [fmt % tuple(row) for row in state[new].tolist()]
+    runs = (np.cumsum(new) - 1).tolist()
     lines = [",".join(cols)]
-    lines.extend(fmt % tuple(row.tolist()) for row in table)
+    lines.extend(
+        "%.17g,%.17g,%s" % (t, _exp(t), tails[r])  # math.exp and np.exp can differ in the last bit
+        for t, r in zip(traj.ts.tolist(), runs)
+    )
     return "\n".join(lines) + "\n"

@@ -421,8 +421,8 @@ def test_main_fails_only_with_one_json_line(tmp_path, capsys, monkeypatch):
         paths.append(f"{i}.json")
     runs = []
     monkeypatch.setattr(cli, "run", lambda cfg: runs.append(cfg) or 0)
-    # no OS command line carries NUL; -h and every prefix of --help print help and exit 0
-    junk = st.text(st.characters(blacklist_characters="\x00"), max_size=8).filter(
+    # -h and every prefix of --help print help and exit 0
+    junk = st.text(max_size=8).filter(
         lambda t: not (t.startswith("-h") or "--help".startswith(t.split("=")[0]))
     )
     values = st.sampled_from(paths) | st.integers().map(str) | st.floats().map(str) | junk
@@ -448,6 +448,22 @@ def test_main_fails_only_with_one_json_line(tmp_path, capsys, monkeypatch):
             assert code == 1 and err.count("\n") == 1 and "error" in json.loads(err)
 
     check()
+
+
+def test_nul_in_a_path_exits_1(tmp_path, capsys, monkeypatch):
+    # open() raises ValueError on an embedded NUL; no OS command line carries one,
+    # but a caller of main() and a JSON config ("\u0000") can
+    monkeypatch.chdir(tmp_path)
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"command": "k10", "output": "a\x00b"}))
+    for argv in (["k10", "--config", "a\x00b"], ["k10", "--output", "a\x00b"],
+                 ["k10", "--config", str(conf)]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        lines = err.strip().split("\n")
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "ValidationError"
+        assert out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 def test_equilibria_on_a_widely_spaced_triangle(tmp_path):

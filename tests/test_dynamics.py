@@ -11,6 +11,7 @@ from bubblefield.dynamics import (
     NegativeAlpha,
     PerturbationSchedule,
     StepUnderflow,
+    Trajectory,
     TrajectoryState,
     WindowTooLarge,
     distance_to_set,
@@ -409,7 +410,17 @@ def csv_oracle(traj, exp=math.exp):
     return "\n".join(lines) + "\n"
 
 
-def test_trajectory_csv_matches_per_value_oracle(k2_matrix, k3_equilateral):
+def hand_built(states):
+    """A Trajectory whose rows (alpha, beta, L, L_rate, dist) are given, at t = 0, 0.1, ..."""
+    rows = np.array(states, dtype=float)
+    k = (rows.shape[1] - 3) // 2
+    return Trajectory(
+        ts=0.1 * np.arange(len(rows)), alpha=rows[:, :k], beta=rows[:, k:2 * k],
+        lyapunov=rows[:, -3], lyapunov_rate=rows[:, -2], dist_to_eq=rows[:, -1],
+    )
+
+
+def test_trajectory_csv_matches_per_value_oracle(k2_matrix, k3_equilateral, family):
     opts = IntegratorOptions(sample_dt=0.03)
     eq3 = lift(solve_equilibria(k3_equilateral)[0])
     start3 = TrajectoryState(0.0, eq3.a * np.array([1.01, 0.99, 1.0]), eq3.c.copy())
@@ -418,7 +429,23 @@ def test_trajectory_csv_matches_per_value_oracle(k2_matrix, k3_equilateral):
     eq2 = k2_equilibrium(k2_matrix)
     forced = PerturbationSchedule("exponential", amplitude=0.01, rate=1.0)
     with_eq = integrate(state_at(eq2, t=0.37), k2_matrix, forced, 1.2, opts, equilibria=[eq2])
-    for traj in (no_eq, with_eq):
+    # a frozen K = 10 run: every state row is one run of bitwise-equal rows
+    eq10 = lift(family_member(0.37, family))
+    fine = IntegratorOptions(sample_dt=1e-3)
+    frozen = integrate(state_at(eq10), family.matrix, ZERO, 3.5, fine, equilibria=[eq10])
+    frozen_no_eq = integrate(state_at(eq10), family.matrix, ZERO, 3.5, fine)
+    for traj in (frozen, frozen_no_eq):
+        state = np.column_stack([traj.alpha, traj.beta, traj.lyapunov, traj.lyapunov_rate])
+        assert len(np.unique(state.view(np.uint64), axis=0)) == 1
+    assert np.all(np.isnan(frozen_no_eq.dist_to_eq))
+    # state rows A, A, B, A, A: a run restarts on a value seen before
+    a, b = [1.0, 2.0, 0.5, 0.25, 1 / 3, -0.1, math.nan], [1.0, 2.0, 0.5, 0.25, 1 / 3, -0.1, 0.7]
+    restarts = hand_built([a, a, b, a, a])
+    # rows equal under == but not bit for bit: 0.0 writes "0" and -0.0 writes "-0"
+    signed_zero = hand_built([[1.0, 0.0, 0.0, 0.0, 0.0], [1.0, -0.0, 0.0, 0.0, 0.0]])
+    rows = trajectory_csv(signed_zero).splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["0", "-0"]
+    for traj in (no_eq, with_eq, frozen, frozen_no_eq, restarts, signed_zero):
         assert trajectory_csv(traj) == csv_oracle(traj)
 
 
