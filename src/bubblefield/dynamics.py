@@ -196,10 +196,20 @@ class OmegaReport:
     final_dist_to_eq: float
 
 
-def _field_raw(alpha: np.ndarray, beta: np.ndarray, m: InteractionMatrix):
-    dalpha = 2.0 * alpha - beta
-    dbeta = 3.0 * beta - np.sqrt(alpha) * (m.m @ alpha**1.5)
-    return dalpha, dbeta
+def _stacked(y: np.ndarray, out: np.ndarray, k: int):
+    """Views (y, alpha, beta, out, out_alpha, out_beta) of a stacked state and its field."""
+    return y, y[:k], y[k:], out, out[:k], out[k:]
+
+
+def _field_raw(views, m: InteractionMatrix, growth: np.ndarray, forcing=None) -> None:
+    """Write the field at y = (alpha, beta) into out, with views as _stacked gives them,
+    growth = (2, ..., 2, 3, ..., 3) and forcing, if any, the stacked (eps1, eps2)."""
+    y, alpha, beta, out, out_alpha, out_beta = views
+    np.multiply(growth, y, out=out)
+    out_alpha -= beta
+    out_beta -= np.sqrt(alpha) * (m.m @ alpha**1.5)
+    if forcing is not None:
+        out += forcing
 
 
 def _check_shape(state, k: int | None = None, one: bool = False) -> None:
@@ -216,13 +226,22 @@ def _check_shape(state, k: int | None = None, one: bool = False) -> None:
 def check_run(t0: float, t_end: float, k: int, schedule, options, initial=None):
     """InvalidInput unless a run of k components can start: a finite t_end above the
     finite start time t0, at most MAX_SAMPLES samples, an initial state (if given)
-    and forcing directions of k components.  Returns the two directions."""
+    and forcing directions of k components, and forcing that is a finite real at
+    t0 (a power schedule needs t0 > -1).  Returns the two directions."""
     if not -math.inf < t0 < t_end < math.inf:
         raise InvalidInput(f"t_end must be finite and exceed the finite initial time {t0}")
     if not (t_end - t0) / options.sample_dt <= MAX_SAMPLES:
         raise InvalidInput(f"more than {MAX_SAMPLES} samples of sample_dt up to t_end {t_end}")
     if initial is not None:
         _check_shape(initial, k, one=True)
+    if schedule.kind == "power" and schedule.amplitude != 0.0 and not t0 > -1.0:
+        raise InvalidInput(f"a power schedule needs an initial time above -1, got {t0}")
+    try:  # both kinds decrease in t from here on, so a finite forcing at t0 bounds the run
+        c = schedule._decay(float(t0))  # a numpy t0 would overflow to inf with a warning
+    except OverflowError:
+        c = math.inf
+    if not math.isfinite(c):
+        raise InvalidInput(f"the forcing at the initial time {t0} is not finite")
     return schedule._dir(schedule.dir1, k), schedule._dir(schedule.dir2, k)
 
 
@@ -231,7 +250,9 @@ def vector_field(state: TrajectoryState, m: InteractionMatrix):
     _check_shape(state, m.K, one=True)
     if np.any(state.alpha <= 0):
         raise NegativeAlpha(f"alpha must be entrywise positive, got min {state.alpha.min()}")
-    return _field_raw(state.alpha, state.beta, m)
+    views = _stacked(np.concatenate([state.alpha, state.beta]), np.empty(2 * m.K), m.K)
+    _field_raw(views, m, np.repeat((2.0, 3.0), m.K))
+    return views[4], views[5]
 
 
 def lyapunov(state: TrajectoryState | Trajectory, m: InteractionMatrix):
@@ -325,15 +346,18 @@ def integrate(
     """Adaptive Dormand-Prince 5(4) integration with samples every sample_dt.
 
     The PI controller, options.max_step and t_end alone set the steps; the
-    last step lands exactly on t_end.  A sample inside a step is the step's
-    5th-order continuous extension (no extra field evaluation), one on a step
-    end is that step's solution.  After a step that leaves the state bitwise
-    unchanged, the next step is capped at a quarter ULP of movement per
-    component, so an exact equilibrium stays exactly fixed.  A start with an
-    alpha component below options.alpha_floor is invalid input.  Raises
-    AlphaCollapse (with the exit time) when any alpha component of a sample
-    or a step end drops below options.alpha_floor, and StepUnderflow when
-    the controller cannot make progress with steps above 1e-14.
+    last step lands exactly on t_end.  Stage admissibility is checked once per
+    step, over all six stage inputs (alpha > 0 and finite), after every stage
+    is evaluated; a step with any inadmissible input is retried at half size.
+    A sample inside a step is the step's 5th-order continuous extension (no
+    extra field evaluation), one on a step end is that step's solution.
+    After a step that leaves the state bitwise unchanged, the next step is
+    capped at a quarter ULP of movement per component, so an exact
+    equilibrium stays exactly fixed.  A start with an alpha component below
+    options.alpha_floor is invalid input.  Raises AlphaCollapse (with the
+    exit time) when any alpha component of a sample or a step end drops
+    below options.alpha_floor, and StepUnderflow when the controller cannot
+    make progress with steps above 1e-14.
 
     An unforced run stops stepping once no later step can move the state,
     and the remaining samples are that state; they are exactly the samples
@@ -377,19 +401,8 @@ def integrate(
         distance_to_set(initial, eqs)  # rejects equilibria of the wrong length before any step
     forced = schedule.kind != "zero" and schedule.amplitude != 0.0
     decay = schedule._decay
-
-    def rhs(t: float, y: np.ndarray, out: np.ndarray) -> None:
-        """Write the full right-hand side at the stacked state y = (alpha, beta) into out."""
-        alpha = y[:k]
-        if not np.minimum.reduce(alpha) > 0.0 or not np.logical_and.reduce(np.isfinite(y)):
-            raise FloatingPointError  # stage left the admissible region
-        da, db = _field_raw(alpha, y[k:], m)
-        if forced:
-            c = decay(t)
-            da = da + c * dir1
-            db = db + c * dir2
-        out[:k] = da
-        out[k:] = db
+    dirs = np.concatenate([dir1, dir2])
+    growth = np.repeat((2.0, 3.0), k)
 
     t = float(initial.t)
     y = np.concatenate([initial.alpha.astype(float), initial.beta.astype(float)])
@@ -407,9 +420,14 @@ def integrate(
     basis = np.empty((ts.shape[0], 4))  # the interpolant's polynomials at the samples in a step
     dense = np.empty((4, y.shape[0]))   # and their coefficients
     ks = np.empty((7, y.shape[0]))  # row 0 carries f(t, y) between steps (FSAL)
-    rhs(t, y, ks[0])
-    # per stage: node, the earlier stages (transposed), tableau row, output row
-    stages = [(_DP_C[i], ks[:i].T, _DP_A[i], ks[i]) for i in range(1, 7)]
+    inputs = np.empty((6, y.shape[0]))  # the stage inputs; the last is the 5th-order solution
+    y5 = inputs[5]
+    _field_raw(_stacked(y, ks[0], k), m, growth, decay(t) * dirs if forced else None)
+    # per stage: node, the earlier stages (transposed), tableau row, input row, field views
+    stages = [
+        (_DP_C[i], ks[:i].T, _DP_A[i], inputs[i - 1], _stacked(inputs[i - 1], ks[i], k))
+        for i in range(1, 7)
+    ]
     ks_t = ks.T
     t_stop = t_end - 1e-12 * max(1.0, abs(t_end))
     h = min(1e-2, options.max_step)
@@ -423,13 +441,16 @@ def integrate(
             h = t_end - t
         if h < 1e-14:
             raise StepUnderflow(f"step size {h:.3e} below 1e-14 at t={t:.6g}")
-        try:
-            # the last stage's input is the 5th-order solution (FSAL), checked by rhs
-            for c, ks_prev, a, k_i in stages:
-                y5 = y + h * (ks_prev @ a)
-                rhs(t + c * h, y5, k_i)
-        except FloatingPointError:
-            h *= 0.5
+        # all six stages, then one check of their inputs: the fields of a step with an
+        # inadmissible input are discarded with it, so their warnings are silenced
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c, ks_prev, a, row, views in stages:
+                np.matmul(ks_prev, a, out=row)
+                row *= h
+                row += y
+                _field_raw(views, m, growth, decay(t + c * h) * dirs if forced else None)
+        if not (np.minimum.reduce(inputs[:, :k], axis=None) > 0.0 and np.isfinite(inputs).all()):
+            h *= 0.5  # a stage left the admissible region
             err_prev = None
             continue
         scale = options.atol + options.rtol * np.maximum(np.abs(y), np.abs(y5))
@@ -439,7 +460,7 @@ def integrate(
             err_prev = None
             continue
         t_new = t_end if last else t + h
-        t_exit = t_new if y5[:k].min() < options.alpha_floor else None
+        t_exit = t_new if np.minimum.reduce(y5[:k]) < options.alpha_floor else None
         j_new = bisect.bisect_right(sample_ts, t_new, j - 1) + 1  # ts[j:j_new] in (t, t_new]
         j_in = j_new - 1 if j_new > j and sample_ts[j_new - 2] == t_new else j_new
         if j_in > j:  # samples inside the step, from the continuous extension
@@ -455,9 +476,9 @@ def integrate(
             seg = ys[j:j_in]
             np.matmul(th, dense, out=seg)
             seg += y
-            # no stage evaluation has checked these states
-            ok = (seg[:, :k] >= options.alpha_floor).all(axis=1) & np.isfinite(seg).all(axis=1)
-            if not ok.all():
+            # no stage evaluation has checked these states: one pass, the mask on failure
+            if not (seg[:, :k].min() >= options.alpha_floor and np.isfinite(seg).all()):
+                ok = (seg[:, :k] >= options.alpha_floor).all(axis=1) & np.isfinite(seg).all(axis=1)
                 t_exit = float(ts[j + int(np.argmin(ok))])
         ys[j_in:j_new] = y5  # a sample on the step end takes the step's solution
         j = j_new
@@ -488,7 +509,7 @@ def integrate(
                 h_max = (min(options.max_step, cap) + 2.0 * (t_end - t_stop)) * (1.0 + 1e-9)
                 ks[:6] = ks[6]
                 if h_max < math.inf and all(
-                    (y + h_max * (ks_prev @ a) == y).all() for _, ks_prev, a, _ in stages
+                    (y + h_max * (ks_prev @ a) == y).all() for _, ks_prev, a, *_ in stages
                 ):
                     err_max = math.sqrt(
                         np.add.reduce((h_max * (ks_t @ _DP_E) / scale) ** 2) / (2 * k)
@@ -501,15 +522,17 @@ def integrate(
                         (_DP_P_MAX @ np.abs(dense)) * (1.0 + 1e-9) < half_gap
                     ).all():
                         break
-        t, y = t_new, y5
+        t, y = t_new, y5.copy()
         ks[0] = ks[6]  # FSAL
     ys[j:] = y  # after a frozen exit, or when t_end is within the end tolerance of the start
 
-    samples = TrajectoryState(t=ts, alpha=ys[:, :k], beta=ys[:, k:])
-    dist = distance_to_set(samples, eqs) if eqs else np.full(ts.shape[0], math.nan)
+    # the rows after row j repeat it, and so do their diagnostics
+    head = TrajectoryState(t=ts[: j + 1], alpha=ys[: j + 1, :k], beta=ys[: j + 1, k:])
+    rep = np.minimum(np.arange(ts.shape[0]), j)
+    dist = distance_to_set(head, eqs)[rep] if eqs else np.full(ts.shape[0], math.nan)
     return Trajectory(
-        ts=ts, alpha=samples.alpha, beta=samples.beta, lyapunov=lyapunov(samples, m),
-        lyapunov_rate=lyapunov_rate(samples), dist_to_eq=dist,
+        ts=ts, alpha=ys[:, :k], beta=ys[:, k:], lyapunov=lyapunov(head, m)[rep],
+        lyapunov_rate=lyapunov_rate(head)[rep], dist_to_eq=dist,
     )
 
 

@@ -640,6 +640,20 @@ NEVER_RUNS = {
     "t_end-at-the-start": _never_runs(t_end=0),
     "t_end-before-initial-t": _never_runs(initial={"t": 5, "alpha": [1, 1], "beta": [2, 2]}),
     "t_end-over-the-sample-cap": _never_runs(t_end=2e6),
+    # forcing undefined or infinite at the start: before, a ZeroDivisionError traceback,
+    # complex forcing cast to real and a bogus StepUnderflow, and an OverflowError traceback
+    "power-at-t-minus-1": _never_runs(
+        schedule={"kind": "power", "amplitude": 0.1, "rate": 1.5},
+        initial={"t": -1, "alpha": [1, 1], "beta": [2, 2]},
+    ),
+    "power-below-t-minus-1": _never_runs(
+        schedule={"kind": "power", "amplitude": 0.1, "rate": 1.5},
+        initial={"t": -3, "alpha": [1, 1], "beta": [2, 2]},
+    ),
+    "exponential-overflow-at-t0": _never_runs(
+        schedule={"kind": "exponential", "amplitude": 0.1, "rate": 1.5},
+        initial={"t": -800, "alpha": [1, 1], "beta": [2, 2]}, t_end=-799,
+    ),
 }
 MALFORMED.update(NEVER_RUNS)
 
@@ -650,6 +664,9 @@ MALFORMED_ERROR = {
     "t_end-huge-grid": "InvalidInput",
     "max_step-below-1e-14": "InvalidInput",
     "start-below-alpha_floor": "InvalidInput",
+    "power-at-t-minus-1": "InvalidInput",
+    "power-below-t-minus-1": "InvalidInput",
+    "exponential-overflow-at-t0": "InvalidInput",
     "kappa-check-kappa": "UnknownKey",
     "k10-seed": "UnknownKey",
     "kappa-check-seed": "UnknownKey",

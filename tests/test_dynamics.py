@@ -559,7 +559,7 @@ def test_a_frozen_autonomous_run_stops_stepping(monkeypatch, k2_matrix, kappa, f
     for eq, m, t_end in _frozen_starts(k2_matrix, kappa, family) + [(eq15, m15, 10.0)]:
         calls.clear()
         traj = integrate(state_at(eq), m, ZERO, t_end, fine, equilibria=[eq])
-        assert len(calls) <= 30
+        assert 1 <= len(calls) <= 30  # at least the first step's stages
         n = len(traj.ts)
         assert traj.alpha.tobytes() == np.tile(eq.a, (n, 1)).tobytes()
         assert traj.beta.tobytes() == np.tile(eq.c, (n, 1)).tobytes()
@@ -665,3 +665,195 @@ def test_integrate_validation(k2_matrix):
         integrate(start, k2_matrix, ZERO, 1.0, high_floor, equilibria=[eq])
     with pytest.raises(InvalidInput):
         integrate(start, k2_matrix, ZERO, 1.0, high_floor, equilibria=[k3])
+
+
+@pytest.mark.parametrize(
+    "kind, t0, rate",
+    [("power", -1.0, 1.5), ("power", -3.0, 1.5), ("power", -3.0, 2.0),
+     ("power", np.float64(-1.0 + 2.0**-53), 30.0), ("exponential", -800.0, 1.5)],
+)
+def test_forcing_undefined_or_infinite_at_the_start_is_invalid(k2_matrix, kind, t0, rate):
+    # before: a ZeroDivisionError, complex forcing cast to real (a real one at rate 2
+    # that turns undefined at t = -1), an overflow of (2^-53)^-30 (from a numpy start
+    # time, a warning) and an OverflowError from e^1200
+    sch = PerturbationSchedule(kind, amplitude=0.1, rate=rate)
+    start = TrajectoryState(t0, np.ones(2), 2.0 * np.ones(2))
+    with pytest.raises(InvalidInput, match="initial time"):
+        integrate(start, k2_matrix, sch, t0 + 1.0)
+    # no forcing at all is defined everywhere
+    quiet = PerturbationSchedule(kind, amplitude=0.0, rate=rate)
+    assert integrate(start, k2_matrix, quiet, t0 + 0.1).ts[0] == t0
+
+
+def integrate_oracle(initial, m, schedule, t_end, options, equilibria=None, stats=None):
+    """The stepping loop written plainly: the lean integrate must repeat it bit for bit.
+
+    Each stage input is checked (alpha > 0, all finite) before its field is
+    evaluated, and a failed check rejects the step at once; the field is the
+    formula, plus eps1 and eps2 when forced.  A step's interior samples are its
+    continuous extension, one on its end is its solution.  There is no frozen
+    exit: the loop steps to t_end, so on a frozen run it also checks the samples
+    and diagnostics integrate fills in.  stats counts evaluations and rejected stages.
+    """
+    k = initial.K
+    forced = schedule.kind != "zero" and schedule.amplitude != 0.0
+    stats = {} if stats is None else stats
+    stats.update(evaluations=0, rejected_stages=0)
+
+    def field(t, y):
+        a, b = y[:k], y[k:]
+        if not (np.min(a) > 0.0 and np.all(np.isfinite(y))):
+            return None
+        stats["evaluations"] += 1
+        da = 2.0 * a - b
+        db = 3.0 * b - np.sqrt(a) * (m.m @ a**1.5)
+        if forced:
+            da, db = da + schedule.eps1(t, k), db + schedule.eps2(t, k)
+        return np.concatenate([da, db])
+
+    t = float(initial.t)
+    y = np.concatenate([initial.alpha, initial.beta]).astype(float)
+    n = int(math.floor((t_end - t) / options.sample_dt + 1e-9))
+    grid = [t + i * options.sample_dt for i in range(1, n + 1)]
+    if not grid or grid[-1] < t_end - 1e-12 * max(1.0, abs(t_end)):
+        grid.append(t_end)
+    else:
+        grid[-1] = t_end
+    ts = np.array([t] + grid)
+    ys = np.empty((len(ts), 2 * k))
+    ys[0] = y
+    j = 1  # the first sample not yet written
+    f0 = field(t, y)
+    t_stop = t_end - 1e-12 * max(1.0, abs(t_end))
+    h = min(1e-2, options.max_step)
+    err_prev = None
+    while t < t_stop:
+        h = min(h, options.max_step)
+        last = t + h >= t_stop
+        if last:
+            h = t_end - t
+        if h < 1e-14:
+            raise StepUnderflow(f"step size {h:.3e} below 1e-14 at t={t:.6g}")
+        ks = [f0]
+        for i in range(1, 7):
+            y_i = y + h * (np.array(ks).T @ dynamics._DP_A[i])
+            f_i = field(t + dynamics._DP_C[i] * h, y_i)
+            if f_i is None:
+                break
+            ks.append(f_i)
+        if len(ks) < 7:
+            stats["rejected_stages"] += 1
+            h *= 0.5
+            err_prev = None
+            continue
+        ks, y5 = np.array(ks), y_i  # the last stage input is the 5th-order solution
+        scale = options.atol + options.rtol * np.maximum(np.abs(y), np.abs(y5))
+        err = math.sqrt(np.sum((h * (ks.T @ dynamics._DP_E) / scale) ** 2) / (2 * k))
+        if err > 1.0:
+            h = h * max(0.2, 0.9 * err ** (-0.2))
+            err_prev = None
+            continue
+        t_new = t_end if last else t + h
+        t_exit = t_new if np.min(y5[:k]) < options.alpha_floor else None
+        j_new = j
+        while j_new < len(ts) and ts[j_new] <= t_new:
+            j_new += 1
+        inside = [i for i in range(j, j_new) if ts[i] != t_new]
+        if inside:
+            theta = (ts[inside] - t) / h
+            p1 = (1.0 - theta) * theta
+            basis = np.column_stack([theta, p1, p1 * theta, p1 * p1])
+            ys[inside] = basis @ (h * (dynamics._DP_W @ ks)) + y
+            bad = [i for i in inside if not (
+                np.all(ys[i, :k] >= options.alpha_floor) and np.all(np.isfinite(ys[i]))
+            )]
+            if bad:
+                t_exit = float(ts[bad[0]])
+        ys[len(inside) + j:j_new] = y5
+        j = j_new
+        if t_exit is not None:
+            raise AlphaCollapse(
+                f"alpha fell below the floor {options.alpha_floor:.0e} at t={t_exit:.6g}",
+                t_exit=t_exit,
+            )
+        e = max(err, 1e-10)
+        fac = 0.9 * e ** (-0.2) if err_prev is None else 0.9 * e ** (-0.14) * err_prev**0.08
+        err_prev = e
+        h = h * min(5.0, max(0.2, fac))
+        if np.all(y5 == y):  # the quarter-ULP cap
+            ulps_per_time = np.max(np.abs(ks[6]) / np.spacing(np.abs(y)))
+            h = min(h, 0.25 / ulps_per_time if ulps_per_time > 0.0 else math.inf)
+        t, y, f0 = t_new, y5, ks[6]
+    ys[j:] = y
+    samples = TrajectoryState(t=ts, alpha=ys[:, :k], beta=ys[:, k:])
+    eqs = [] if equilibria is None else list(equilibria)
+    return Trajectory(
+        ts=ts, alpha=samples.alpha, beta=samples.beta, lyapunov=lyapunov(samples, m),
+        lyapunov_rate=lyapunov_rate(samples),
+        dist_to_eq=distance_to_set(samples, eqs) if eqs else np.full(len(ts), math.nan),
+    )
+
+
+def _outcome(run):
+    """A run's bytes, or its failure's type, message and exit time."""
+    try:
+        tr = run()
+    except (AlphaCollapse, StepUnderflow) as exc:
+        return type(exc), str(exc), getattr(exc, "t_exit", None)
+    arrays = (tr.ts, tr.alpha, tr.beta, tr.lyapunov, tr.lyapunov_rate, tr.dist_to_eq)
+    return tuple(x.tobytes() for x in arrays)
+
+
+def test_integrate_matches_readable_oracle(monkeypatch, k2_matrix, k3_equilateral, kappa, family):
+    calls = _count_field_calls(monkeypatch)
+    fine = IntegratorOptions(sample_dt=1e-3)
+    eq2 = k2_closed_form(1.0, kappa)
+    eq3 = k2_equilibrium(k2_matrix)
+    half, floor = half_equilibrium(k2_matrix)
+    tri = lift(solve_equilibria(k3_equilateral)[0])
+    power = PerturbationSchedule(
+        "power", amplitude=0.01, rate=1.5,
+        dir1=np.array([1.0, -0.5, 0.25]), dir2=np.array([-2.0, 0.3, 1.0]),
+    )
+    blowup = PerturbationSchedule("exponential", amplitude=0.1, rate=1.0)
+    eq10 = lift(family_member(0.37, family))
+    # (label, start, matrix, schedule, t_end, options, equilibria, frozen)
+    cases = [
+        ("forced K = 2", state_at(eq2), k2_matrix,
+         PerturbationSchedule("exponential", amplitude=0.01, rate=1.0), 1.0, fine, [eq2], False),
+        ("power K = 3", state_at(tri, t=0.5), k3_equilateral, power, 2.0,
+         IntegratorOptions(sample_dt=0.01), [tri], False),
+        ("blow-up", TrajectoryState(0.0, 1.2 * eq3.a, 2.4 * eq3.a), k2_matrix, blowup, 40.0,
+         IntegratorOptions(), None, False),
+        ("collapse at a sample", half, k2_matrix, ZERO, 1.0,
+         IntegratorOptions(alpha_floor=floor, sample_dt=1e-3), None, False),
+        ("collapse at a step end", half, k2_matrix, ZERO, 1.0,
+         IntegratorOptions(alpha_floor=floor, sample_dt=math.inf), None, False),
+        ("collapse after rejected stages", TrajectoryState(0.0, 0.8 * eq3.a, 1.6 * eq3.a),
+         k2_matrix, ZERO, 40.0, IntegratorOptions(), None, False),
+        ("underflow after rejected stages", TrajectoryState(0.0, 0.8 * eq3.a, 1.6 * eq3.a),
+         k2_matrix, ZERO, 40.0, IntegratorOptions(alpha_floor=0.0), None, False),
+    ]
+    for max_step, t_end in ((math.inf, 1.0), (1e-3, 0.25)):
+        opts = IntegratorOptions(sample_dt=1e-3, max_step=max_step)
+        cases += [
+            ("frozen K = 10", state_at(eq10), family.matrix, ZERO, 3.5 * t_end, opts, [eq10], True),
+            ("frozen K = 2", state_at(eq2), k2_matrix, ZERO, 10.0 * t_end, opts, [eq2], True),
+        ]
+    outcomes = {}
+    for label, start, m, sch, t_end, opts, eqs, frozen in cases:
+        calls.clear()
+        got = _outcome(lambda: integrate(start, m, sch, t_end, opts, equilibria=eqs))
+        n_calls, stats = len(calls), {}
+        want = _outcome(lambda: integrate_oracle(start, m, sch, t_end, opts, eqs, stats))
+        assert got == want, label
+        if not frozen and stats["rejected_stages"] == 0:
+            assert n_calls == stats["evaluations"], label
+        outcomes[label] = got, n_calls, stats
+    assert outcomes["forced K = 2"][1] == 487
+    assert outcomes["blow-up"][0][0] is StepUnderflow
+    assert outcomes["collapse at a sample"][0][2] == 1e-3
+    assert outcomes["collapse at a step end"][0][2] == 1e-2  # the first step's end
+    assert outcomes["power K = 3"][2]["rejected_stages"] == 0
+    for label in ("collapse after rejected stages", "underflow after rejected stages"):
+        assert outcomes[label][2]["rejected_stages"] > 0
