@@ -238,17 +238,21 @@ def _solution_record(sol: equilibrium.ReducedSolution, m) -> dict:
     }
 
 
+def _solutions(m, options: equilibrium.SolverOptions) -> dict:
+    """The count and solutions of an equilibria report, one _solution_record each."""
+    sols = equilibrium.solve_equilibria(m, options)
+    return {"count": len(sols), "solutions": [_solution_record(s, m) for s in sols]}
+
+
 def _run_equilibria(cfg: RunConfig) -> None:
     conf = build_configuration(cfg.points)
     m = interaction_matrix(conf, cfg.kappa)
-    sols = equilibrium.solve_equilibria(m, cfg.solver)
     doc = {
         "command": "equilibria",
         "seed": cfg.seed,
         "kappa": m.kappa,
         "K": conf.K,
-        "count": len(sols),
-        "solutions": [_solution_record(s, m) for s in sols],
+        **_solutions(m, cfg.solver),
     }
     _write(cfg.output or "equilibria.json", _fmt(doc) + "\n")
 
@@ -314,25 +318,10 @@ def _run_k3_check(cfg: RunConfig) -> None:
     rng = np.random.default_rng(cfg.seed)
     kappa = cfg.kappa if cfg.kappa is not None else kappa_closed_form()
     triangles = []
-    n_isolated = 0
     for _ in range(cfg.n_triangles):
         conf = build_configuration(_random_triangle(rng))
-        m = interaction_matrix(conf, kappa)
-        sols = equilibrium.solve_equilibria(m, cfg.solver)
-        reports = [equilibrium.isolation_check(s, m) for s in sols]
-        all_isolated = all(r.isolated for r in reports)
-        n_isolated += all_isolated
-        triangles.append(
-            {
-                "n_solutions": len(sols),
-                "isolated": all_isolated,
-                "det_shifts": [r.det_shift for r in reports],
-                "sign_patterns": [r.sign_pattern for r in reports],
-                "eig18_residuals": [r.eig18_residual for r in reports],
-                "min_abs_det_shift": min(abs(r.det_shift) for r in reports),
-                "min_eig_gap_to_6": min(float(np.min(np.abs(6.0 - r.eigenvalues))) for r in reports),
-            }
-        )
+        triangles.append(_solutions(interaction_matrix(conf, kappa), cfg.solver))
+    n_isolated = sum(all(s["isolation"]["isolated"] for s in t["solutions"]) for t in triangles)
     doc = {
         "command": "k3-check",
         "seed": cfg.seed,

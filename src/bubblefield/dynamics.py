@@ -119,11 +119,25 @@ class PerturbationSchedule:
                 object.__setattr__(self, name, reals(f"schedule {name}", getattr(self, name)))
 
     def _decay(self, t: float) -> float:
+        """The forcing's size at t; InvalidInput where it is not a finite real
+        (a power schedule needs t > -1)."""
         if self.kind == "zero" or self.amplitude == 0.0:
             return 0.0
-        if self.kind == "exponential":
-            return self.amplitude * math.exp(-self.rate * t)
-        return self.amplitude * (1.0 + t) ** -self.rate
+        t = float(t)  # a numpy t would overflow to inf with a warning, not raise
+        try:
+            if self.kind == "exponential":
+                c = self.amplitude * math.exp(-self.rate * t)
+            elif t > -1.0:
+                c = self.amplitude * (1.0 + t) ** -self.rate
+            else:
+                raise InvalidInput(
+                    f"the forcing at time {t} is undefined: a power schedule needs t > -1"
+                )
+        except OverflowError:
+            c = math.inf
+        if not math.isfinite(c):
+            raise InvalidInput(f"the forcing at time {t} is not finite")
+        return c
 
     def _dir(self, d, k: int) -> np.ndarray:
         if d is None:
@@ -234,14 +248,7 @@ def check_run(t0: float, t_end: float, k: int, schedule, options, initial=None):
         raise InvalidInput(f"more than {MAX_SAMPLES} samples of sample_dt up to t_end {t_end}")
     if initial is not None:
         _check_shape(initial, k, one=True)
-    if schedule.kind == "power" and schedule.amplitude != 0.0 and not t0 > -1.0:
-        raise InvalidInput(f"a power schedule needs an initial time above -1, got {t0}")
-    try:  # both kinds decrease in t from here on, so a finite forcing at t0 bounds the run
-        c = schedule._decay(float(t0))  # a numpy t0 would overflow to inf with a warning
-    except OverflowError:
-        c = math.inf
-    if not math.isfinite(c):
-        raise InvalidInput(f"the forcing at the initial time {t0} is not finite")
+    schedule._decay(t0)  # both kinds decrease in t, so a finite forcing at t0 bounds the run
     return schedule._dir(schedule.dir1, k), schedule._dir(schedule.dir2, k)
 
 

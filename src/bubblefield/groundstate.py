@@ -28,7 +28,6 @@ __all__ = [
     "QuadratureDiverged",
     "ground_state",
     "ground_state_prime",
-    "ground_state_second",
     "lambda_w",
     "verify_kappa",
 ]
@@ -54,14 +53,6 @@ def ground_state_prime(r):
     """Radial derivative W'(r) = -(r/5)(1 + r^2/15)^(-5/2), in closed form."""
     r = np.asarray(r, dtype=float)
     out = -(r / 5.0) * (1.0 + r * r / 15.0) ** -2.5
-    return out if out.ndim else float(out)
-
-
-def ground_state_second(r):
-    """W''(r) = -(1/5)(1 + r^2/15)^(-5/2) + (r^2/15)(1 + r^2/15)^(-7/2)."""
-    r = np.asarray(r, dtype=float)
-    q = 1.0 + r * r / 15.0
-    out = -0.2 * q**-2.5 + (r * r / 15.0) * q**-3.5
     return out if out.ndim else float(out)
 
 

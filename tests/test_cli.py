@@ -235,8 +235,27 @@ def test_k3_check_artifact(tmp_path):
     assert doc["n_triangles"] == 5
     assert doc["all_isolated"] is True
     for tri in doc["triangles"]:
-        assert set(tri["sign_patterns"]) == {"--+"}
-        assert tri["min_abs_det_shift"] > 1e-6
+        reports = [sol["isolation"] for sol in tri["solutions"]]
+        assert {r["sign_pattern"] for r in reports} == {"--+"}
+        assert min(abs(r["det_shift"]) for r in reports) > 1e-6
+
+
+def test_k3_check_triangle_is_the_equilibria_report(tmp_path):
+    # each triangle entry is the count and solutions that equilibria writes for its points
+    out = tmp_path / "k3.json"
+    cfg = parse_run_config(cfg_text(command="k3-check", n_triangles=4, seed=3, output=str(out)))
+    assert run(cfg) == 0
+    doc = json.loads(out.read_text())
+    rng = np.random.default_rng(3)
+    eq_out = tmp_path / "eq.json"
+    for tri in doc["triangles"]:
+        points = cli._random_triangle(rng).tolist()
+        cfg = cfg_text(command="equilibria", points=points, output=str(eq_out))
+        assert run(parse_run_config(cfg)) == 0
+        eq = json.loads(eq_out.read_text())
+        assert tri == {"count": eq["count"], "solutions": eq["solutions"]}
+    isolated = [all(s["isolation"]["isolated"] for s in t["solutions"]) for t in doc["triangles"]]
+    assert doc["n_isolated"] == sum(isolated) == 4
 
 
 def test_k3_check_caps_n_triangles(tmp_path, capsys, monkeypatch):

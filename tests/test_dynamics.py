@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -675,11 +676,15 @@ def test_integrate_validation(k2_matrix):
 def test_forcing_undefined_or_infinite_at_the_start_is_invalid(k2_matrix, kind, t0, rate):
     # before: a ZeroDivisionError, complex forcing cast to real (a real one at rate 2
     # that turns undefined at t = -1), an overflow of (2^-53)^-30 (from a numpy start
-    # time, a warning) and an OverflowError from e^1200
+    # time, a warning) and an OverflowError from e^1200, from eps1 and eps2 as well
     sch = PerturbationSchedule(kind, amplitude=0.1, rate=rate)
     start = TrajectoryState(t0, np.ones(2), 2.0 * np.ones(2))
-    with pytest.raises(InvalidInput, match="initial time"):
+    at_t0 = re.escape(f"forcing at time {float(t0)} ")
+    with pytest.raises(InvalidInput, match=at_t0):
         integrate(start, k2_matrix, sch, t0 + 1.0)
+    for eps in (sch.eps1, sch.eps2):  # a library caller gets the same error
+        with pytest.raises(InvalidInput, match=at_t0):
+            eps(t0, 2)
     # no forcing at all is defined everywhere
     quiet = PerturbationSchedule(kind, amplitude=0.0, rate=rate)
     assert integrate(start, k2_matrix, quiet, t0 + 0.1).ts[0] == t0

