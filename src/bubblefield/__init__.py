@@ -22,7 +22,6 @@ from .config import (
 from .groundstate import (
     KappaReport,
     QuadratureDiverged,
-    QuadratureSpec,
     ground_state,
     lambda_w,
     verify_kappa,

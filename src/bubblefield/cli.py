@@ -61,17 +61,18 @@ class RunConfig:
     initial: dynamics.TrajectoryState | tuple | None = None  # or (index, offset) of the directive
     t_end: float | None = None
     n_triangles: int = 50
-    quadrature: groundstate.QuadratureSpec = groundstate.QuadratureSpec()
 
 
-_COMMON_KEYS = {"command", "kappa", "output"}
+# the two closed-form checks take no settings: kappa only rescales the k10 family,
+# and the kappa quadrature does not use it
+_COMMON_KEYS = {"command", "output"}
 _ALLOWED_KEYS = {
-    "equilibria": _COMMON_KEYS | {"seed", "points", "solver"},
+    "equilibria": _COMMON_KEYS | {"kappa", "seed", "points", "solver"},
     "simulate": _COMMON_KEYS
-    | {"seed", "points", "solver", "integrator", "schedule", "initial", "t_end"},
+    | {"kappa", "seed", "points", "solver", "integrator", "schedule", "initial", "t_end"},
     "k10": _COMMON_KEYS,
-    "k3-check": _COMMON_KEYS | {"seed", "n_triangles", "solver"},
-    "kappa-check": _COMMON_KEYS - {"kappa"} | {"quadrature"},  # its quadrature does not use kappa
+    "k3-check": _COMMON_KEYS | {"kappa", "seed", "n_triangles", "solver"},
+    "kappa-check": _COMMON_KEYS,
 }
 # the keys that a command or a section must give
 _REQUIRED = {
@@ -86,7 +87,6 @@ _SECTIONS = {
         dynamics.IntegratorOptions, {"rtol", "atol", "alpha_floor", "sample_dt", "max_step"}
     ),
     "schedule": (dynamics.PerturbationSchedule, {"kind", "amplitude", "rate", "dir1", "dir2"}),
-    "quadrature": (groundstate.QuadratureSpec, {"r_max", "n_panels"}),
 }
 _AT_EQUILIBRIUM = "start-at-equilibrium:"
 
@@ -117,8 +117,9 @@ def parse_run_config(document: str | dict) -> RunConfig:
     Defaults are filled in and unknown keys raise UnknownKey.  Each option
     type checks its own fields; a value that cannot be converted raises
     ValidationError.  A simulate run that can never start (dynamics.check_run,
-    with K the number of points) is rejected too.  Only the directive's index
-    and the points themselves are left to the run.
+    with K the number of points, an explicit initial state included) is
+    rejected too.  Only the directive's equilibrium and the points themselves
+    are left to the run.
     """
     doc = _decode(document) if isinstance(document, str) else document
     if not isinstance(doc, dict):
@@ -300,7 +301,7 @@ def _run_simulate(cfg: RunConfig) -> None:
 
 
 def _run_k10(cfg: RunConfig) -> None:
-    fam = circulant.build_family(cfg.kappa)
+    fam = circulant.build_family()
     doc = {"command": "k10", "kappa": fam.kappa, **circulant.k10_report(fam)}
     _write(cfg.output or "k10.json", _fmt(doc) + "\n")
 
@@ -319,8 +320,9 @@ def _run_k3_check(cfg: RunConfig) -> None:
     kappa = cfg.kappa if cfg.kappa is not None else kappa_closed_form()
     triangles = []
     for _ in range(cfg.n_triangles):
-        conf = build_configuration(_random_triangle(rng))
-        triangles.append(_solutions(interaction_matrix(conf, kappa), cfg.solver))
+        points = _random_triangle(rng)
+        m = interaction_matrix(build_configuration(points), kappa)
+        triangles.append({"points": points, **_solutions(m, cfg.solver)})
     n_isolated = sum(all(s["isolation"]["isolated"] for s in t["solutions"]) for t in triangles)
     doc = {
         "command": "k3-check",
@@ -335,8 +337,7 @@ def _run_k3_check(cfg: RunConfig) -> None:
 
 
 def _run_kappa_check(cfg: RunConfig) -> None:
-    report = groundstate.verify_kappa(cfg.quadrature)
-    doc = {"command": "kappa-check", **asdict(report), "quadrature": asdict(cfg.quadrature)}
+    doc = {"command": "kappa-check", **asdict(groundstate.verify_kappa())}
     _write(cfg.output or "kappa_check.json", _fmt(doc) + "\n")
 
 

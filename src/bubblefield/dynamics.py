@@ -56,7 +56,10 @@ __all__ = [
 ]
 
 SCHEDULE_KINDS = ("zero", "exponential", "power")
-MAX_SAMPLES = 10**6  # cap on (t_end - t) / sample_dt, checked before the grid is allocated
+# cap on the values a run holds, (samples + 1) (2K + 3) with samples = (t_end - t) / sample_dt
+# and 2K + 3 the trajectory's columns, checked before the grid is allocated: 10^6 samples fit
+# at K = 2, and about 3.5 x 10^5 at K = 10
+MAX_VALUES = 8 * 10**6
 
 
 class NegativeAlpha(InvalidInput):
@@ -190,13 +193,6 @@ class Trajectory:
     def K(self) -> int:
         return self.alpha.shape[1]
 
-    @property
-    def samples(self) -> list[TrajectoryState]:
-        return [
-            TrajectoryState(t=float(t), alpha=a, beta=b)
-            for t, a, b in zip(self.ts, self.alpha, self.beta)
-        ]
-
 
 @dataclass(frozen=True)
 class OmegaReport:
@@ -237,17 +233,35 @@ def _check_shape(state, k: int | None = None, one: bool = False) -> None:
         raise InvalidInput(f"alpha {shape} and beta {other} must share one shape{need}")
 
 
-def check_run(t0: float, t_end: float, k: int, schedule, options, initial=None):
-    """InvalidInput unless a run of k components can start: a finite t_end above the
-    finite start time t0, at most MAX_SAMPLES samples, an initial state (if given)
-    and forcing directions of k components, and forcing that is a finite real at
-    t0 (a power schedule needs t0 > -1).  Returns the two directions."""
-    if not -math.inf < t0 < t_end < math.inf:
-        raise InvalidInput(f"t_end must be finite and exceed the finite initial time {t0}")
-    if not (t_end - t0) / options.sample_dt <= MAX_SAMPLES:
-        raise InvalidInput(f"more than {MAX_SAMPLES} samples of sample_dt up to t_end {t_end}")
+def check_run(
+    t0: float, t_end: float, k: int, schedule, options, initial=None, equilibria=()
+):
+    """InvalidInput unless a run of k components can start: an initial state (if
+    given) of k components, entrywise finite, with every alpha positive (else
+    NegativeAlpha) and at least options.alpha_floor; equilibria (if given, with an
+    initial state) of k components; a finite t_end above the finite start time
+    t0; at most MAX_VALUES values held; forcing directions of k components and
+    forcing that is a finite real at t0 (a power schedule needs t0 > -1).
+    Returns the two directions."""
     if initial is not None:
         _check_shape(initial, k, one=True)
+        if np.any(initial.alpha <= 0):
+            raise NegativeAlpha("initial alpha must be entrywise positive")
+        if not (np.isfinite(initial.alpha).all() and np.isfinite(initial.beta).all()):
+            raise InvalidInput("initial state contains non-finite values")
+        low, floor = initial.alpha.min(), options.alpha_floor
+        if not low >= floor:
+            raise InvalidInput(f"initial alpha {low:.3e} below alpha_floor {floor:.0e}")
+        if equilibria:
+            distance_to_set(initial, equilibria)  # rejects equilibria of the wrong length
+    if not -math.inf < t0 < t_end < math.inf:
+        raise InvalidInput(f"t_end must be finite and exceed the finite initial time {t0}")
+    samples = (t_end - t0) / options.sample_dt
+    if not (samples + 1.0) * (2 * k + 3) <= MAX_VALUES:
+        raise InvalidInput(
+            f"{samples:.6g} samples of sample_dt up to t_end {t_end}, {2 * k + 3} values"
+            f" each, exceed the cap of {MAX_VALUES} values"
+        )
     schedule._decay(t0)  # both kinds decrease in t, so a finite forcing at t0 bounds the run
     return schedule._dir(schedule.dir1, k), schedule._dir(schedule.dir2, k)
 
@@ -360,8 +374,8 @@ def integrate(
     extra field evaluation), one on a step end is that step's solution.
     After a step that leaves the state bitwise unchanged, the next step is
     capped at a quarter ULP of movement per component, so an exact
-    equilibrium stays exactly fixed.  A start with an alpha component below
-    options.alpha_floor is invalid input.  Raises AlphaCollapse (with the
+    equilibrium stays exactly fixed.  One check_run call rejects, before any
+    step, a start that cannot run.  Raises AlphaCollapse (with the
     exit time) when any alpha component of a sample or a step end drops
     below options.alpha_floor, and StepUnderflow when the controller cannot
     make progress with steps above 1e-14.
@@ -393,19 +407,9 @@ def integrate(
 
     A field that is exactly zero moves nothing at any step and exits at once.
     """
-    if np.any(initial.alpha <= 0):
-        raise NegativeAlpha("initial alpha must be entrywise positive")
-    dir1, dir2 = check_run(initial.t, t_end, m.K, schedule, options, initial)
-    k = initial.K
-    if not (np.all(np.isfinite(initial.alpha)) and np.all(np.isfinite(initial.beta))):
-        raise InvalidInput("initial state contains non-finite values")
-    if not initial.alpha.min() >= options.alpha_floor:
-        raise InvalidInput(
-            f"initial alpha {initial.alpha.min():.3e} below alpha_floor {options.alpha_floor:.0e}"
-        )
     eqs = [] if equilibria is None else list(equilibria)
-    if eqs:
-        distance_to_set(initial, eqs)  # rejects equilibria of the wrong length before any step
+    dir1, dir2 = check_run(initial.t, t_end, m.K, schedule, options, initial, eqs)
+    k = initial.K
     forced = schedule.kind != "zero" and schedule.amplitude != 0.0
     decay = schedule._decay
     dirs = np.concatenate([dir1, dir2])

@@ -6,24 +6,23 @@ satisfies
 
     kappa = (3/2) * 15^(3/2) * int_{R^5} W^(7/3) dx / ||LW||_L2^2,
 
-which verify_kappa reproduces with composite panel quadrature on [0, r_max]
-plus an analytic power-law tail, and compares against the closed form.
+which verify_kappa reproduces with one fixed rule, 8-point Gauss-Legendre on
+N_PANELS panels over [0, R_MAX] plus a two-term analytic power-law tail, and
+compares against the closed form.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .config import kappa_closed_form
-from .errors import InvalidInput, NumericalFailure
+from .errors import NumericalFailure
 
 __all__ = [
-    "QuadratureSpec",
     "KappaReport",
     "QuadratureDiverged",
     "ground_state",
@@ -36,6 +35,11 @@ __all__ = [
 OMEGA4 = 8.0 * math.pi**2 / 3.0
 
 GL_NODES_PER_PANEL = 8
+# the rule: panels on [0, R_MAX], checked against N_PANELS / 4 and N_PANELS / 2;
+# beyond R_MAX the leading term and first correction of each integrand's
+# power-law expansion are integrated analytically
+R_MAX = 200.0
+N_PANELS = 2048
 
 
 class QuadratureDiverged(NumericalFailure):
@@ -61,24 +65,6 @@ def lambda_w(r):
     r = np.asarray(r, dtype=float)
     out = 1.5 * ground_state(r) + r * ground_state_prime(r)
     return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Gauss-Legendre panels on [0, r_max] for the two radial integrals.
-
-    Beyond r_max the leading term and first correction of each integrand's
-    power-law expansion are integrated analytically.
-    """
-
-    r_max: float = 200.0
-    n_panels: int = 2048
-
-    def __post_init__(self):
-        if not 10.0 <= self.r_max < math.inf:
-            raise InvalidInput(f"r_max must be finite and >= 10, got {self.r_max}")
-        if not isinstance(self.n_panels, numbers.Integral) or not self.n_panels >= 16:
-            raise InvalidInput(f"n_panels must be an integer >= 16, got {self.n_panels!r}")
 
 
 @dataclass(frozen=True)
@@ -131,11 +117,12 @@ def _refinement_failed(coarse: float, mid: float, fine: float) -> bool:
     return est > max(est_prev, floor)
 
 
-def verify_kappa(spec: QuadratureSpec = QuadratureSpec()) -> KappaReport:
+def verify_kappa() -> KappaReport:
     """Compute both 5-D radial integrals and compare kappa against the closed form.
 
     Raises QuadratureDiverged when halving the panel width fails to reduce the
-    estimated quadrature error for either integrand.
+    estimated quadrature error for either integrand, a guard of the fixed rule
+    against the rounding of the numpy build.
     """
     integrals = []
     for f, tail, name in (
@@ -143,15 +130,14 @@ def verify_kappa(spec: QuadratureSpec = QuadratureSpec()) -> KappaReport:
         (_integrand_lw_sq, _tail_lw_sq, "(LW)^2"),
     ):
         coarse, mid, fine = (
-            _panel_integral(f, spec.r_max, n)
-            for n in (spec.n_panels // 4, spec.n_panels // 2, spec.n_panels)
+            _panel_integral(f, R_MAX, n) for n in (N_PANELS // 4, N_PANELS // 2, N_PANELS)
         )
         if _refinement_failed(coarse, mid, fine):
             raise QuadratureDiverged(
                 f"{name}: error estimate grew under refinement "
-                f"({abs(mid - coarse):.3e} -> {abs(fine - mid):.3e}); check r_max/n_panels"
+                f"({abs(mid - coarse):.3e} -> {abs(fine - mid):.3e})"
             )
-        integrals.append(OMEGA4 * (fine + tail(spec.r_max)))
+        integrals.append(OMEGA4 * (fine + tail(R_MAX)))
     i_w73, i_lw = integrals
     kq = 1.5 * 15.0**1.5 * i_w73 / i_lw
     kc = kappa_closed_form()

@@ -62,7 +62,7 @@ from bubblefield.equilibrium import (
     solve_equilibria,
     symmetrized_matrix,
 )
-from bubblefield.groundstate import QuadratureSpec, verify_kappa
+from bubblefield.groundstate import verify_kappa
 
 from conftest import flow_jacobian, random_matrix
 
@@ -112,7 +112,7 @@ def _family():
 
 def test_criterion_1_kappa_identity():
     t0 = time.perf_counter()
-    rep = verify_kappa(QuadratureSpec())
+    rep = verify_kappa()
     elapsed = time.perf_counter() - t0
     ok = rep.rel_error <= 1e-6 and elapsed < 5.0
     _report(

@@ -279,3 +279,16 @@ def test_build_family_at_any_kappa(family, k):
     assert abs(fam.b0 - family.b0) <= np.spacing(family.b0)
     for got, ref in ((fam.coeff_a, family.coeff_a), (fam.coeff_b, family.coeff_b)):
         assert abs(got * math.sqrt(k) - ref * math.sqrt(family.kappa)) <= 1e-12
+
+
+def test_build_family_rescales_with_kappa(family):
+    # the family at kappa is the closed-form one rescaled, lambda by kappa / kappa_cf and
+    # a, b by (kappa_cf / kappa)^(1/2), with B0 unchanged: so k10 takes no kappa
+    for k in (6.0, 30.0):
+        fam = build_family(k)
+        s = k / family.kappa
+        assert fam.kappa == k and fam.b0 == family.b0
+        scale = s * np.max(np.abs(family.lambdas))
+        assert np.max(np.abs(fam.lambdas - s * family.lambdas)) <= 1e-14 * scale
+        for got, ref in ((fam.coeff_a, family.coeff_a), (fam.coeff_b, family.coeff_b)):
+            assert got == pytest.approx(ref / math.sqrt(s), rel=1e-14)

@@ -215,18 +215,6 @@ def test_k10_artifact(tmp_path):
     assert 4.70 < doc["B0"] < 4.71
 
 
-def test_k10_artifact_records_its_kappa(tmp_path):
-    # kappa scales the coupling matrix, so a, b and lambda depend on it; B0 does not
-    docs = []
-    for kappa in (6.0, 30.0):
-        out = tmp_path / f"k10_{kappa}.json"
-        assert run(parse_run_config(cfg_text(command="k10", kappa=kappa, output=str(out)))) == 0
-        docs.append(json.loads(out.read_text()))
-        assert docs[-1]["kappa"] == kappa
-    assert docs[0]["B0"] == docs[1]["B0"]
-    assert all(docs[0][key] != docs[1][key] for key in ("a", "b", "lambda"))
-
-
 def test_k3_check_artifact(tmp_path):
     out = tmp_path / "k3.json"
     cfg = parse_run_config(cfg_text(command="k3-check", n_triangles=5, seed=1, output=str(out)))
@@ -241,19 +229,19 @@ def test_k3_check_artifact(tmp_path):
 
 
 def test_k3_check_triangle_is_the_equilibria_report(tmp_path):
-    # each triangle entry is the count and solutions that equilibria writes for its points
+    # each triangle entry is its points and the count and solutions that equilibria
+    # writes for them
     out = tmp_path / "k3.json"
     cfg = parse_run_config(cfg_text(command="k3-check", n_triangles=4, seed=3, output=str(out)))
     assert run(cfg) == 0
     doc = json.loads(out.read_text())
-    rng = np.random.default_rng(3)
     eq_out = tmp_path / "eq.json"
     for tri in doc["triangles"]:
-        points = cli._random_triangle(rng).tolist()
-        cfg = cfg_text(command="equilibria", points=points, output=str(eq_out))
+        cfg = cfg_text(command="equilibria", points=tri["points"], output=str(eq_out))
         assert run(parse_run_config(cfg)) == 0
         eq = json.loads(eq_out.read_text())
-        assert tri == {"count": eq["count"], "solutions": eq["solutions"]}
+        assert tri == {"points": tri["points"], "count": eq["count"], "solutions": eq["solutions"]}
+    assert len({json.dumps(t["points"]) for t in doc["triangles"]}) == 4
     isolated = [all(s["isolation"]["isolated"] for s in t["solutions"]) for t in doc["triangles"]]
     assert doc["n_isolated"] == sum(isolated) == 4
 
@@ -284,9 +272,7 @@ def test_kappa_check_artifact(tmp_path):
         "kappa_quadrature",
         "kappa_closed",
         "rel_error",
-        "quadrature",
     }
-    assert set(doc["quadrature"]) == {"r_max", "n_panels"}
     assert doc["rel_error"] <= 1e-6
     assert doc["kappa_closed"] == pytest.approx(22.5427910971, abs=1e-9)
 
@@ -567,6 +553,12 @@ MALFORMED = {
     "bracket-string": {"command": "k10", "bracket": ["a", 1]},
     "root-tol-string": {"command": "k10", "tol": "x"},
     "n_panels-fraction": {"command": "kappa-check", "quadrature": {"n_panels": 100.5}},
+    # before, these ended in tracebacks: an OverflowError, numpy's ArrayMemoryError,
+    # a ZeroDivisionError and an AssertionError; the closed-form checks take no settings
+    "kappa-check-quadrature": {"command": "kappa-check", "quadrature": {"r_max": 1e300}},
+    "n_panels-huge": {"command": "kappa-check", "quadrature": {"n_panels": 10**11}},
+    "k10-kappa": {"command": "k10", "kappa": 1e-200},
+    "k10-kappa-huge": {"command": "k10", "kappa": 1e200},
     "r_max-string": {"command": "kappa-check", "quadrature": {"r_max": "x"}},
     "tol-null": {"command": "k3-check", "solver": {"tol": None}},
     "initial-alpha-scalar": {
@@ -659,6 +651,14 @@ NEVER_RUNS = {
     "t_end-at-the-start": _never_runs(t_end=0),
     "t_end-before-initial-t": _never_runs(initial={"t": 5, "alpha": [1, 1], "beta": [2, 2]}),
     "t_end-over-the-sample-cap": _never_runs(t_end=2e6),
+    # 10^6 samples (sample_dt 0.1) of 203 values each at K = 100, past the values cap
+    "k100-over-the-values-cap": _never_runs(
+        points=[[i, 0, 0, 0, 0] for i in range(100)], t_end=1e5
+    ),
+    # an explicit start checked while parsing: before, each exited 1 only after the solve
+    "initial-alpha-zero": _never_runs(initial={"alpha": [0, 1], "beta": [2, 2]}),
+    "initial-alpha-negative": _never_runs(initial={"alpha": [-1, 1], "beta": [2, 2]}),
+    "initial-alpha-below-floor": _never_runs(initial={"alpha": [1e-12, 1], "beta": [2, 2]}),
     # forcing undefined or infinite at the start: before, a ZeroDivisionError traceback,
     # complex forcing cast to real and a bogus StepUnderflow, and an OverflowError traceback
     "power-at-t-minus-1": _never_runs(
@@ -687,6 +687,17 @@ MALFORMED_ERROR = {
     "power-below-t-minus-1": "InvalidInput",
     "exponential-overflow-at-t0": "InvalidInput",
     "kappa-check-kappa": "UnknownKey",
+    "kappa-check-quadrature": "UnknownKey",
+    "n_panels-fraction": "UnknownKey",
+    "n_panels-huge": "UnknownKey",
+    "r_max-string": "UnknownKey",
+    "r_max-infinite": "UnknownKey",
+    "k10-kappa": "UnknownKey",
+    "k10-kappa-huge": "UnknownKey",
+    "k100-over-the-values-cap": "InvalidInput",
+    "initial-alpha-zero": "NegativeAlpha",
+    "initial-alpha-negative": "NegativeAlpha",
+    "initial-alpha-below-floor": "InvalidInput",
     "k10-seed": "UnknownKey",
     "kappa-check-seed": "UnknownKey",
 }
@@ -727,12 +738,9 @@ FULL_CONFIGS = [
             "rtol": 1e-9, "atol": 1e-12, "alpha_floor": 1e-8, "sample_dt": 0.1, "max_step": 1.0
         },
     },
-    {"command": "k10", "kappa": 20.0, "output": "k10.json"},
+    {"command": "k10", "output": "k10.json"},
     {"command": "k3-check", "n_triangles": 2, "solver": {"tol": 1e-12}},
-    {
-        "command": "kappa-check",
-        "quadrature": {"r_max": 100.0, "n_panels": 64},
-    },
+    {"command": "kappa-check", "output": "kc.json"},
 ]
 
 

@@ -45,6 +45,11 @@ def state_at(eq, t=0.0):
     return TrajectoryState(t=t, alpha=eq.a.copy(), beta=eq.c.copy())
 
 
+def states(traj):
+    """Each sample of a trajectory as one TrajectoryState."""
+    return [TrajectoryState(float(t), a, b) for t, a, b in zip(traj.ts, traj.alpha, traj.beta)]
+
+
 def test_field_vanishes_at_equilibria(k2_matrix, k3_equilateral):
     for m in (k2_matrix, k3_equilateral):
         for sol in solve_equilibria(m):
@@ -133,7 +138,7 @@ def test_equilibrium_is_invariant(k2_matrix):
     assert np.all(np.diff(traj.ts) > 0)
     # stationary trajectory: rate at machine zero forces a vanishing field
     assert np.max(traj.lyapunov_rate) < 1e-14
-    for st in traj.samples:
+    for st in states(traj):
         da, db = vector_field(st, k2_matrix)
         assert max(np.max(np.abs(da)), np.max(np.abs(db))) < 1e-6
 
@@ -280,8 +285,13 @@ def test_oversized_sample_grid_rejected_up_front(k2_matrix, monkeypatch):
     start = state_at(k2_equilibrium(k2_matrix))
     with pytest.raises(InvalidInput, match="samples"):
         integrate(start, k2_matrix, ZERO, 1e12)
-    # the cap counts sample_dt steps after the initial time
-    monkeypatch.setattr(dynamics, "MAX_SAMPLES", 10)
+    # the cap is on (samples + 1) (2K + 3) values: 10^6 samples (t_end 1e5 at the
+    # default sample_dt 0.1) fit at K = 2 but not at K = 100; no grid is built here
+    dynamics.check_run(0.0, 1e5, 2, ZERO, IntegratorOptions())
+    with pytest.raises(InvalidInput, match="values"):
+        dynamics.check_run(0.0, 1e5, 100, ZERO, IntegratorOptions())
+    # the samples are the sample_dt steps after the initial time
+    monkeypatch.setattr(dynamics, "MAX_VALUES", (10 + 1) * (2 * 2 + 3))
     opts = IntegratorOptions(sample_dt=0.1)
     assert integrate(start, k2_matrix, ZERO, 1.0, opts).ts.shape == (11,)
     with pytest.raises(InvalidInput, match="samples"):
@@ -461,7 +471,7 @@ def test_diagnostics_match_per_sample_functions(family):
         state_at(e1), family.matrix, sch, 1.0, IntegratorOptions(sample_dt=0.05),
         equilibria=[e1, e2],
     )
-    samples = traj.samples
+    samples = states(traj)
     nearer_first = [distance_to_set(st, [e1]) < distance_to_set(st, [e2]) for st in samples]
     assert any(nearer_first) and not all(nearer_first)
     lyap = np.array([lyapunov(st, family.matrix) for st in samples])

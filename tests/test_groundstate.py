@@ -1,14 +1,17 @@
 import math
 
 import numpy as np
-import pytest
 
-from bubblefield.errors import InvalidInput
 from bubblefield.groundstate import (
+    N_PANELS,
+    OMEGA4,
+    R_MAX,
     KappaReport,
-    QuadratureSpec,
+    _integrand_lw_sq,
+    _integrand_w73,
     _panel_integral,
     _refinement_failed,
+    _tail_lw_sq,
     _tail_w73,
     ground_state,
     ground_state_prime,
@@ -71,13 +74,6 @@ def test_radial_ode_residual():
     assert np.max(np.abs(res)) <= 1e-9
 
 
-def test_quadrature_spec_validation():
-    with pytest.raises(InvalidInput):
-        QuadratureSpec(r_max=5.0)
-    with pytest.raises(InvalidInput):
-        QuadratureSpec(n_panels=8)
-
-
 def test_verify_kappa_default():
     rep = verify_kappa()
     assert rep.integral_w73 > 0 and rep.norm_lw_sq > 0
@@ -96,19 +92,28 @@ def test_verify_kappa_integrates_each_level_once(monkeypatch):
     assert sorted(levels) == [512, 512, 1024, 1024, 2048, 2048]
 
 
+# closed forms: int W^(7/3) dx = 8 pi^2 15^(3/2), ||LW||^2 = (63 pi/256) 15^(5/2) * (8 pi^2/3)
+EXACT_W73 = 8.0 * math.pi**2 * 15.0**1.5
+EXACT_LW_SQ = (8.0 * math.pi**2 / 3.0) * 15.0**2.5 * (9.0 / 4.0) * (7.0 * math.pi / 64.0)
+
+
 def test_verify_kappa_exact_integrals():
-    # closed forms: int W^(7/3) dx = 8 pi^2 15^(3/2), ||LW||^2 = (63 pi/256) 15^(5/2) * (8 pi^2/3)
     rep = verify_kappa()
-    iw = 8.0 * math.pi**2 * 15.0**1.5
-    il = (8.0 * math.pi**2 / 3.0) * 15.0**2.5 * (9.0 / 4.0) * (7.0 * math.pi / 64.0)
-    assert abs(rep.integral_w73 - iw) <= 1e-7 * iw
-    assert abs(rep.norm_lw_sq - il) <= 1e-7 * il
+    assert abs(rep.integral_w73 - EXACT_W73) <= 1e-7 * EXACT_W73
+    assert abs(rep.norm_lw_sq - EXACT_LW_SQ) <= 1e-7 * EXACT_LW_SQ
 
 
 def test_refinement_does_not_worsen():
-    base = verify_kappa(QuadratureSpec(n_panels=2048))
-    fine = verify_kappa(QuadratureSpec(n_panels=4096))
-    assert fine.rel_error <= 2.0 * base.rel_error + 1e-15
+    # twice the panels of the fixed rule lands no farther from the closed forms
+    for f, tail, exact in (
+        (_integrand_w73, _tail_w73, EXACT_W73),
+        (_integrand_lw_sq, _tail_lw_sq, EXACT_LW_SQ),
+    ):
+        base, fine = (
+            abs(OMEGA4 * (_panel_integral(f, R_MAX, n) + tail(R_MAX)) - exact) / exact
+            for n in (N_PANELS, 2 * N_PANELS)
+        )
+        assert fine <= 2.0 * base + 1e-15
 
 
 def test_refinement_divergence_detection():
@@ -140,7 +145,7 @@ def test_report_serialization_roundtrip():
     import dataclasses
     import json
 
-    rep = verify_kappa(QuadratureSpec(n_panels=64, r_max=50.0))
+    rep = verify_kappa()
     doc = json.loads(json.dumps(dataclasses.asdict(rep)))
     assert doc["kappa_closed"] == rep.kappa_closed
     assert set(doc) == {
