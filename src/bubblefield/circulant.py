@@ -134,8 +134,10 @@ def family_coefficients(lambda0: float, lambda2: float) -> tuple[float, float]:
         raise OutOfWindow(f"lambda_0/lambda_2 = {ratio:.6g} outside (3/2, 3)")
     a = math.sqrt(12.0 / (5.0 * lambda2) - 6.0 / (5.0 * lambda0))
     b = math.sqrt(-8.0 / (5.0 * lambda2) + 24.0 / (5.0 * lambda0))
-    ident = a * a - b * b - 2.0 * (2.0 * lambda0 - 3.0 * lambda2) / (lambda0 * lambda2)
-    assert abs(ident) <= 1e-12 * (a * a + b * b)
+    # a^2 - b^2 = 2 (2 l0 - 3 l2) / (l0 l2), written so that l0 l2 cannot underflow
+    ident = a * a - b * b - 2.0 * (2.0 / lambda2 - 3.0 / lambda0)
+    if not abs(ident) <= 1e-12 * (a * a + b * b):
+        raise NumericalFailure(f"(a, b) = ({a}, {b}) fail a^2 - b^2 = 2 (2/l2 - 3/l0)")
     return a, b
 
 
@@ -165,34 +167,39 @@ class CirculantFamily:
 def build_family(kappa: float | None = None) -> CirculantFamily:
     """Solve for B0 and assemble the verified family data.
 
-    Checks the defining structure: lambda_4 = lambda_6 = 0 at B0 (to 1e-10),
-    the spectrum symmetry lambda_{10-m} = lambda_m, the coefficient window,
-    and the closure identities lambda_0 A0 = 6a, lambda_2 A1 = 6b.  Bounds
-    are for the closed-form kappa; they scale as lambda_m ~ kappa, a, b ~ kappa^-1/2.
+    Checks the defining structure at the closed-form kappa: lambda_4 =
+    lambda_6 = 0 at B0 (to 1e-10), the spectrum symmetry lambda_{10-m} =
+    lambda_m, the coefficient window, and the closure identities
+    lambda_0 A0 = 6a, lambda_2 A1 = 6b.  B0 does not depend on kappa, and the
+    family at another kappa is that one rescaled: lambda_m by s = kappa /
+    kappa_cf, a and b by s^-1/2.  A kappa the interaction matrix rejects, or
+    one so small that s underflows, raises InvalidInput.
     """
-    if kappa is None:
-        kappa = kappa_closed_form()
-    s = kappa / kappa_closed_form()
     b0 = solve_b0()
-    lambdas = np.array([circulant_eigenvalue(m, b0, kappa) for m in range(10)])
-    if not (abs(lambdas[4]) <= 1e-10 * s and abs(lambdas[6]) <= 1e-10 * s):
+    matrix = interaction_matrix(points_k10(b0), kappa)  # kappa None means the closed form
+    kappa_cf = kappa_closed_form()
+    s = matrix.kappa / kappa_cf
+    if not s > 0.0:
+        raise InvalidInput(f"kappa = {matrix.kappa:.3e} is too small to rescale the family")
+    lambdas = np.array([circulant_eigenvalue(m, b0, kappa_cf) for m in range(10)])
+    if not (abs(lambdas[4]) <= 1e-10 and abs(lambdas[6]) <= 1e-10):
         raise NumericalFailure("modes 4 and 6 did not vanish at B0")
-    if not np.allclose(lambdas[1:], lambdas[:0:-1], rtol=0.0, atol=1e-12 * s):
+    if not np.allclose(lambdas[1:], lambdas[:0:-1], rtol=0.0, atol=1e-12):
         raise NumericalFailure("circulant spectrum lost its m <-> 10-m symmetry")
     a, b = family_coefficients(float(lambdas[0]), float(lambdas[2]))
     a0, a1, _, _ = cube_expansion(a, b)
-    bound = 1e-10 / math.sqrt(s)
-    if abs(lambdas[0] * a0 - 6.0 * a) > bound or abs(lambdas[2] * a1 - 6.0 * b) > bound:
+    if abs(lambdas[0] * a0 - 6.0 * a) > 1e-10 or abs(lambdas[2] * a1 - 6.0 * b) > 1e-10:
         raise NumericalFailure("cube-expansion closure identities failed at (a, b)")
 
+    lambdas *= s
     lambdas.setflags(write=False)
     return CirculantFamily(
         b0=b0,
         lambdas=lambdas,
-        coeff_a=a,
-        coeff_b=b,
-        kappa=float(kappa),
-        matrix=interaction_matrix(points_k10(b0), kappa),
+        coeff_a=a / math.sqrt(s),
+        coeff_b=b / math.sqrt(s),
+        kappa=matrix.kappa,
+        matrix=matrix,
     )
 
 

@@ -52,7 +52,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 class RunConfig:
     command: str
     seed: int = 0
-    kappa: float | None = None
     output: str | None = None
     points: np.ndarray | None = None
     solver: equilibrium.SolverOptions = equilibrium.SolverOptions()
@@ -63,15 +62,15 @@ class RunConfig:
     n_triangles: int = 50
 
 
-# the two closed-form checks take no settings: kappa only rescales the k10 family,
-# and the kappa quadrature does not use it
+# no command takes kappa: each works at the closed form (kappa-check computes it), and a
+# run at another kappa is that run rescaled; the two closed-form checks take no settings
 _COMMON_KEYS = {"command", "output"}
 _ALLOWED_KEYS = {
-    "equilibria": _COMMON_KEYS | {"kappa", "seed", "points", "solver"},
+    "equilibria": _COMMON_KEYS | {"seed", "points", "solver"},
     "simulate": _COMMON_KEYS
-    | {"kappa", "seed", "points", "solver", "integrator", "schedule", "initial", "t_end"},
+    | {"seed", "points", "solver", "integrator", "schedule", "initial", "t_end"},
     "k10": _COMMON_KEYS,
-    "k3-check": _COMMON_KEYS | {"kappa", "seed", "n_triangles", "solver"},
+    "k3-check": _COMMON_KEYS | {"seed", "n_triangles", "solver"},
     "kappa-check": _COMMON_KEYS,
 }
 # the keys that a command or a section must give
@@ -83,9 +82,7 @@ _REQUIRED = {
 # each sub-object: the option type it builds and the keys that type takes
 _SECTIONS = {
     "solver": (equilibrium.SolverOptions, {"tol", "n_random", "max_iter"}),
-    "integrator": (
-        dynamics.IntegratorOptions, {"rtol", "atol", "alpha_floor", "sample_dt", "max_step"}
-    ),
+    "integrator": (dynamics.IntegratorOptions, {"rtol", "atol", "alpha_floor", "sample_dt"}),
     "schedule": (dynamics.PerturbationSchedule, {"kind", "amplitude", "rate", "dir1", "dir2"}),
 }
 _AT_EQUILIBRIUM = "start-at-equilibrium:"
@@ -163,11 +160,6 @@ def _build(doc: dict, command: str) -> RunConfig:
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValidationError(f'"seed" must be a non-negative integer, got {seed!r}')
-    kappa = doc.get("kappa")
-    if kappa is not None:
-        kappa = real('"kappa"', kappa)
-        if not kappa > 0:
-            raise ValidationError(f'"kappa" must be positive, got {kappa}')
     output = doc.get("output")
     if output is not None and (not isinstance(output, str) or "\x00" in output):
         raise ValidationError('"output" must be a string path without a NUL character')
@@ -184,7 +176,6 @@ def _build(doc: dict, command: str) -> RunConfig:
     return RunConfig(
         command=command,
         seed=seed,
-        kappa=kappa,
         output=output,
         points=reals('"points"', doc["points"]) if "points" in doc else None,
         initial=_initial(doc["initial"]) if "initial" in doc else None,
@@ -247,7 +238,7 @@ def _solutions(m, options: equilibrium.SolverOptions) -> dict:
 
 def _run_equilibria(cfg: RunConfig) -> None:
     conf = build_configuration(cfg.points)
-    m = interaction_matrix(conf, cfg.kappa)
+    m = interaction_matrix(conf)
     doc = {
         "command": "equilibria",
         "seed": cfg.seed,
@@ -260,7 +251,7 @@ def _run_equilibria(cfg: RunConfig) -> None:
 
 def _run_simulate(cfg: RunConfig) -> None:
     conf = build_configuration(cfg.points)
-    m = interaction_matrix(conf, cfg.kappa)
+    m = interaction_matrix(conf)
     state = cfg.initial
     try:
         eqs = [equilibrium.lift(s) for s in equilibrium.solve_equilibria(m, cfg.solver)]
@@ -317,17 +308,16 @@ def _random_triangle(rng: np.random.Generator) -> np.ndarray:
 
 def _run_k3_check(cfg: RunConfig) -> None:
     rng = np.random.default_rng(cfg.seed)
-    kappa = cfg.kappa if cfg.kappa is not None else kappa_closed_form()
     triangles = []
     for _ in range(cfg.n_triangles):
         points = _random_triangle(rng)
-        m = interaction_matrix(build_configuration(points), kappa)
+        m = interaction_matrix(build_configuration(points))
         triangles.append({"points": points, **_solutions(m, cfg.solver)})
     n_isolated = sum(all(s["isolation"]["isolated"] for s in t["solutions"]) for t in triangles)
     doc = {
         "command": "k3-check",
         "seed": cfg.seed,
-        "kappa": kappa,
+        "kappa": kappa_closed_form(),
         "n_triangles": cfg.n_triangles,
         "n_isolated": n_isolated,
         "all_isolated": n_isolated == cfg.n_triangles,

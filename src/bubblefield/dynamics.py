@@ -161,19 +161,16 @@ class IntegratorOptions:
     rtol: float = 1e-9
     atol: float = 1e-12
     alpha_floor: float = 1e-8
-    sample_dt: float = 0.1    # spacing of recorded samples only; it never sets a step
-    max_step: float = math.inf
+    sample_dt: float = 0.1    # spacing of recorded samples only; rtol and atol set the steps
 
     def __post_init__(self):
-        for f in fields(self):  # an infinite sample_dt or max_step means unbounded
-            value = real(f.name, getattr(self, f.name), f.name in ("sample_dt", "max_step"))
+        for f in fields(self):  # an infinite sample_dt means one sample, at t_end
+            value = real(f.name, getattr(self, f.name), f.name == "sample_dt")
             object.__setattr__(self, f.name, value)
         if not self.rtol > 0 or not self.atol >= 0:
             raise InvalidInput("rtol must be positive and atol non-negative")
         if not self.sample_dt > 0:
             raise InvalidInput(f"sample_dt must be positive, got {self.sample_dt}")
-        if not self.max_step >= 1e-14:  # no step below 1e-14 is ever taken
-            raise InvalidInput(f"max_step must be at least 1e-14, got {self.max_step}")
         if not self.alpha_floor >= 0:
             raise InvalidInput(f"alpha_floor must be >= 0, got {self.alpha_floor}")
 
@@ -366,10 +363,11 @@ def integrate(
 ) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) integration with samples every sample_dt.
 
-    The PI controller, options.max_step and t_end alone set the steps; the
-    last step lands exactly on t_end.  Stage admissibility is checked once per
-    step, over all six stage inputs (alpha > 0 and finite), after every stage
-    is evaluated; a step with any inadmissible input is retried at half size.
+    The PI controller (with options.rtol and options.atol) and t_end alone
+    set the steps, from a first step of 1e-2; the last step lands exactly on
+    t_end.  Stage admissibility is checked once per step, over all six stage
+    inputs (alpha > 0 and finite), after every stage is evaluated; a step
+    with any inadmissible input is retried at half size.
     A sample inside a step is the step's 5th-order continuous extension (no
     extra field evaluation), one on a step end is that step's solution.
     After a step that leaves the state bitwise unchanged, the next step is
@@ -383,8 +381,8 @@ def integrate(
     An unforced run stops stepping once no later step can move the state,
     and the remaining samples are that state; they are exactly the samples
     the steps would have written.  After a step that leaves y unchanged,
-    every later step is at most h_max = min(max_step, cap) + (t_end - t_stop),
-    with cap the quarter-ULP cap above and t_stop the loop's end tolerance
+    every later step is at most h_max = cap + (t_end - t_stop), with cap the
+    quarter-ULP cap above and t_stop the loop's end tolerance
     (the last step may pass the cap by that much; the tail is doubled and
     h_max raised by a relative 1e-9 to cover the rounding of t + h).  The
     loop replays a step of h_max with every stage at f(y) and exits when:
@@ -401,9 +399,8 @@ def integrate(
         to y.  A power of two has only half a spacing below it, and a zero
         component has no gap (its sign could still flip): such a state
         never exits;
-    (c) the next step, min(h, max_step), is at least 1e-14: by (a) later
-        steps only grow from there, up to min(max_step, cap), so no
-        StepUnderflow is lost.
+    (c) the next step h is at least 1e-14: by (a) later steps only grow from
+        there, up to cap, so no StepUnderflow is lost.
 
     A field that is exactly zero moves nothing at any step and exits at once.
     """
@@ -441,12 +438,11 @@ def integrate(
     ]
     ks_t = ks.T
     t_stop = t_end - 1e-12 * max(1.0, abs(t_end))
-    h = min(1e-2, options.max_step)
+    h = 1e-2
     err_prev = None
     j = 1  # the first sample not yet written
 
     while t < t_stop:
-        h = min(h, options.max_step)
         last = t + h >= t_stop
         if last:
             h = t_end - t
@@ -512,13 +508,14 @@ def integrate(
             ulps_per_time = np.max(np.abs(ks[6]) / np.spacing(np.abs(y)))
             cap = 0.25 / ulps_per_time if ulps_per_time > 0.0 else math.inf
             h = min(h, cap)
-            if not forced and min(h, options.max_step) >= 1e-14:
+            if not forced and h >= 1e-14:
                 if not ks[6].any():
                     break  # a zero field moves nothing at any step
                 # Replay the longest step still to come with every stage at f(y): if
                 # it cannot move the state, no later step can (see the docstring).
-                h_max = (min(options.max_step, cap) + 2.0 * (t_end - t_stop)) * (1.0 + 1e-9)
+                h_max = (cap + 2.0 * (t_end - t_stop)) * (1.0 + 1e-9)
                 ks[:6] = ks[6]
+                # a field that is NaN at an admissible state leaves cap infinite
                 if h_max < math.inf and all(
                     (y + h_max * (ks_prev @ a) == y).all() for _, ks_prev, a, *_ in stages
                 ):

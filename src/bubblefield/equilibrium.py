@@ -214,6 +214,8 @@ def isolation_check(sol: ReducedSolution, m: InteractionMatrix) -> IsolationRepo
     may overflow to +-inf.  The residual must meet the solver's relative
     form of the bound at its largest tol, max|f| <= MAX_TOL * (1 + 6 max|x|).
     """
+    if sol.x.shape != (m.K,):
+        raise InvalidInput(f"isolation_check needs {m.K} components, got x of shape {sol.x.shape}")
     bound = MAX_TOL * (1.0 + 6.0 * float(np.abs(sol.x).max()))
     if not sol.residual_norm <= bound:
         raise InvalidInput(

@@ -21,7 +21,7 @@ from bubblefield.circulant import (
 )
 from bubblefield.config import interaction_matrix
 from bubblefield.equilibrium import isolation_check, lift, reduced_jacobian
-from bubblefield.errors import InvalidInput
+from bubblefield.errors import InvalidInput, NumericalFailure
 
 # regression fixture: bisection of (4.70, 4.71) to adjacent floats, closed-form kappa
 B0_REGRESSION = 4.702313882987461
@@ -182,6 +182,14 @@ def test_family_coefficients_cases():
     assert abs(a - math.sqrt(1.2)) <= 1e-15
     assert abs(b - math.sqrt(8.0 / 15.0)) <= 1e-15
     assert a > b
+    # l0 l2 under- or overflows: before, a ZeroDivisionError and an AssertionError
+    for scale in (1e-200, 1e200):
+        got = family_coefficients(3.0 * scale, 1.5 * scale)
+        assert np.array(got) * math.sqrt(scale) == pytest.approx([a, b], rel=1e-12)
+    # a and b are not finite: before, a ZeroDivisionError escaped
+    for lambda0, lambda2 in ((3e-310, 1.5e-310), (1.7e-308, 1e-308)):
+        with pytest.raises(NumericalFailure, match="fail"):
+            family_coefficients(lambda0, lambda2)
 
 
 def test_cube_expansion():
@@ -271,12 +279,15 @@ def test_k10_report_fields(family):
     assert rep["kernel_residual"] <= 1e-8
 
 
-@pytest.mark.parametrize("k", [1e5, 1e-4])
+@pytest.mark.parametrize("k", [1e5, 1e-4, 1e-200, 1e200])
 def test_build_family_at_any_kappa(family, k):
     # lambda_m is linear in kappa and B0 does not depend on it: the checks
-    # scale with kappa instead of failing far from the closed form
+    # run at the closed form instead of failing far from it (before, a
+    # ZeroDivisionError at 1e-200 and an AssertionError at 1e200)
     fam = build_family(k)
     assert abs(fam.b0 - family.b0) <= np.spacing(family.b0)
+    scale = np.max(np.abs(family.lambdas)) / family.kappa
+    assert np.max(np.abs(fam.lambdas / k - family.lambdas / family.kappa)) <= 1e-12 * scale
     for got, ref in ((fam.coeff_a, family.coeff_a), (fam.coeff_b, family.coeff_b)):
         assert abs(got * math.sqrt(k) - ref * math.sqrt(family.kappa)) <= 1e-12
 
@@ -292,3 +303,11 @@ def test_build_family_rescales_with_kappa(family):
         assert np.max(np.abs(fam.lambdas - s * family.lambdas)) <= 1e-14 * scale
         for got, ref in ((fam.coeff_a, family.coeff_a), (fam.coeff_b, family.coeff_b)):
             assert got == pytest.approx(ref / math.sqrt(s), rel=1e-14)
+
+
+@pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf, 5e-324])
+def test_build_family_rejects_a_bad_kappa(k):
+    # before, OutOfWindow (0, and 5e-324, whose eigenvalues underflow to 0) and
+    # NumericalFailure "modes 4 and 6 did not vanish at B0" (-1, nan, inf)
+    with pytest.raises(InvalidInput, match="kappa"):
+        build_family(k)

@@ -46,21 +46,19 @@ def test_parse_minimal_equilibria():
 def test_parse_k10_needs_no_points():
     cfg = parse_run_config(cfg_text(command="k10"))
     assert cfg.command == "k10"
-    assert cfg.points is None and cfg.kappa is None
+    assert cfg.points is None
 
 
-def test_parse_points_and_kappa(kappa):
+def test_parse_points_and_kappa(tmp_path, kappa):
     cfg = parse_run_config(cfg_text(command="equilibria", points=K2_POINTS))
-    # a missing kappa means the closed form
-    assert cfg.kappa is None
-    assert interaction_matrix(build_configuration(cfg.points), cfg.kappa).kappa == kappa
     assert cfg.points.shape == (2, 5)
-    cfg = parse_run_config(cfg_text(command="equilibria", points=K2_POINTS, kappa=6.0))
-    assert cfg.kappa == 6.0
-    with pytest.raises(ValidationError):
-        parse_run_config(cfg_text(command="equilibria", kappa=1.0))
-    with pytest.raises(ValidationError):
-        parse_run_config(cfg_text(command="equilibria", points=K2_POINTS, kappa=-3))
+    # no command takes kappa: a run at another kappa is the closed-form run rescaled
+    for doc in FULL_CONFIGS:
+        with pytest.raises(UnknownKey):
+            parse_run_config({**doc, "kappa": 6.0})
+    out = tmp_path / "eq.json"
+    assert run(replace(cfg, output=str(out))) == 0
+    assert json.loads(out.read_text())["kappa"] == kappa
 
 
 def test_parse_rejects_bad_documents():
@@ -84,8 +82,6 @@ def test_parse_rejects_bad_documents():
         parse_run_config({"command": "k10", 1: 2, "seed": 0})
     with pytest.raises(ValidationError):
         parse_run_config(cfg_text(command="equilibria", points=K2_POINTS, seed=-1))
-    with pytest.raises(ValidationError):
-        parse_run_config(cfg_text(command="equilibria", points=K2_POINTS, kappa=0.0))
 
 
 def test_parse_simulate_full():
@@ -523,7 +519,6 @@ MALFORMED = {
     "dedup_radius-unknown-key": {
         "command": "equilibria", "points": K2_POINTS, "solver": {"dedup_radius": 1e-6}
     },
-    "kappa-string": {"command": "equilibria", "points": K2_POINTS, "kappa": "x"},
     "points-string": {"command": "equilibria", "points": "abc"},
     "points-ragged": {"command": "equilibria", "points": [[0, 0, 0, 0, 0], [1, 0, 0]]},
     "amplitude-string": {
@@ -565,15 +560,7 @@ MALFORMED = {
         "command": "simulate", "points": K2_POINTS, "schedule": {"kind": "zero"}, "t_end": 1,
         "initial": {"alpha": 1, "beta": 2},
     },
-    "max_step-zero": {
-        "command": "simulate", "points": K2_POINTS, **AT_EQ,
-        "schedule": {"kind": "zero"}, "integrator": {"max_step": 0},
-    },
-    # before, these exited 2: StepUnderflow at t = 0, and AlphaCollapse at the first sample
-    "max_step-below-1e-14": {
-        "command": "simulate", "points": K2_POINTS, **AT_EQ,
-        "schedule": {"kind": "zero"}, "integrator": {"max_step": 1e-15},
-    },
+    # before, this exited 2 with AlphaCollapse at the first sample
     "start-below-alpha_floor": {
         "command": "simulate", "points": [[0, 0, 0, 0, 0], [1e-3, 0, 0, 0, 0]], **AT_EQ,
         "schedule": {"kind": "zero"},
@@ -587,9 +574,6 @@ MALFORMED = {
     "r_max-infinite": {"command": "kappa-check", "quadrature": {"r_max": math.inf}},
     "couplings-underflow": {"command": "equilibria", "points": [[0] * 5, [1e110, 0, 0, 0, 0]]},
     "seed-cube-overflow": {"command": "equilibria", "points": [[0] * 5, [1e100, 0, 0, 0, 0]]},
-    "couplings-overflow": {
-        "command": "equilibria", "kappa": 1e300, "points": [[0] * 5, [1e-3, 0, 0, 0, 0]]
-    },
     # non-finite and boolean numbers: before, these exited 2 or ran (exit 0)
     "amplitude-nan": _schedule(kind="exponential", amplitude=math.nan),
     "amplitude-inf": _schedule(kind="exponential", amplitude=math.inf),
@@ -608,7 +592,6 @@ MALFORMED = {
         "command": "simulate", "points": K3_POINTS, "schedule": {"kind": "zero"},
         "initial": "start-at-equilibrium:0,0.0", "t_end": 0.3, "solver": {"tol": True},
     },
-    "kappa-true": {"command": "equilibria", "points": K2_POINTS, "kappa": True},
     "initial-t-infinite": {
         "command": "simulate", "points": K2_POINTS, "schedule": {"kind": "zero"}, "t_end": 1,
         "initial": {"t": -math.inf, "alpha": [1, 1], "beta": [2, 2]},
@@ -630,6 +613,12 @@ MALFORMED = {
     # k10 and kappa-check draw nothing, so they take no seed
     "k10-seed": {"command": "k10", "seed": 1},
     "kappa-check-seed": {"command": "kappa-check", "seed": 1},
+    # every command works at the closed-form kappa, and the integrator's steps are
+    # set by rtol and atol alone
+    "equilibria-kappa": {"command": "equilibria", "points": K2_POINTS, "kappa": 6.0},
+    "simulate-kappa": {**_integrator(), "kappa": 6.0},
+    "k3-check-kappa": {"command": "k3-check", "kappa": 6.0},
+    "max_step": _integrator(max_step=1.0),
 }
 
 
@@ -681,7 +670,6 @@ MALFORMED.update(NEVER_RUNS)
 MALFORMED_ERROR = {
     "dedup_radius-unknown-key": "UnknownKey",
     "t_end-huge-grid": "InvalidInput",
-    "max_step-below-1e-14": "InvalidInput",
     "start-below-alpha_floor": "InvalidInput",
     "power-at-t-minus-1": "InvalidInput",
     "power-below-t-minus-1": "InvalidInput",
@@ -700,6 +688,10 @@ MALFORMED_ERROR = {
     "initial-alpha-below-floor": "InvalidInput",
     "k10-seed": "UnknownKey",
     "kappa-check-seed": "UnknownKey",
+    "equilibria-kappa": "UnknownKey",
+    "simulate-kappa": "UnknownKey",
+    "k3-check-kappa": "UnknownKey",
+    "max_step": "UnknownKey",
 }
 
 
@@ -724,7 +716,7 @@ def test_malformed_config_exits_1(case, tmp_path, capsys, monkeypatch):
 # one valid config per command with every settable field present
 FULL_CONFIGS = [
     {
-        "command": "equilibria", "seed": 1, "kappa": 20.0, "output": "eq.json",
+        "command": "equilibria", "seed": 1, "output": "eq.json",
         "points": K2_POINTS,
         "solver": {"tol": 1e-12, "n_random": 4, "max_iter": 50},
     },
@@ -734,9 +726,7 @@ FULL_CONFIGS = [
             "kind": "power", "amplitude": 0.1, "rate": 1.0, "dir1": [1, 0], "dir2": [0, 1]
         },
         "initial": {"t": 0, "alpha": [1, 1], "beta": [2, 2]},
-        "integrator": {
-            "rtol": 1e-9, "atol": 1e-12, "alpha_floor": 1e-8, "sample_dt": 0.1, "max_step": 1.0
-        },
+        "integrator": {"rtol": 1e-9, "atol": 1e-12, "alpha_floor": 1e-8, "sample_dt": 0.1},
     },
     {"command": "k10", "output": "k10.json"},
     {"command": "k3-check", "n_triangles": 2, "solver": {"tol": 1e-12}},

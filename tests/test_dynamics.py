@@ -261,8 +261,6 @@ NON_NUMBERS = {
     "atol-inf": (IntegratorOptions, {"atol": math.inf}),
     "alpha_floor-inf": (IntegratorOptions, {"alpha_floor": math.inf}),
     "sample_dt-nan": (IntegratorOptions, {"sample_dt": math.nan}),
-    "max_step-true": (IntegratorOptions, {"max_step": True}),
-    "max_step-below-1e-14": (IntegratorOptions, {"max_step": 1e-15}),  # no step that small is taken
     "tol-inf": (SolverOptions, {"tol": math.inf}),
     "tol-true": (SolverOptions, {"tol": True}),
     "tol-above-1e-8": (SolverOptions, {"tol": 2e-8}),  # above what isolation_check certifies
@@ -276,8 +274,7 @@ def test_options_reject_non_finite_and_boolean_numbers(cls, kw):
 
 
 def test_options_accept_an_infinite_grid_step():
-    opts = IntegratorOptions(sample_dt=math.inf, max_step=math.inf)
-    assert opts.sample_dt == opts.max_step == math.inf
+    assert IntegratorOptions(sample_dt=math.inf).sample_dt == math.inf
 
 
 def test_oversized_sample_grid_rejected_up_front(k2_matrix, monkeypatch):
@@ -556,13 +553,11 @@ def _frozen_starts(k2_matrix, kappa, family):
     return [(k2_closed_form(1.0, kappa), k2_matrix, 10.0), (eq10, family.matrix, 3.5)]
 
 
-@pytest.mark.parametrize("max_step", [math.inf, 1e-3])
-def test_a_frozen_autonomous_run_stops_stepping(monkeypatch, k2_matrix, kappa, family, max_step):
+def test_a_frozen_autonomous_run_stops_stepping(monkeypatch, k2_matrix, kappa, family):
     # stepping through to t_end would take 493 (K = 2), 1,015 (K = 10) and 37
-    # (zero field) field evaluations at an unbounded max_step, 60,001, 21,001
-    # and 60,001 at 1e-3
+    # (zero field) field evaluations
     calls = _count_field_calls(monkeypatch)
-    fine = IntegratorOptions(sample_dt=1e-3, max_step=max_step)
+    fine = IntegratorOptions(sample_dt=1e-3)
     # at separation 1.5 the K = 2 closed form's field is exactly zero
     m15 = interaction_matrix(build_configuration([[0, 0, 0, 0, 0], [1.5, 0, 0, 0, 0]]), kappa)
     eq15 = k2_closed_form(1.5, kappa)
@@ -740,10 +735,9 @@ def integrate_oracle(initial, m, schedule, t_end, options, equilibria=None, stat
     j = 1  # the first sample not yet written
     f0 = field(t, y)
     t_stop = t_end - 1e-12 * max(1.0, abs(t_end))
-    h = min(1e-2, options.max_step)
+    h = 1e-2
     err_prev = None
     while t < t_stop:
-        h = min(h, options.max_step)
         last = t + h >= t_stop
         if last:
             h = t_end - t
@@ -849,12 +843,10 @@ def test_integrate_matches_readable_oracle(monkeypatch, k2_matrix, k3_equilatera
         ("underflow after rejected stages", TrajectoryState(0.0, 0.8 * eq3.a, 1.6 * eq3.a),
          k2_matrix, ZERO, 40.0, IntegratorOptions(alpha_floor=0.0), None, False),
     ]
-    for max_step, t_end in ((math.inf, 1.0), (1e-3, 0.25)):
-        opts = IntegratorOptions(sample_dt=1e-3, max_step=max_step)
-        cases += [
-            ("frozen K = 10", state_at(eq10), family.matrix, ZERO, 3.5 * t_end, opts, [eq10], True),
-            ("frozen K = 2", state_at(eq2), k2_matrix, ZERO, 10.0 * t_end, opts, [eq2], True),
-        ]
+    cases += [
+        ("frozen K = 10", state_at(eq10), family.matrix, ZERO, 3.5, fine, [eq10], True),
+        ("frozen K = 2", state_at(eq2), k2_matrix, ZERO, 10.0, fine, [eq2], True),
+    ]
     outcomes = {}
     for label, start, m, sch, t_end, opts, eqs, frozen in cases:
         calls.clear()

@@ -107,7 +107,7 @@ def test_isolation_check_k2(k2_matrix):
     assert abs(np.sum(rep.eigenvalues)) <= 1e-10 * np.max(np.abs(a))
 
 
-def test_isolation_check_requires_converged_input(k2_matrix):
+def test_isolation_check_requires_converged_input(k2_matrix, k3_equilateral):
     bad = ReducedSolution(x=np.array([1.0, 1.0]), residual_norm=1e-3, tolerance=1e-3)
     with pytest.raises(InvalidInput):
         isolation_check(bad, k2_matrix)
@@ -118,6 +118,9 @@ def test_isolation_check_requires_converged_input(k2_matrix):
     with pytest.raises(InvalidInput):
         isolation_check(far, k2_matrix)
     isolation_check(replace(far, residual_norm=1e-9 * scale), k2_matrix)
+    # and x must have the matrix's length: before, numpy's broadcast ValueError escaped
+    with pytest.raises(InvalidInput, match="2 components"):
+        isolation_check(solve_equilibria(k3_equilateral)[0], k2_matrix)
 
 
 def test_every_allowed_tol_passes_the_isolation_gate():
