@@ -160,7 +160,6 @@ class CirculantFamily:
     lambdas: np.ndarray  # lambda_m(B0), m = 0..9
     coeff_a: float
     coeff_b: float
-    kappa: float
     matrix: InteractionMatrix
 
 
@@ -172,15 +171,13 @@ def build_family(kappa: float | None = None) -> CirculantFamily:
     lambda_m, the coefficient window, and the closure identities
     lambda_0 A0 = 6a, lambda_2 A1 = 6b.  B0 does not depend on kappa, and the
     family at another kappa is that one rescaled: lambda_m by s = kappa /
-    kappa_cf, a and b by s^-1/2.  A kappa the interaction matrix rejects, or
-    one so small that s underflows, raises InvalidInput.
+    kappa_cf, a and b by s^-1/2.  A kappa the interaction matrix rejects
+    raises InvalidInput; one it accepts is normal, so s > 0.
     """
     b0 = solve_b0()
     matrix = interaction_matrix(points_k10(b0), kappa)  # kappa None means the closed form
     kappa_cf = kappa_closed_form()
     s = matrix.kappa / kappa_cf
-    if not s > 0.0:
-        raise InvalidInput(f"kappa = {matrix.kappa:.3e} is too small to rescale the family")
     lambdas = np.array([circulant_eigenvalue(m, b0, kappa_cf) for m in range(10)])
     if not (abs(lambdas[4]) <= 1e-10 and abs(lambdas[6]) <= 1e-10):
         raise NumericalFailure("modes 4 and 6 did not vanish at B0")
@@ -198,7 +195,6 @@ def build_family(kappa: float | None = None) -> CirculantFamily:
         lambdas=lambdas,
         coeff_a=a / math.sqrt(s),
         coeff_b=b / math.sqrt(s),
-        kappa=matrix.kappa,
         matrix=matrix,
     )
 

@@ -293,7 +293,7 @@ def _run_simulate(cfg: RunConfig) -> None:
 
 def _run_k10(cfg: RunConfig) -> None:
     fam = circulant.build_family()
-    doc = {"command": "k10", "kappa": fam.kappa, **circulant.k10_report(fam)}
+    doc = {"command": "k10", "kappa": fam.matrix.kappa, **circulant.k10_report(fam)}
     _write(cfg.output or "k10.json", _fmt(doc) + "\n")
 
 

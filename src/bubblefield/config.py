@@ -9,11 +9,12 @@ downstream modules always read the cache.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, real
 
 __all__ = [
     "Configuration",
@@ -122,11 +123,13 @@ def build_configuration(points) -> Configuration:
 
 
 def interaction_matrix(config: Configuration, kappa: float | None = None) -> InteractionMatrix:
-    """Finite coupling matrix for a configuration; kappa defaults to the closed form."""
-    if kappa is None:
-        kappa = kappa_closed_form()
-    if not (kappa > 0):
-        raise InvalidInput(f"kappa must be positive, got {kappa}")
+    """Finite coupling matrix for a configuration; kappa defaults to the closed form.
+
+    kappa must be finite and at least sys.float_info.min (no subnormal), never a boolean.
+    """
+    kappa = kappa_closed_form() if kappa is None else real("kappa", kappa)
+    if not kappa >= sys.float_info.min:
+        raise InvalidInput(f"kappa must be at least {sys.float_info.min:g}, got {kappa}")
     rows, cols = np.triu_indices(config.K, 1)
     with np.errstate(over="ignore"):
         upper = kappa * config.dist[rows, cols] ** -3.0
@@ -134,4 +137,4 @@ def interaction_matrix(config: Configuration, kappa: float | None = None) -> Int
         raise InvalidInput(f"couplings kappa / distance^3 are not finite for kappa = {kappa:.3e}")
     m = _mirrored(config.K, rows, cols, upper)
     m.setflags(write=False)
-    return InteractionMatrix(m=m, kappa=float(kappa))
+    return InteractionMatrix(m=m, kappa=kappa)

@@ -200,7 +200,6 @@ class OmegaReport:
     box_min: np.ndarray  # (2K,) over concatenated (alpha, beta)
     box_max: np.ndarray
     diameter: float      # max-norm diameter of the window's sample cloud
-    final_dist_to_eq: float
 
 
 def _stacked(y: np.ndarray, out: np.ndarray, k: int):
@@ -562,7 +561,6 @@ def omega_limit_estimate(traj: Trajectory, window: float) -> OmegaReport:
         box_min=box_min,
         box_max=box_max,
         diameter=float(np.max(box_max - box_min)),
-        final_dist_to_eq=float(traj.dist_to_eq[-1]),
     )
 
 

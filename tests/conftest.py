@@ -38,6 +38,13 @@ def family():
     return build_family()
 
 
+def signs(eigenvalues) -> str:
+    """'-', '0' or '+' per eigenvalue, '0' within 1e-10 max(max |mu|, 1) of zero."""
+    e = np.asarray(eigenvalues)
+    zero = 1e-10 * max(float(np.abs(e).max()), 1.0)
+    return "".join("0" if abs(v) <= zero else "-+"[bool(v > 0)] for v in e)
+
+
 def flow_jacobian(eq, m):
     """Analytic Jacobian of the autonomous flow at the equilibrium (eq.a, eq.c)."""
     a = eq.a

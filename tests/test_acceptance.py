@@ -161,7 +161,7 @@ def test_criterion_3_k3_isolation_sweep():
             e = rep.eigenvalues
             ok &= e[0] <= e[1] < 0.0
             ok &= abs(e[2] - 18.0) <= 1e-7
-            ok &= abs(rep.det_shift) > 1e-6
+            ok &= abs(np.prod(6.0 - e)) > 1e-6
     ok = ok and elapsed < 10.0
     _report(
         3,

@@ -286,10 +286,10 @@ def test_build_family_at_any_kappa(family, k):
     # ZeroDivisionError at 1e-200 and an AssertionError at 1e200)
     fam = build_family(k)
     assert abs(fam.b0 - family.b0) <= np.spacing(family.b0)
-    scale = np.max(np.abs(family.lambdas)) / family.kappa
-    assert np.max(np.abs(fam.lambdas / k - family.lambdas / family.kappa)) <= 1e-12 * scale
+    scale = np.max(np.abs(family.lambdas)) / family.matrix.kappa
+    assert np.max(np.abs(fam.lambdas / k - family.lambdas / family.matrix.kappa)) <= 1e-12 * scale
     for got, ref in ((fam.coeff_a, family.coeff_a), (fam.coeff_b, family.coeff_b)):
-        assert abs(got * math.sqrt(k) - ref * math.sqrt(family.kappa)) <= 1e-12
+        assert abs(got * math.sqrt(k) - ref * math.sqrt(family.matrix.kappa)) <= 1e-12
 
 
 def test_build_family_rescales_with_kappa(family):
@@ -297,17 +297,20 @@ def test_build_family_rescales_with_kappa(family):
     # a, b by (kappa_cf / kappa)^(1/2), with B0 unchanged: so k10 takes no kappa
     for k in (6.0, 30.0):
         fam = build_family(k)
-        s = k / family.kappa
-        assert fam.kappa == k and fam.b0 == family.b0
+        s = k / family.matrix.kappa
+        assert fam.matrix.kappa == k and fam.b0 == family.b0
         scale = s * np.max(np.abs(family.lambdas))
         assert np.max(np.abs(fam.lambdas - s * family.lambdas)) <= 1e-14 * scale
         for got, ref in ((fam.coeff_a, family.coeff_a), (fam.coeff_b, family.coeff_b)):
             assert got == pytest.approx(ref / math.sqrt(s), rel=1e-14)
 
 
-@pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf, 5e-324])
+@pytest.mark.parametrize(
+    "k", [0.0, -1.0, math.nan, math.inf, 5e-324, True, pytest.param(np.True_, id="np.True_")]
+)
 def test_build_family_rejects_a_bad_kappa(k):
-    # before, OutOfWindow (0, and 5e-324, whose eigenvalues underflow to 0) and
-    # NumericalFailure "modes 4 and 6 did not vanish at B0" (-1, nan, inf)
+    # before, OutOfWindow (0, and 5e-324, whose eigenvalues underflow to 0),
+    # NumericalFailure "modes 4 and 6 did not vanish at B0" (-1, nan, inf) and,
+    # for a boolean, the family at kappa = 1
     with pytest.raises(InvalidInput, match="kappa"):
         build_family(k)

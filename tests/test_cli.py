@@ -22,9 +22,17 @@ from bubblefield.config import build_configuration, interaction_matrix, kappa_cl
 from bubblefield.equilibrium import lift, solve_equilibria
 from bubblefield.errors import InvalidInput
 
+from conftest import signs
+
 K2_POINTS = [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]
 TRIANGLE_POINTS = [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0.5, math.sqrt(3.0) / 2.0, 0, 0, 0]]
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+# an isolation record is the spectrum and the certificate, each stated once
+ISOLATION_KEYS = {
+    "eigenvalues", "eig18_residual", "isolated",
+    "kantorovich_h", "existence_radius", "uniqueness_radius",
+}
+OMEGA_KEYS = {"window", "t_start", "box_min", "box_max", "diameter"}
 
 
 def cfg_text(**kw):
@@ -123,6 +131,7 @@ def test_equilibria_artifact(tmp_path, kappa):
     a = doc["solutions"][0]["a"]
     assert abs(a[0] - 6.0 / kappa) <= 1e-10 * (6.0 / kappa)
     assert doc["solutions"][0]["isolation"]["isolated"] is True
+    assert all(set(s["isolation"]) == ISOLATION_KEYS for s in doc["solutions"])
 
 
 def test_equilibria_determinism(tmp_path):
@@ -156,6 +165,7 @@ def test_simulate_artifacts_and_determinism(tmp_path):
         summary = json.loads((tmp_path / (name[:-4] + ".summary.json")).read_text())
         assert summary["final_dist_to_eq"] <= 1e-9
         assert summary["n_samples"] == 21
+        assert set(summary["omega"]) == OMEGA_KEYS
     assert blobs[0] == blobs[1]
     header = blobs[0].decode().split("\n")[0]
     assert header == "t,s,alpha_1,alpha_2,beta_1,beta_2,L,L_rate,dist_to_eq"
@@ -220,8 +230,9 @@ def test_k3_check_artifact(tmp_path):
     assert doc["all_isolated"] is True
     for tri in doc["triangles"]:
         reports = [sol["isolation"] for sol in tri["solutions"]]
-        assert {r["sign_pattern"] for r in reports} == {"--+"}
-        assert min(abs(r["det_shift"]) for r in reports) > 1e-6
+        assert all(set(r) == ISOLATION_KEYS for r in reports)
+        assert {signs(r["eigenvalues"]) for r in reports} == {"--+"}
+        assert min(abs(np.prod(6.0 - np.array(r["eigenvalues"]))) for r in reports) > 1e-6
 
 
 def test_k3_check_triangle_is_the_equilibria_report(tmp_path):
@@ -804,3 +815,11 @@ def test_readme_json_examples_parse():
     assert examples
     for text in examples:
         assert isinstance(parse_run_config(text), RunConfig)
+
+
+def test_readme_library_block_runs():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert len(scope["sols"]) == 1 and scope["report"].isolated
+    assert np.allclose(scope["report"].eigenvalues, [-18.0, 18.0], rtol=0, atol=1e-10)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -125,3 +126,8 @@ def test_kappa_parameter_validation(k2_matrix):
         interaction_matrix(cfg, -1.0)
     with pytest.raises(InvalidInput):
         interaction_matrix(cfg, math.inf)
+    # a boolean is no kappa, and a subnormal one gives subnormal or zero couplings
+    for bad in (True, np.True_, 5e-324, sys.float_info.min / 2.0):
+        with pytest.raises(InvalidInput, match="kappa"):
+            interaction_matrix(cfg, bad)
+    assert interaction_matrix(cfg, sys.float_info.min).m[0, 1] == sys.float_info.min

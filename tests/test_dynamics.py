@@ -323,7 +323,7 @@ def test_omega_limit_estimate(k2_matrix):
     traj = integrate(state_at(eq), k2_matrix, ZERO, 4.0, equilibria=[eq])
     rep = omega_limit_estimate(traj, 1.0)
     assert rep.diameter <= 1e-12
-    assert rep.final_dist_to_eq <= 1e-12
+    assert traj.dist_to_eq[-1] <= 1e-12
     assert rep.t_start == pytest.approx(3.0)
     with pytest.raises(WindowTooLarge):
         omega_limit_estimate(traj, 4.0)

@@ -26,7 +26,7 @@ from bubblefield.equilibrium import (
 )
 from bubblefield.errors import InvalidInput
 
-from conftest import flow_jacobian, random_matrix
+from conftest import flow_jacobian, random_matrix, signs
 
 
 def k2_solution_x(m):
@@ -98,10 +98,10 @@ def test_isolation_check_k2(k2_matrix):
     sol = solve_equilibria(k2_matrix)[0]
     rep = isolation_check(sol, k2_matrix)
     assert np.allclose(rep.eigenvalues, [-18.0, 18.0], rtol=0, atol=1e-10)
-    assert abs(rep.det_shift + 288.0) <= 1e-9
+    assert abs(np.prod(6.0 - rep.eigenvalues) + 288.0) <= 1e-9
     assert rep.eig18_residual <= 1e-10
     assert rep.isolated
-    assert rep.sign_pattern == "-+"
+    assert signs(rep.eigenvalues) == "-+"
     a = symmetrized_matrix(sol.x, k2_matrix)
     assert abs(np.trace(a)) == 0.0
     assert abs(np.sum(rep.eigenvalues)) <= 1e-10 * np.max(np.abs(a))
@@ -149,14 +149,10 @@ def test_isolation_check_large_k(K):
         rep = isolation_check(sol, m)
     assert rep.isolated
     # A has the eigenvalue 18 once and -18/(K-1) K-1 times
-    log_det = np.log(12.0) + (K - 1) * np.log(6.0 + 18.0 / (K - 1))
-    assert abs(rep.log_abs_det_shift - log_det) <= 1e-12 * log_det
-    if K == 50:
-        # the product rule it replaces, still finite at this size
+    expected = np.array([-18.0 / (K - 1)] * (K - 1) + [18.0])
+    assert np.max(np.abs(rep.eigenvalues - expected)) <= 18.0 * K * 1e-14  # O(K u |A|)
+    if K == 50:  # the product rule the certificate replaced, still finite at this size
         assert rep.isolated == bool(abs(np.prod(6.0 - rep.eigenvalues)) > 1e-8 * 6.0**K)
-        assert abs(np.log(-rep.det_shift) - rep.log_abs_det_shift) <= 1e-12 * log_det
-    else:
-        assert rep.det_shift == -np.inf  # 6^400 overflows; the verdict and the log do not
 
 
 def assert_certified_near(sol, m, x_star):
@@ -558,9 +554,9 @@ def test_k3_random_triangles_isolated():
             e = rep.eigenvalues
             assert e[0] <= e[1] < 0.0
             assert abs(e[2] - 18.0) <= 1e-7
-            assert abs(rep.det_shift) > 1e-6
+            assert abs(np.prod(6.0 - e)) > 1e-6
             assert rep.isolated
-            assert rep.sign_pattern == "--+"
+            assert signs(e) == "--+"
 
 
 def test_lift_round_trip(k2_matrix):
@@ -581,8 +577,9 @@ def test_k2_closed_form_op(kappa):
     assert np.allclose(k2_closed_form(2.0, kappa).a, 8.0 * eq.a, rtol=1e-15)
     with pytest.raises(NonPositiveDistance):
         k2_closed_form(0.0, kappa)
-    with pytest.raises(InvalidInput):
-        k2_closed_form(1.0, 0.0)
+    for distance, bad_kappa in ((1.0, 0.0), (1.0, True), (1.0, 5e-324), (True, kappa)):
+        with pytest.raises(InvalidInput):
+            k2_closed_form(distance, bad_kappa)
 
 
 def test_solution_count_does_not_depend_on_scale():
