@@ -147,7 +147,7 @@ def _initial(value):
         )
     if isinstance(value, str) and value.startswith(_AT_EQUILIBRIUM) and value.count(",") == 1:
         index, offset = value[len(_AT_EQUILIBRIUM):].split(",")
-        offset = real('"initial" offset', offset)
+        offset = real('"initial" offset', float(offset))  # the text itself: real() takes no str
         if index.isdigit() and offset > -1.0:
             return int(index), offset
     raise ValidationError(

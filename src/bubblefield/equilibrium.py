@@ -255,6 +255,19 @@ def _unit(x: np.ndarray) -> np.ndarray:
     return x / np.add.reduce(x**4) ** 0.25
 
 
+def _bounds(m: InteractionMatrix):
+    """(floor, low): every solution has max x >= floor and every x_k >= low.
+
+    With rho the largest row sum of m and mu its smallest off-diagonal
+    coupling, 6 max x <= rho (max x)^3 gives floor = sqrt(6 / rho), and
+    6 x_k >= mu (max x)^3 >= mu floor^3 gives low = floor mu / rho, written
+    so, not as mu floor^3 / 6, because floor^3 overflows at extreme scales.
+    """
+    rho = float(np.maximum.reduce(np.add.reduce(m.m, axis=1)))
+    floor = math.sqrt(6.0 / rho)
+    return floor, floor * float(np.minimum.reduce(m.m[~np.eye(m.K, dtype=bool)])) / rho
+
+
 def _newton(x, m: InteractionMatrix, opts: SolverOptions, roots, scale2=1.0, f=None):
     """Damped Newton from x (residual f, if known): (x, max|f|, threshold, f) at a root, or None.
 
@@ -262,8 +275,11 @@ def _newton(x, m: InteractionMatrix, opts: SolverOptions, roots, scale2=1.0, f=N
     as on non-isolated solution manifolds) is halved until it keeps x > 0,
     checked only up to the first trial that does (halving is exact and
     rounding monotone), and lowers |M f|^2.  A run fails after max_iter
-    iterations, on a point below the bound every solution meets, or when
-    _HALVINGS halvings do not descend: it stalls at a local minimum of |M f|.
+    iterations, as soon as an accepted iterate leaves the box of _bounds
+    (min x < low (1 - tol)), when it converges to a point with max x below
+    floor (1 - tol), or when _HALVINGS halvings do not descend: it stalls
+    at a local minimum of |M f|.  The (1 - tol) allows for rounding: K = 2
+    solutions lie on both bounds.
     M = prod_r (1 + scale2 / |x - r|^2) over the rows r of roots (1 if none),
     and the step rescaled by 1 / (1 - grad log M . step) is the Newton step
     of M f (Farrell, Birkisson & Funke, SIAM J. Sci. Comput. 37(4), 2015).
@@ -275,14 +291,14 @@ def _newton(x, m: InteractionMatrix, opts: SolverOptions, roots, scale2=1.0, f=N
         w = np.multiply.reduce(1.0 + scale2 / dd)
         return f, w * w * (f @ f), dd
 
+    floor, low = _bounds(m)
+    low *= 1.0 - opts.tol
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f, m0, dd = merit(x, f)
     for _ in range(opts.max_iter):
         nf = float(np.maximum.reduce(np.abs(f)))
         thresh = opts.tol * (1.0 + 6.0 * float(np.maximum.reduce(x)))  # x > 0 throughout
         if nf <= thresh:
-            # a solution has 6 max(x) <= (max row sum) max(x)^3; points near 0 do not
-            floor = math.sqrt(6.0 / float(np.maximum.reduce(np.add.reduce(m.m, axis=1))))
             return (x, nf, thresh, f) if np.maximum.reduce(x) >= floor * (1.0 - opts.tol) else None
         _, v, r = _spectrum(x, m)
         step = -(v @ (r * ((x * f) @ v))) / x
@@ -301,6 +317,8 @@ def _newton(x, m: InteractionMatrix, opts: SolverOptions, roots, scale2=1.0, f=N
                     break
             else:
                 return None
+        if np.minimum.reduce(y) < low:
+            return None
         x, (f, m0, dd) = y, trial
     return None
 

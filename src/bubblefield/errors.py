@@ -23,8 +23,16 @@ class NumericalFailure(BubblefieldError):
 
 
 def real(name: str, value, allow_inf: bool = False) -> float:
-    """value as a float; InvalidInput for a boolean, NaN, or an infinity unless allowed."""
-    x = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
+    """value as a float; InvalidInput unless it is a finite number (or an infinity, if allowed).
+
+    Text is rejected even where float() would read it, and so is a boolean.
+    """
+    if isinstance(value, (str, bytes)):
+        raise InvalidInput(f"{name} must be a number, not text, got {value!r}")
+    try:
+        x = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise InvalidInput(f"{name} must be a number, got {value!r}") from e
     if math.isnan(x) or (math.isinf(x) and not allow_inf):
         kind = "a number" if allow_inf else "a finite number"
         raise InvalidInput(f"{name} must be {kind}, got {value!r}")
@@ -32,10 +40,17 @@ def real(name: str, value, allow_inf: bool = False) -> float:
 
 
 def reals(name: str, value) -> np.ndarray:
-    """value as a float array; InvalidInput for a boolean or non-finite entry."""
-    if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(value, dtype=object).flat):
-        raise InvalidInput(f"{name} must hold numbers, not booleans, got {value!r}")
-    x = np.asarray(value, dtype=float)
+    """value as a float array; InvalidInput unless every entry is a finite number.
+
+    Text is rejected even where numpy would read it, and so is a boolean.
+    """
+    entries = np.asarray(value, dtype=object).flat
+    if any(isinstance(x, (str, bytes, bool, np.bool_)) for x in entries):
+        raise InvalidInput(f"{name} must hold numbers, not text or booleans, got {value!r}")
+    try:
+        x = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise InvalidInput(f"{name} must hold numbers, got {value!r}") from e
     if not np.all(np.isfinite(x)):
         raise InvalidInput(f"{name} must hold finite numbers, got {value!r}")
     return x

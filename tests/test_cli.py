@@ -44,11 +44,11 @@ def test_parse_minimal_equilibria():
     assert cfg.command == "equilibria"
     assert cfg.seed == 0
     assert cfg.solver.tol == 1e-12
-    # a decoded object parses too, and numeric strings convert
-    cfg = parse_run_config(
-        {"command": "equilibria", "points": K2_POINTS, "solver": {"tol": "1e-10"}}
-    )
+    # a decoded object parses too, but a number given as text is rejected
+    cfg = parse_run_config({"command": "equilibria", "points": K2_POINTS, "solver": {"tol": 1e-10}})
     assert cfg.solver.tol == 1e-10
+    with pytest.raises(InvalidInput, match="not text"):
+        parse_run_config({"command": "equilibria", "points": K2_POINTS, "solver": {"tol": "1e-10"}})
 
 
 def test_parse_k10_needs_no_points():
@@ -106,6 +106,7 @@ def test_parse_simulate_full():
     assert cfg.schedule.kind == "exponential"
     assert cfg.integrator.rtol == 1e-8
     assert cfg.t_end == 5.0
+    assert cfg.initial == (0, 0.2)  # the directive's offset is text, read by the parser
     with pytest.raises(ValidationError):
         parse_run_config(
             cfg_text(
@@ -544,6 +545,15 @@ MALFORMED = {
         "command": "simulate", "points": K2_POINTS, **AT_EQ,
         "schedule": {"kind": "zero"}, "t_end": "soon",
     },
+    # a number given as text is the wrong type, even when float() would read it
+    "t_end-numeric-string": {
+        "command": "simulate", "points": K2_POINTS, **AT_EQ,
+        "schedule": {"kind": "zero"}, "t_end": "5",
+    },
+    "amplitude-numeric-string": {
+        "command": "simulate", "points": K2_POINTS, **AT_EQ,
+        "schedule": {"kind": "exponential", "amplitude": "0.1"},
+    },
     "rtol-list": {
         "command": "simulate", "points": K2_POINTS, **AT_EQ,
         "schedule": {"kind": "zero"}, "integrator": {"rtol": [1]},
@@ -703,6 +713,8 @@ MALFORMED_ERROR = {
     "simulate-kappa": "UnknownKey",
     "k3-check-kappa": "UnknownKey",
     "max_step": "UnknownKey",
+    "t_end-numeric-string": "InvalidInput",
+    "amplitude-numeric-string": "InvalidInput",
 }
 
 

@@ -12,7 +12,7 @@ from bubblefield.config import (
     interaction_matrix,
     kappa_closed_form,
 )
-from bubblefield.errors import InvalidInput
+from bubblefield.errors import InvalidInput, real, reals
 
 
 def test_kappa_closed_form_value():
@@ -131,3 +131,22 @@ def test_kappa_parameter_validation(k2_matrix):
         with pytest.raises(InvalidInput, match="kappa"):
             interaction_matrix(cfg, bad)
     assert interaction_matrix(cfg, sys.float_info.min).m[0, 1] == sys.float_info.min
+
+
+def test_numbers_given_as_text_or_unconvertible_are_invalid_input():
+    # float() reads "6", but text is the wrong type for a number; what float()
+    # cannot read at all is invalid input too, never a ValueError or TypeError
+    cfg = build_configuration([[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]])
+    for text in ("6", b"6", np.str_("6")):
+        with pytest.raises(InvalidInput, match="kappa must be a number, not text"):
+            interaction_matrix(cfg, text)
+        with pytest.raises(InvalidInput, match="not text"):
+            reals("points", [[0, 0, 0, 0, text], [1, 0, 0, 0, 0]])
+    for bad in ("abc", [6.0], None, object(), 10**400, 1j):
+        with pytest.raises(InvalidInput):
+            real("kappa", bad)
+    for bad in ("6", [[0, 1], [2]], [None], {"a": 1}, [10**400]):
+        with pytest.raises(InvalidInput):
+            reals("points", bad)
+    assert real("kappa", np.float32(6.0)) == 6.0 and real("kappa", 6) == 6.0
+    assert reals("points", [[1, 2], [3, 4.5]]).tolist() == [[1.0, 2.0], [3.0, 4.5]]

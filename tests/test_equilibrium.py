@@ -308,6 +308,17 @@ def test_solver_work_does_not_depend_on_rounding(monkeypatch):
         assert len(counts) == 1, (k, sorted(counts))
 
 
+def solution_box(m):
+    """(floor, low) written plainly: max x >= floor and min x >= low at every solution.
+
+    With rho the largest row sum of m and mu its smallest coupling,
+    6 max x <= rho (max x)^3 and 6 x_k >= mu (max x)^3.
+    """
+    rho = np.max(np.sum(m.m, axis=1))
+    mu = np.min(m.m[np.triu_indices(m.K, 1)])
+    return math.sqrt(6.0 / rho), math.sqrt(6.0 / rho) * mu / rho
+
+
 def newton_oracle(x, m, opts, roots=None, scale=1.0, f=None):
     """The damped Newton run written plainly: the lean _newton must repeat it bit for bit.
 
@@ -315,6 +326,7 @@ def newton_oracle(x, m, opts, roots=None, scale=1.0, f=None):
     the fromnumeric reductions and two chained generators.  The step is
     -J^-1 f with J = D^-1 (6I - A) D, D = diag(x), inverted through one eigh
     of A, each 1 / (6 - mu) cut to 0 where |6 - mu| <= K 2^-52 max|6 - mu|.
+    A run stops at an accepted iterate that leaves the solution box.
     """
     import bubblefield.equilibrium as eq
 
@@ -323,13 +335,13 @@ def newton_oracle(x, m, opts, roots=None, scale=1.0, f=None):
         w = 1.0 if roots is None else np.prod(1.0 + scale**2 / np.sum((y - roots) ** 2, axis=1))
         return f, w * w * (f @ f)
 
+    floor, low = solution_box(m)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f, m0 = merit(x, f)
     for _ in range(opts.max_iter):
         nf = float(np.max(np.abs(f)))
         thresh = opts.tol * (1.0 + 6.0 * float(np.max(np.abs(x))))
         if nf <= thresh:
-            floor = math.sqrt(6.0 / float(np.max(np.sum(m.m, axis=1))))
             return (x, nf, thresh, f) if np.max(x) >= floor * (1.0 - opts.tol) else None
         mu, v = np.linalg.eigh(eq.symmetrized_matrix(x, m))
         shift = 6.0 - mu
@@ -350,7 +362,7 @@ def newton_oracle(x, m, opts, roots=None, scale=1.0, f=None):
             trials = (x + lam * 0.5**h * step for h in range(eq._HALVINGS + 1))
             evaluated = ((y, *merit(y)) for y in trials if np.all(y > 0))
             x, f, m0 = next((e for e in evaluated if e[2] < m0), (None, None, None))
-        if x is None:
+        if x is None or np.min(x) < low * (1.0 - opts.tol):
             return None
     return None
 
@@ -388,6 +400,52 @@ def test_newton_matches_readable_oracle(monkeypatch):
         if hit is not None:
             assert hit[0].tobytes() == want[0].tobytes() and hit[3].tobytes() == want[3].tobytes()
             assert (hit[1], hit[2]) == (want[1], want[2])
+
+
+def test_solution_box_changes_no_solution(monkeypatch, family):
+    # a Newton run that leaves the box fails at once; with the bound at 0 it runs
+    # on until it stalls, so the box only saves work on runs that find nothing
+    import bubblefield.equilibrium as eq
+
+    calls = []
+    residual = eq.reduced_residual
+    monkeypatch.setattr(eq, "reduced_residual", lambda x, m: calls.append(1) or residual(x, m))
+    box = eq._bounds
+
+    def solve_all(pool, bounds):
+        monkeypatch.setattr(eq, "_bounds", bounds)
+        calls.clear()
+        sols = [
+            [(s.x.tobytes(), s.residual_norm, s.tolerance) for s in solve_equilibria(m)]
+            for m in pool
+        ]
+        return sols, len(calls)
+
+    rng, three = np.random.default_rng(1), np.random.default_rng(104)
+    random_matrix(4, three)  # the second draw has three solutions, two of them maxima
+    k2 = interaction_matrix(build_configuration([[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]))
+    triangles = [random_matrix(3, rng) for _ in range(64)]
+    pools = (cluster_pool(), triangles, [k2, random_matrix(4, three), family.matrix])
+    for pool, count in zip(pools, (82, 64, 5)):
+        boxed, n_boxed = solve_all(pool, box)
+        unboxed, n_unboxed = solve_all(pool, lambda m: (box(m)[0], 0.0))
+        assert boxed == unboxed and sum(map(len, boxed)) == count
+        assert n_boxed < n_unboxed or pool is not triangles
+
+
+def test_k2_closed_form_lies_on_the_solution_box():
+    # at K = 2 both bounds are attained: x = sqrt(6 d^3 / kappa) = floor = low
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=50, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(hypothesis.strategies.floats(1e-3, 1e3))
+    def check(distance):
+        m = interaction_matrix(build_configuration([[0, 0, 0, 0, 0], [distance, 0, 0, 0, 0]]))
+        x = np.sqrt(k2_closed_form(distance, m.kappa).a)
+        for bound in solution_box(m):
+            assert np.max(np.abs(x / bound - 1.0)) <= 4 * 2.0**-52
+
+    check()
 
 
 def test_certificate_bounds_the_rounded_inverse(monkeypatch, k3_equilateral):
@@ -488,12 +546,12 @@ def test_solutions_exist_and_are_valid():
         m = random_matrix(K, np.random.default_rng(seed))  # well separated
         sols = solve_equilibria(m, opts)
         assert sols
-        # K = 2 meets this bound with equality, so allow rounding at tol
-        floor = np.sqrt(6.0 / np.max(np.sum(m.m, axis=1))) * (1.0 - opts.tol)
+        # K = 2 meets both bounds of the solution box with equality, so allow rounding at tol
+        floor, low = (b * (1.0 - opts.tol) for b in solution_box(m))
         for s in sols:
             assert np.all(s.x > 0)
             assert np.max(np.abs(reduced_residual(s.x, m))) <= s.tolerance
-            assert np.max(s.x) >= floor
+            assert np.max(s.x) >= floor and np.min(s.x) >= low
         # each solution lies outside every other's uniqueness ball
         radii = [isolation_check(s, m).uniqueness_radius for s in sols]
         for i, s in enumerate(sols):
