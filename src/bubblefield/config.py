@@ -3,7 +3,9 @@
 A configuration is K distinct points in R^5.  The coupling between bubbles
 j and k is kappa * |z_j - z_k|^-3, collected in a symmetric K x K matrix
 with zero diagonal.  Distances are computed once at construction and cached;
-downstream modules always read the cache.
+downstream modules always read the cache.  Both matrices are computed
+elementwise on the full K x K array, and their diagonals then set to zero:
+z_j - z_k and z_k - z_j square to the same floats, so symmetry is exact.
 """
 
 from __future__ import annotations
@@ -76,23 +78,13 @@ class InteractionMatrix:
         return self.m.shape[0]
 
 
-def _mirrored(k: int, rows, cols, upper) -> np.ndarray:
-    """K x K matrix with zero diagonal and the upper triangle copied to the lower.
-
-    Both halves hold the same computed values, so symmetry is exact.
-    """
-    out = np.zeros((k, k))
-    out[rows, cols] = upper
-    out[cols, rows] = upper
-    return out
-
-
 def build_configuration(points) -> Configuration:
     """Validate a list of 5-D points and build the cached distance matrix.
 
     Raises TooFewPoints for K < 2, BadDimension for non-finite or
-    wrongly-shaped points, and DuplicatePoints when a pairwise distance is
-    below 1e-12 * (1 + max coordinate magnitude).
+    wrongly-shaped points, DuplicatePoints when a pairwise distance is below
+    1e-12 * (1 + max coordinate magnitude), and InvalidInput when one
+    overflows (points about 1e154 apart).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1 and pts.size == 0:
@@ -107,15 +99,20 @@ def build_configuration(points) -> Configuration:
         raise BadDimension("points contain non-finite coordinates")
 
     k = pts.shape[0]
-    rows, cols = np.triu_indices(k, 1)
-    tri = np.sqrt(np.sum((pts[rows] - pts[cols]) ** 2, axis=1))
-    dist = _mirrored(k, rows, cols, tri)
-
+    with np.errstate(over="ignore"):  # points 1e154 apart: the square overflows
+        dist = np.sqrt(np.add.reduce((pts[:, None] - pts[None]) ** 2, axis=2))
+    # the first row-major extremum of a symmetric matrix lies in the upper triangle
+    dist.flat[:: k + 1] = math.inf
+    near = int(dist.argmin())
     scale = 1.0 + float(np.max(np.abs(pts)))
-    if np.min(tri) < 1e-12 * scale:
-        i = int(np.argmin(tri))
-        j, l = int(rows[i]), int(cols[i])
+    if dist.flat[near] < 1e-12 * scale:
+        j, l = divmod(near, k)
         raise DuplicatePoints(f"points {j} and {l} coincide (distance {dist[j, l]:.3e})")
+    dist.flat[:: k + 1] = 0.0
+    far = int(dist.argmax())
+    if dist.flat[far] == math.inf:
+        j, l = divmod(far, k)
+        raise InvalidInput(f"points {j} and {l} are too far apart: their distance overflows")
 
     pts.setflags(write=False)
     dist.setflags(write=False)
@@ -130,11 +127,10 @@ def interaction_matrix(config: Configuration, kappa: float | None = None) -> Int
     kappa = kappa_closed_form() if kappa is None else real("kappa", kappa)
     if not kappa >= sys.float_info.min:
         raise InvalidInput(f"kappa must be at least {sys.float_info.min:g}, got {kappa}")
-    rows, cols = np.triu_indices(config.K, 1)
-    with np.errstate(over="ignore"):
-        upper = kappa * config.dist[rows, cols] ** -3.0
-    if not np.all(np.isfinite(upper)):
+    with np.errstate(over="ignore", divide="ignore"):  # the zero diagonal gives inf
+        m = kappa * config.dist**-3.0
+    m.flat[:: config.K + 1] = 0.0
+    if not np.isfinite(m).all():
         raise InvalidInput(f"couplings kappa / distance^3 are not finite for kappa = {kappa:.3e}")
-    m = _mirrored(config.K, rows, cols, upper)
     m.setflags(write=False)
     return InteractionMatrix(m=m, kappa=kappa)

@@ -268,45 +268,61 @@ def _bounds(m: InteractionMatrix):
     return floor, floor * float(np.minimum.reduce(m.m[~np.eye(m.K, dtype=bool)])) / rho
 
 
-def _newton(x, m: InteractionMatrix, opts: SolverOptions, roots, scale2=1.0, f=None):
+@dataclass(frozen=True)
+class _Solve:
+    """What every Newton run of one solve shares: m and the solution box of _bounds(m)."""
+
+    m: InteractionMatrix
+    floor: float  # every solution has max x >= floor
+    low: float    # and min x >= low
+
+
+def _newton(x, s: _Solve, opts: SolverOptions, roots, scale2=1.0, f=None):
     """Damped Newton from x (residual f, if known): (x, max|f|, threshold, f) at a root, or None.
 
     The step -J^-1 f (from _spectrum, whose cut bounds it where J is near-singular,
     as on non-isolated solution manifolds) is halved until it keeps x > 0,
     checked only up to the first trial that does (halving is exact and
     rounding monotone), and lowers |M f|^2.  A run fails after max_iter
-    iterations, as soon as an accepted iterate leaves the box of _bounds
-    (min x < low (1 - tol)), when it converges to a point with max x below
-    floor (1 - tol), or when _HALVINGS halvings do not descend: it stalls
-    at a local minimum of |M f|.  The (1 - tol) allows for rounding: K = 2
-    solutions lie on both bounds.
-    M = prod_r (1 + scale2 / |x - r|^2) over the rows r of roots (1 if none),
-    and the step rescaled by 1 / (1 - grad log M . step) is the Newton step
-    of M f (Farrell, Birkisson & Funke, SIAM J. Sci. Comput. 37(4), 2015).
+    iterations, as soon as an accepted iterate leaves the box of the solve
+    s (min x < s.low (1 - tol)), when it converges to a point with max x
+    below s.floor (1 - tol), or when _HALVINGS halvings do not descend: it
+    stalls at a local minimum of |M f|.  The (1 - tol) allows for rounding:
+    K = 2 solutions lie on both bounds.
+    M = prod_r (1 + scale2 / |x - r|^2) over the rows r of roots, and the
+    step rescaled by 1 / (1 - grad log M . step) is the Newton step of M f
+    (Farrell, Birkisson & Funke, SIAM J. Sci. Comput. 37(4), 2015).  With
+    no roots (ascent polishes) M = 1: the merit is |f|^2 and the step is
+    not rescaled, as the empty product and sum would give exactly.  The
+    whole run is one errstate scope, in which overflow, invalid operations
+    and division by zero warn of nothing: a far root's |x - r|^2 overflows,
+    and 1 / inf = 0 is the limit; a step that is not finite fails the run.
     """
+    m = s.m
 
     def merit(y, f=None):  # f, |M f|^2 and the |y - r|^2 at y
         f = reduced_residual(y, m) if f is None else f
+        if not len(roots):
+            return f, f @ f, None
         dd = np.add.reduce((y - roots) ** 2, axis=1)
         w = np.multiply.reduce(1.0 + scale2 / dd)
         return f, w * w * (f @ f), dd
 
-    floor, low = _bounds(m)
-    low *= 1.0 - opts.tol
+    floor, low = s.floor * (1.0 - opts.tol), s.low * (1.0 - opts.tol)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f, m0, dd = merit(x, f)
-    for _ in range(opts.max_iter):
-        nf = float(np.maximum.reduce(np.abs(f)))
-        thresh = opts.tol * (1.0 + 6.0 * float(np.maximum.reduce(x)))  # x > 0 throughout
-        if nf <= thresh:
-            return (x, nf, thresh, f) if np.maximum.reduce(x) >= floor * (1.0 - opts.tol) else None
-        _, v, r = _spectrum(x, m)
-        step = -(v @ (r * ((x * f) @ v))) / x
-        with np.errstate(over="ignore"):  # far roots: 1 / inf = 0 is the limit
-            step = step / (1.0 + 2.0 * scale2 * ((1.0 / (dd * (dd + scale2))) @ (x - roots)) @ step)
-        if not np.isfinite(step).all():
-            return None
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(opts.max_iter):
+            nf = float(np.maximum.reduce(np.abs(f)))
+            thresh = opts.tol * (1.0 + 6.0 * float(np.maximum.reduce(x)))  # x > 0 throughout
+            if nf <= thresh:
+                return (x, nf, thresh, f) if np.maximum.reduce(x) >= floor else None
+            _, v, r = _spectrum(x, m)
+            step = -(v @ (r * ((x * f) @ v))) / x
+            if len(roots):
+                grad = 2.0 * scale2 * ((1.0 / (dd * (dd + scale2))) @ (x - roots))  # -grad log M
+                step = step / (1.0 + grad @ step)
+            if not np.isfinite(step).all():
+                return None
             # skip the halvings from 1 that would leave the orthant
             edge = np.minimum.reduce(-x / step, where=step < 0, initial=np.inf)
             lam = 2.0 ** min(0.0, np.floor(np.log2(edge))) if edge < 1.0 else 1.0
@@ -317,13 +333,13 @@ def _newton(x, m: InteractionMatrix, opts: SolverOptions, roots, scale2=1.0, f=N
                     break
             else:
                 return None
-        if np.minimum.reduce(y) < low:
-            return None
-        x, (f, m0, dd) = y, trial
+            if np.minimum.reduce(y) < low:
+                return None
+            x, (f, m0, dd) = y, trial
     return None
 
 
-def _ascend(m: InteractionMatrix, opts: SolverOptions):
+def _ascend(s: _Solve, opts: SolverOptions):
     """A solution whose a = x^2 locally maximizes G on the sphere, or None.
 
     The solutions are the rescaled critical points of G on the sphere
@@ -337,12 +353,13 @@ def _ascend(m: InteractionMatrix, opts: SolverOptions):
     saddle: the iterate steps along its eigenvector to higher G and ascends
     again, within the same max_iter steps.
     """
+    m = s.m
     x = _unit(np.ones(m.K))
     for _ in range(opts.max_iter // 5):
         for _ in range(5):
             x = _unit(np.sqrt(x * (m.m @ x**3)))
         g = _g(x, m)
-        hit = _newton(math.sqrt(6.0 / g) * x, m, opts, np.empty((0, m.K)))
+        hit = _newton(math.sqrt(6.0 / g) * x, s, opts, ())
         if hit is None:
             continue
         u = _unit(hit[0])
@@ -387,7 +404,8 @@ def solve_equilibria(m: InteractionMatrix, options: SolverOptions = SolverOption
                 raise InvalidInput(f"{what} must be positive, of length {k}, with finite residual")
             starts[i] = (s, f)  # every run from the seed reuses its residual
 
-    found = [_ascend(m, options)]
+    solve = _Solve(m, *_bounds(m))
+    found = [_ascend(solve, options)]
     if found[0] is None:
         raise NoSolutionFound(f"sphere ascent found no solution in max_iter = {options.max_iter}")
     radii = []  # uniqueness radius of each found solution, certified once a hit needs it
@@ -395,7 +413,7 @@ def solve_equilibria(m: InteractionMatrix, options: SolverOptions = SolverOption
     while starts and runs:
         runs -= 1
         roots = np.array([np.zeros(k)] + [h[0] for h in found])
-        hit = _newton(starts[0][0], m, options, roots, xbar**2, starts[0][1])
+        hit = _newton(starts[0][0], solve, options, roots, xbar**2, starts[0][1])
         if hit is not None:
             certify = found[len(radii):] + [hit]
             radii += [_certificate(x, m, f, *_spectrum(x, m)[1:])[2] for x, _, _, f in certify]

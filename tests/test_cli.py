@@ -533,6 +533,10 @@ MALFORMED = {
     },
     "points-string": {"command": "equilibria", "points": "abc"},
     "points-ragged": {"command": "equilibria", "points": [[0, 0, 0, 0, 0], [1, 0, 0]]},
+    # the squared distance overflows: no RuntimeWarning on stderr before the error line
+    "points-too-far-apart": {
+        "command": "equilibria", "points": [[0, 0, 0, 0, 0], [1e200, 0, 0, 0, 0]]
+    },
     "amplitude-string": {
         "command": "simulate", "points": K2_POINTS, **AT_EQ,
         "schedule": {"kind": "exponential", "amplitude": "big"},
@@ -715,6 +719,7 @@ MALFORMED_ERROR = {
     "max_step": "UnknownKey",
     "t_end-numeric-string": "InvalidInput",
     "amplitude-numeric-string": "InvalidInput",
+    "points-too-far-apart": "InvalidInput",
 }
 
 

@@ -96,6 +96,73 @@ def test_geometry_matches_per_pair_reference(K):
             assert abs(m.m[j, l] - v) <= 4 * np.spacing(v)
 
 
+def geometry_oracle(points, kappa):
+    """(dist, m, pair) built as upper triangles, each pair once, and mirrored.
+
+    The full-matrix build must repeat these bytes; pair is the (j, l), j < l,
+    of the first smallest distance in row-major order.
+    """
+    pts = np.asarray(points, dtype=float)
+    k = pts.shape[0]
+    rows, cols = np.triu_indices(k, 1)
+    tri = np.sqrt(np.sum((pts[rows] - pts[cols]) ** 2, axis=1))
+    with np.errstate(divide="ignore"):  # duplicates: the pair is all that is read
+        upper = kappa * tri**-3.0
+    dist, m = np.zeros((k, k)), np.zeros((k, k))
+    dist[rows, cols] = dist[cols, rows] = tri
+    m[rows, cols] = m[cols, rows] = upper
+    i = int(np.argmin(tri))
+    return dist, m, (int(rows[i]), int(cols[i]))
+
+
+def test_geometry_matches_upper_triangle_oracle_bit_for_bit(kappa):
+    rng = np.random.default_rng(27)
+    ref = np.random.default_rng(12)  # a cluster-solve configuration, moved rigidly
+    q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+    moved = ref.normal(size=(24, 5)) @ q + rng.normal(size=5)
+    for pts in [rng.normal(size=(k, 5)) for k in (2, 3, 24, 50)] + [moved]:
+        cfg = build_configuration(pts)
+        dist, m, _ = geometry_oracle(pts, kappa)
+        assert cfg.dist.tobytes() == dist.tobytes()
+        assert interaction_matrix(cfg).m.tobytes() == m.tobytes()
+        assert interaction_matrix(cfg, 2.5).m.tobytes() == geometry_oracle(pts, 2.5)[1].tobytes()
+
+
+def test_duplicate_points_names_the_oracle_pair(kappa):
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(6, 5))
+    pts[4] = pts[1]
+    pts[3] = pts[5] = pts[2]  # zero distances at (1, 4), (2, 3), (2, 5) and (3, 5)
+    near = rng.normal(size=(5, 5))
+    near[4] = near[0] + 1e-14  # near-duplicates of different sizes
+    near[3] = near[2] + 1e-15
+    for points in (pts, pts[::-1], near):
+        j, l = geometry_oracle(points, kappa)[2]
+        with pytest.raises(DuplicatePoints, match=f"points {j} and {l} coincide"):
+            build_configuration(points)
+
+
+def test_points_too_far_apart_are_invalid_input():
+    # the squared distance overflows from about 1e154 on: one InvalidInput naming
+    # the first such pair, and no RuntimeWarning (warnings are errors here)
+    with pytest.raises(InvalidInput, match="points 0 and 1 are too far apart"):
+        build_configuration([[0, 0, 0, 0, 0], [1e200, 0, 0, 0, 0]])
+    # each square is finite and only their sum overflows
+    with pytest.raises(InvalidInput, match="points 0 and 1 are too far apart"):
+        build_configuration([[0, 0, 0, 0, 0], [1e154, 1e154, 0, 0, 0]])
+    far = [[0, 0, 0, 0, 0], [1e153, 0, 0, 0, 0], [0, 1e154, 0, 0, 0], [0, -1e154, 0, 0, 0]]
+    with pytest.raises(InvalidInput, match="points 2 and 3 are too far apart"):
+        build_configuration(far)
+    assert np.isfinite(build_configuration(far[:3]).dist).all()
+
+
+def test_geometry_is_read_only():
+    cfg = build_configuration(np.random.default_rng(0).normal(size=(4, 5)))
+    for a in (cfg.points, cfg.dist, interaction_matrix(cfg).m):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 1] = 1.0
+
+
 def test_rigid_motion_invariance():
     rng = np.random.default_rng(42)
     pts = rng.normal(size=(5, 5))

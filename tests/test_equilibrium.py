@@ -23,6 +23,8 @@ from bubblefield.equilibrium import (
     solve_equilibria,
     symmetrized_matrix,
     _ascend,
+    _bounds,
+    _Solve,
 )
 from bubblefield.errors import InvalidInput
 
@@ -247,7 +249,7 @@ def _stable_dimension(sol, m):
 def test_ascent_solution_is_certified_maximizer_with_smallest_a():
     opts = SolverOptions()
     for m in cluster_pool():
-        x = _ascend(m, opts)[0]
+        x = _ascend(_Solve(m, *_bounds(m)), opts)[0]
         mu, vecs = np.linalg.eigh(symmetrized_matrix(x, m))
         i18 = np.argmax(np.abs(vecs.T @ x**2))  # the eigenvector x^2
         assert abs(mu[i18] - 18.0) <= 1e-7
@@ -377,10 +379,10 @@ def test_newton_matches_readable_oracle(monkeypatch):
     monkeypatch.setattr(eq, "reduced_residual", lambda x, m: calls.append(1) or residual(x, m))
     lean, runs = eq._newton, []
 
-    def recorded(x, m, opts, roots, scale2=1.0, f=None):
+    def recorded(x, s, opts, roots, scale2=1.0, f=None):
         before = len(calls)
-        hit = lean(x, m, opts, roots, scale2, f)
-        runs.append((x, m, opts, roots, scale2, f, hit, len(calls) - before))
+        hit = lean(x, s, opts, roots, scale2, f)
+        runs.append((x, s.m, opts, roots, scale2, f, hit, len(calls) - before))
         return hit
 
     monkeypatch.setattr(eq, "_newton", recorded)
@@ -400,6 +402,27 @@ def test_newton_matches_readable_oracle(monkeypatch):
         if hit is not None:
             assert hit[0].tobytes() == want[0].tobytes() and hit[3].tobytes() == want[3].tobytes()
             assert (hit[1], hit[2]) == (want[1], want[2])
+
+
+def test_newton_fails_on_a_non_finite_step_without_a_warning(monkeypatch, k3_equilateral):
+    # one inf in 1 / (6 - mu), on an eigenvector with no zero entry, gives a step
+    # of +inf from above the solution; the run must end there, before any
+    # line-search trial evaluates the residual at inf
+    import bubblefield.equilibrium as eq
+
+    m = k3_equilateral
+    x = np.full(3, 100.0)
+    f = reduced_residual(x, m)
+    assert (f < 0).all()
+    v = np.linalg.qr(np.ones((3, 3)) + np.eye(3))[0]  # first column +-(1, 1, 1) / sqrt(3)
+    calls = []
+    residual = eq.reduced_residual
+    monkeypatch.setattr(eq, "reduced_residual", lambda x, m: calls.append(1) or residual(x, m))
+    monkeypatch.setattr(eq, "_spectrum", lambda x, m: (None, v, np.array([np.inf, 1.0, 1.0])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eq._newton(x, _Solve(m, *_bounds(m)), SolverOptions(), (), f=f) is None
+    assert calls == []
 
 
 def test_solution_box_changes_no_solution(monkeypatch, family):
