@@ -210,10 +210,11 @@ def _fmt(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _write(path: str, text: str):
+def _write(path: str, text):
+    """Write text, a string or an iterable of strings written as each is made, to path."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)
     print(f"wrote {path}")
 
 
@@ -269,7 +270,7 @@ def _run_simulate(cfg: RunConfig) -> None:
         state, m, cfg.schedule, cfg.t_end, cfg.integrator, equilibria=eqs or None
     )
     out_csv = cfg.output or "simulate.csv"
-    _write(out_csv, dynamics.trajectory_csv(traj))
+    _write(out_csv, dynamics._csv_blocks(traj))  # block by block: no whole CSV is held
 
     span = float(traj.ts[-1] - traj.ts[0])
     omega = dynamics.omega_limit_estimate(traj, 0.25 * span)

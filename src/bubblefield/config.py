@@ -86,7 +86,7 @@ def build_configuration(points) -> Configuration:
     1e-12 * (1 + max coordinate magnitude), and InvalidInput when one
     overflows (points about 1e154 apart).
     """
-    pts = np.asarray(points, dtype=float)
+    pts = np.array(points, dtype=float)  # a copy: the caller's array stays writable
     if pts.ndim == 1 and pts.size == 0:
         raise TooFewPoints("need at least 2 points, got 0")
     if pts.ndim != 2 or pts.shape[1] != POINT_DIM:

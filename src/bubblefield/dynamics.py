@@ -60,6 +60,9 @@ SCHEDULE_KINDS = ("zero", "exponential", "power")
 # and 2K + 3 the trajectory's columns, checked before the grid is allocated: 10^6 samples fit
 # at K = 2, and about 3.5 x 10^5 at K = 10
 MAX_VALUES = 8 * 10**6
+# rows of the trajectory CSV formatted at a time: perfbench's flow-fine runs (at most
+# 3,501 rows) fit in one block, and a streamed block of K = 10 rows is about 2 MB of text
+CSV_ROWS = 4096
 
 
 class NegativeAlpha(InvalidInput):
@@ -580,13 +583,13 @@ def to_physical(traj: Trajectory):
     ]
 
 
-def trajectory_csv(traj: Trajectory) -> str:
-    """CSV export: t, s, alpha_1..alpha_K, beta_1..beta_K, L, L_rate, dist_to_eq.
+def _csv_blocks(traj: Trajectory):
+    """The CSV of trajectory_csv as consecutive strings: the header line, then one block
+    of up to CSV_ROWS rows at a time, each made from slices of the trajectory's arrays.
 
-    Every value is written as its own `%.17g`, which round-trips exactly.  The
-    state columns (alpha through dist_to_eq) are formatted once for each run of
-    consecutive rows that are equal bit for bit, as a frozen trajectory's are, and
-    only t and s are formatted per row; the bytes are those of per-value `%.17g`.
+    A block takes two `%` passes: one formats the state columns (alpha through
+    dist_to_eq) once for each run of consecutive rows that are equal bit for bit, the
+    other writes every row's t and s with its run's state text.
     """
     k = traj.K
     cols = (
@@ -595,19 +598,42 @@ def trajectory_csv(traj: Trajectory) -> str:
         + [f"beta_{i + 1}" for i in range(k)]
         + ["L", "L_rate", "dist_to_eq"]
     )
-    state = np.column_stack(
-        [traj.alpha, traj.beta, traj.lyapunov, traj.lyapunov_rate, traj.dist_to_eq]
-    )
-    # bits, not ==: 0.0 and -0.0 format differently, and NaN never equals itself
-    bits = state.view(np.uint64)
-    new = np.ones(state.shape[0], dtype=bool)
-    new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    fmt = ",".join(["%.17g"] * state.shape[1])
-    tails = [fmt % tuple(row) for row in state[new].tolist()]
-    runs = (np.cumsum(new) - 1).tolist()
-    lines = [",".join(cols)]
-    lines.extend(
-        "%.17g,%.17g,%s" % (t, _exp(t), tails[r])  # math.exp and np.exp can differ in the last bit
-        for t, r in zip(traj.ts.tolist(), runs)
-    )
-    return "\n".join(lines) + "\n"
+    yield ",".join(cols) + "\n"
+    state_fmt = ",".join(["%.17g"] * (2 * k + 3)) + "\n"
+    for lo in range(0, traj.ts.shape[0], CSV_ROWS):
+        rows = slice(lo, lo + CSV_ROWS)
+        state = np.column_stack([
+            traj.alpha[rows], traj.beta[rows],
+            traj.lyapunov[rows], traj.lyapunov_rate[rows], traj.dist_to_eq[rows],
+        ])
+        # bits, not ==: 0.0 and -0.0 format differently, and NaN never equals itself
+        bits = state.view(np.uint64)
+        new = np.ones(state.shape[0], dtype=bool)
+        np.any(bits[1:] != bits[:-1], axis=1, out=new[1:])
+        distinct = state[new]
+        fmt = "\0".join([state_fmt] * distinct.shape[0])  # NUL is in no %.17g value
+        texts = (fmt % tuple(distinct.ravel().tolist())).split("\0")
+        t = traj.ts[rows].tolist()
+        try:  # math.exp, not np.exp: the two can differ in the last bit
+            s = list(map(math.exp, t))
+        except OverflowError:  # some t above about 709.78
+            s = list(map(_exp, t))
+        values = [None] * (3 * len(t))
+        values[0::3] = t
+        values[1::3] = s
+        # each row of a run refers to the run's one state text
+        values[2::3] = np.array(texts, dtype=object)[np.cumsum(new) - 1].tolist()
+        yield ("%.17g,%.17g,%s" * len(t)) % tuple(values)
+
+
+def trajectory_csv(traj: Trajectory) -> str:
+    """CSV export: t, s, alpha_1..alpha_K, beta_1..beta_K, L, L_rate, dist_to_eq.
+
+    Every value is written as its own `%.17g`, which round-trips exactly.  The
+    state columns (alpha through dist_to_eq) are formatted once for each run of
+    consecutive rows that are equal bit for bit, as a frozen trajectory's are, and
+    only t and s are formatted per row; the bytes are those of per-value `%.17g`.
+    The text is made in blocks of CSV_ROWS rows, which the CLI writes to its file
+    one at a time.
+    """
+    return "".join(_csv_blocks(traj))

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bubblefield import cli, equilibrium
+from bubblefield import cli, dynamics, equilibrium
 from bubblefield.cli import (
     ParseError,
     RunConfig,
@@ -90,6 +90,12 @@ def test_parse_rejects_bad_documents():
         parse_run_config({"command": "k10", 1: 2, "seed": 0})
     with pytest.raises(ValidationError):
         parse_run_config(cfg_text(command="equilibria", points=K2_POINTS, seed=-1))
+    # a document or a section that is not an object
+    for text in ("[]", "5", "null", '"equilibria"'):
+        with pytest.raises(ValidationError, match="run config must be a JSON object"):
+            parse_run_config(text)
+    with pytest.raises(ValidationError, match='"solver" must be an object'):
+        parse_run_config(cfg_text(command="equilibria", points=K2_POINTS, solver=[1]))
 
 
 def test_parse_simulate_full():
@@ -211,6 +217,28 @@ def test_simulate_from_an_exact_equilibrium_stays_there(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_simulate_writes_its_csv_block_by_block(tmp_path, capsys, monkeypatch):
+    # the file is written one block of rows at a time; blocks of 7 rows give the bytes
+    # of one block, and those of a per-value %.17g table
+    conf = tmp_path / "run.json"
+    conf.write_text(cfg_text(
+        command="simulate", points=TRIANGLE_POINTS, initial="start-at-equilibrium:0,0.01",
+        schedule={"kind": "exponential", "amplitude": 0.01, "rate": 1.0}, t_end=1.0,
+        integrator={"sample_dt": 0.01},
+    ))
+    texts = []
+    for rows in (dynamics.CSV_ROWS, 7):
+        monkeypatch.setattr(dynamics, "CSV_ROWS", rows)
+        out = tmp_path / f"blocks{rows}.csv"
+        assert main(["simulate", "--config", str(conf), "--output", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\nwrote {out.with_suffix('.summary.json')}\n"
+        texts.append(out.read_text())
+    header, *rows = texts[0].splitlines()
+    assert len(rows) == 101 and texts[1] == texts[0]
+    table = [",".join("%.17g" % float(v) for v in row.split(",")) for row in rows]
+    assert texts[0] == "\n".join([header] + table) + "\n"
+
+
 def test_k10_artifact(tmp_path):
     out = tmp_path / "k10.json"
     assert run(parse_run_config(cfg_text(command="k10", output=str(out)))) == 0
@@ -309,6 +337,50 @@ def test_numerical_exit_code(tmp_path, capsys, monkeypatch):
     assert run(cfg) == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] in ("StepUnderflow", "AlphaCollapse")
+
+
+def test_equilibrium_index_beyond_those_found_exits_1(tmp_path, capsys, monkeypatch):
+    # the index is checked against the solve's equilibria, so only the run can reject it
+    monkeypatch.chdir(tmp_path)
+    conf = tmp_path / "run.json"
+    conf.write_text(cfg_text(
+        command="simulate", points=K2_POINTS, schedule={"kind": "zero"},
+        initial="start-at-equilibrium:1,0", t_end=1.0,
+    ))
+    assert main(["simulate", "--config", str(conf)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"error": "ValidationError", "message": "equilibrium index 1 out of range (found 1)"}
+    ]
+    assert not (tmp_path / "simulate.csv").exists()
+
+
+def test_simulate_from_an_explicit_state_runs_without_equilibria(tmp_path, capsys):
+    # with max_iter 4 the solve raises NoSolutionFound: a run from an explicit state
+    # goes on without equilibria, so its distances are NaN, and one from the directive,
+    # which needs an equilibrium, exits 2
+    eq = lift(solve_equilibria(interaction_matrix(build_configuration(K2_POINTS)))[0])
+    doc = dict(
+        command="simulate", points=K2_POINTS, schedule={"kind": "zero"}, t_end=0.5,
+        solver={"max_iter": 4}, initial={"alpha": eq.a.tolist(), "beta": eq.c.tolist()},
+    )
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps(doc))
+    out = tmp_path / "free.csv"
+    assert main(["simulate", "--config", str(conf), "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert {row.split(",")[-1] for row in out.read_text().splitlines()[1:]} == {"nan"}
+    assert json.loads((tmp_path / "free.summary.json").read_text())["final_dist_to_eq"] == "nan"
+    conf.write_text(json.dumps({**doc, "initial": "start-at-equilibrium:0,0"}))
+    assert main(["simulate", "--config", str(conf), "--output", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "NoSolutionFound"
+
+
+def test_fmt_writes_non_finite_floats_as_strings():
+    values = [math.nan, math.inf, -math.inf, np.float64(-math.inf), 0.1, None]
+    assert cli._fmt(values) == '["nan","inf","-inf","-inf",0.10000000000000001,null]'
+    with pytest.raises(TypeError, match="cannot serialize"):
+        cli._fmt({"set": {1.0}})
 
 
 def test_eigensolver_failure_exits_2(tmp_path, capsys, monkeypatch):

@@ -43,8 +43,9 @@ def test_distance_matrix_matches_norms():
 
 
 def test_rejects_degenerate_inputs():
-    with pytest.raises(TooFewPoints):
-        build_configuration([[0, 0, 0, 0, 0]])
+    for points in ([], [[0, 0, 0, 0, 0]]):
+        with pytest.raises(TooFewPoints):
+            build_configuration(points)
     with pytest.raises(BadDimension):
         build_configuration([[0, 0, 0], [1, 0, 0]])
     with pytest.raises(BadDimension):
@@ -157,10 +158,20 @@ def test_points_too_far_apart_are_invalid_input():
 
 
 def test_geometry_is_read_only():
-    cfg = build_configuration(np.random.default_rng(0).normal(size=(4, 5)))
+    points = np.random.default_rng(0).normal(size=(4, 5))
+    cfg = build_configuration(points)
     for a in (cfg.points, cfg.dist, interaction_matrix(cfg).m):
         with pytest.raises(ValueError, match="read-only"):
             a[0, 1] = 1.0
+    # the configuration holds a copy: the caller's own array stays writable
+    points[0, 1] = 1.0
+    assert cfg.points[0, 1] != 1.0
+
+
+def test_couplings_that_overflow_are_invalid_input():
+    cfg = build_configuration([[0, 0, 0, 0, 0], [1e-10, 0, 0, 0, 0]])
+    with pytest.raises(InvalidInput, match="couplings .* are not finite"):
+        interaction_matrix(cfg, 1e300)  # 1e300 / 1e-30
 
 
 def test_rigid_motion_invariance():

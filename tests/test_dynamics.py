@@ -26,7 +26,7 @@ from bubblefield.dynamics import (
     vector_field,
 )
 from bubblefield.circulant import family_member
-from bubblefield.config import build_configuration, interaction_matrix
+from bubblefield.config import InteractionMatrix, build_configuration, interaction_matrix
 from bubblefield.equilibrium import (
     EquilibriumPoint, SolverOptions, k2_closed_form, lift, solve_equilibria,
 )
@@ -87,6 +87,13 @@ def test_lyapunov_values(k2_matrix, kappa):
     assert lyapunov(z, k2_matrix) == 0.0
     st = TrajectoryState(0.0, np.array([1.0, 1.0]), np.array([2.0, 2.0]))
     assert abs(lyapunov(st, k2_matrix) - (6.0 - 2.0 * kappa / 3.0)) <= 1e-13 * kappa
+
+
+def test_lyapunov_and_its_gradient_reject_negative_alpha(k2_matrix):
+    st = TrajectoryState(0.0, np.array([1.0, -1.0]), np.zeros(2))
+    for f in (lyapunov, lyapunov_gradient):
+        with pytest.raises(NegativeAlpha, match="got min -1"):
+            f(st, k2_matrix)
 
 
 def test_lyapunov_rate_values():
@@ -221,6 +228,7 @@ def test_alpha_collapse_reports_exit_time(k2_matrix):
     with pytest.raises(AlphaCollapse) as exc:
         integrate(TrajectoryState(0.0, 0.8 * eq.a, 1.6 * eq.a), k2_matrix, ZERO, 40.0)
     assert 0.0 < exc.value.t_exit < 40.0
+    assert str(exc.value) == f"alpha fell below the floor 1e-08 at t={exc.value.t_exit:.6g}"
 
 
 def test_step_underflow_on_blowup(k2_matrix):
@@ -277,6 +285,25 @@ def test_options_accept_an_infinite_grid_step():
     assert IntegratorOptions(sample_dt=math.inf).sample_dt == math.inf
 
 
+def test_options_hold_python_floats():
+    # a float32 sample_dt kept as given would build the sample grid in float32
+    opts = IntegratorOptions(rtol=1, atol=0, alpha_floor=np.float32(0.5), sample_dt=np.float32(0.1))
+    names = ("rtol", "atol", "alpha_floor", "sample_dt")
+    assert all(type(getattr(opts, name)) is float for name in names)
+    assert opts.sample_dt == float(np.float32(0.1))
+
+
+@pytest.mark.parametrize(
+    "kw", [{"rtol": 0.0}, {"rtol": -1e-9}, {"atol": -1e-12}, {"alpha_floor": -1e-8}],
+    ids=["rtol-zero", "rtol-negative", "atol-negative", "alpha_floor-negative"],
+)
+def test_options_reject_out_of_range_values(kw):
+    with pytest.raises(InvalidInput):
+        IntegratorOptions(**kw)
+    # zero is the bound that atol and alpha_floor may take
+    assert IntegratorOptions(atol=0.0, alpha_floor=0.0).atol == 0.0
+
+
 def test_oversized_sample_grid_rejected_up_front(k2_matrix, monkeypatch):
     # the grid is counted before it is built: t_end = 1e12 would need 1e13 samples
     start = state_at(k2_equilibrium(k2_matrix))
@@ -293,6 +320,12 @@ def test_oversized_sample_grid_rejected_up_front(k2_matrix, monkeypatch):
     assert integrate(start, k2_matrix, ZERO, 1.0, opts).ts.shape == (11,)
     with pytest.raises(InvalidInput, match="samples"):
         integrate(start, k2_matrix, ZERO, 1.1, opts)
+
+
+def test_last_sample_is_t_end(k2_matrix):
+    # 3 * 0.1 is 0.30000000000000004: a last sample within 1e-12 of t_end is t_end
+    traj = integrate(state_at(k2_equilibrium(k2_matrix)), k2_matrix, ZERO, 0.3)
+    assert traj.ts.tolist() == [0.0, 0.1, 0.2, 0.3]
 
 
 def test_schedule_direction_shape_checked(k2_matrix):
@@ -397,8 +430,16 @@ def test_trajectory_csv_format(k2_matrix):
     assert trajectory_csv(traj) == text
 
 
-def csv_oracle(traj, exp=math.exp):
-    """Reference exporter: every value through its own f-string."""
+def _exp_or_inf(t):
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
+
+
+def csv_oracle(traj, exp=_exp_or_inf):
+    """Reference exporter: every value through its own f-string, s = e^t (inf where it
+    overflows)."""
     k = traj.K
     cols = (
         ["t", "s"]
@@ -428,7 +469,9 @@ def hand_built(states):
     )
 
 
-def test_trajectory_csv_matches_per_value_oracle(k2_matrix, k3_equilateral, family):
+def test_trajectory_csv_matches_per_value_oracle(
+    monkeypatch, k2_matrix, k3_equilateral, family
+):
     opts = IntegratorOptions(sample_dt=0.03)
     eq3 = lift(solve_equilibria(k3_equilateral)[0])
     start3 = TrajectoryState(0.0, eq3.a * np.array([1.01, 0.99, 1.0]), eq3.c.copy())
@@ -453,8 +496,31 @@ def test_trajectory_csv_matches_per_value_oracle(k2_matrix, k3_equilateral, fami
     signed_zero = hand_built([[1.0, 0.0, 0.0, 0.0, 0.0], [1.0, -0.0, 0.0, 0.0, 0.0]])
     rows = trajectory_csv(signed_zero).splitlines()[1:]
     assert [row.split(",")[3] for row in rows] == ["0", "-0"]
-    for traj in (no_eq, with_eq, frozen, frozen_no_eq, restarts, signed_zero):
+    # runs of equal rows across the block boundary: one that crosses it, and one that
+    # ends on it
+    n = dynamics.CSV_ROWS
+    crossing = hand_built([a] * (n + 2) + [b, a])
+    ending = hand_built([a] * n + [b] * 2)
+    # NaN, both infinities and both zeros in the state columns
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1.7976931348623157e308]
+    specials = hand_built([special, special, special[::-1], special[::-1], special])
+    # s = e^t overflows to inf above t ~ 709.78
+    late = Trajectory(
+        ts=np.array([709.0, 709.78, 709.79, 800.0]), alpha=np.ones((4, 2)),
+        beta=np.full((4, 2), 2.0), lyapunov=np.zeros(4), lyapunov_rate=np.zeros(4),
+        dist_to_eq=np.full(4, math.nan),
+    )
+    assert trajectory_csv(late).splitlines()[3].split(",")[1] == "inf"
+    for traj in (frozen, frozen_no_eq, crossing, ending):
         assert trajectory_csv(traj) == csv_oracle(traj)
+    # the short ones also in blocks of one, two and three rows, where runs cross boundaries
+    for traj in (no_eq, with_eq, restarts, signed_zero, specials, late):
+        text = csv_oracle(traj)
+        assert trajectory_csv(traj) == text
+        for rows in (1, 2, 3):
+            monkeypatch.setattr(dynamics, "CSV_ROWS", rows)
+            assert trajectory_csv(traj) == text
+        monkeypatch.undo()
 
 
 def test_diagnostics_match_per_sample_functions(family):
@@ -563,12 +629,52 @@ def test_a_frozen_autonomous_run_stops_stepping(monkeypatch, k2_matrix, kappa, f
     eq15 = k2_closed_form(1.5, kappa)
     assert not np.any(vector_field(state_at(eq15), m15))
     for eq, m, t_end in _frozen_starts(k2_matrix, kappa, family) + [(eq15, m15, 10.0)]:
-        calls.clear()
-        traj = integrate(state_at(eq), m, ZERO, t_end, fine, equilibria=[eq])
-        assert 1 <= len(calls) <= 30  # at least the first step's stages
-        n = len(traj.ts)
-        assert traj.alpha.tobytes() == np.tile(eq.a, (n, 1)).tobytes()
-        assert traj.beta.tobytes() == np.tile(eq.c, (n, 1)).tobytes()
+        # with one sample, at t_end, no step has interpolated before the exit
+        for opts in (fine, IntegratorOptions(sample_dt=math.inf)):
+            calls.clear()
+            traj = integrate(state_at(eq), m, ZERO, t_end, opts, equilibria=[eq])
+            assert 1 <= len(calls) <= 30  # at least the first step's stages
+            n = len(traj.ts)
+            assert traj.alpha.tobytes() == np.tile(eq.a, (n, 1)).tobytes()
+            assert traj.beta.tobytes() == np.tile(eq.c, (n, 1)).tobytes()
+
+
+def test_the_frozen_replay_sets_every_stage_to_the_field(monkeypatch, family):
+    # the replay must not reuse the last step's stages: here every step's third stage
+    # is doubled, which leaves the step's end on the start but would move the replay's
+    # fourth stage input, so only a replay at f(y) takes the exit
+    calls = []
+    field = dynamics._field_raw
+
+    def nudged(views, *rest):
+        field(views, *rest)
+        calls.append(1)
+        if len(calls) % 6 == 4:  # the start's field, then six stages a step
+            out = views[3]
+            out *= 2.0
+
+    monkeypatch.setattr(dynamics, "_field_raw", nudged)
+    eq = lift(family_member(0.37, family))
+    traj = integrate(state_at(eq), family.matrix, ZERO, 3.5, IntegratorOptions(sample_dt=1e-3))
+    assert len(calls) <= 30
+    assert traj.alpha.tobytes() == np.tile(eq.a, (len(traj.ts), 1)).tobytes()
+
+
+def test_a_power_of_two_component_keeps_a_frozen_run_stepping(monkeypatch):
+    # alpha = 1 and beta = 2 with one coupling an ULP under 6: f_alpha = 0 and f_beta =
+    # 2^-50, two spacings of 2 per unit time, so each capped step of 1/8 moves beta a
+    # quarter spacing up and rounds back to 2.  Below 2 the gap is half a spacing; the
+    # exit needs the increment bound, a quarter spacing, under half of that gap, so the
+    # run never exits and steps to t_end, with every sample still the start.
+    c = float(np.nextafter(6.0, 0.0))
+    m = InteractionMatrix(m=np.array([[0.0, c], [c, 0.0]]), kappa=1.0)
+    start = TrajectoryState(0.0, np.ones(2), np.full(2, 2.0))
+    _, f_beta = vector_field(start, m)
+    assert f_beta.tolist() == [2.0**-50] * 2
+    calls = _count_field_calls(monkeypatch)
+    traj = integrate(start, m, ZERO, 1.0, IntegratorOptions(sample_dt=1e-3))
+    assert len(calls) > 1 + 6 * 8  # the first field, then six stages a step
+    assert np.unique(traj.alpha).tolist() == [1.0] and np.unique(traj.beta).tolist() == [2.0]
 
 
 def test_a_forced_run_from_an_equilibrium_keeps_stepping(monkeypatch, k2_matrix, kappa, family):
@@ -659,6 +765,12 @@ def test_integrate_validation(k2_matrix):
         IntegratorOptions(sample_dt=0.0)
     with pytest.raises(InvalidInput):
         integrate(state_at(eq, t=-math.inf), k2_matrix, ZERO, 1.0)
+    # without the check, these would step until StepUnderflow
+    for alpha, beta in (([1.0, math.inf], [2.0, 2.0]), ([1.0, math.nan], [2.0, 2.0]),
+                        ([1.0, 1.0], [2.0, math.nan]), ([1.0, 1.0], [-math.inf, 2.0])):
+        start = TrajectoryState(0.0, np.array(alpha), np.array(beta))
+        with pytest.raises(InvalidInput, match="non-finite"):
+            integrate(start, k2_matrix, ZERO, 1.0)
     # a start below the alpha floor is invalid input, not a collapse at t = 0
     with pytest.raises(InvalidInput, match="below alpha_floor"):
         integrate(state_at(eq), k2_matrix, ZERO, 1.0, IntegratorOptions(alpha_floor=1e3))
@@ -703,12 +815,13 @@ def integrate_oracle(initial, m, schedule, t_end, options, equilibria=None, stat
     formula, plus eps1 and eps2 when forced.  A step's interior samples are its
     continuous extension, one on its end is its solution.  There is no frozen
     exit: the loop steps to t_end, so on a frozen run it also checks the samples
-    and diagnostics integrate fills in.  stats counts evaluations and rejected stages.
+    and diagnostics integrate fills in.  stats counts evaluations, rejected stages
+    and steps rejected for their error.
     """
     k = initial.K
     forced = schedule.kind != "zero" and schedule.amplitude != 0.0
     stats = {} if stats is None else stats
-    stats.update(evaluations=0, rejected_stages=0)
+    stats.update(evaluations=0, rejected_stages=0, rejected_steps=0)
 
     def field(t, y):
         a, b = y[:k], y[k:]
@@ -759,6 +872,7 @@ def integrate_oracle(initial, m, schedule, t_end, options, equilibria=None, stat
         scale = options.atol + options.rtol * np.maximum(np.abs(y), np.abs(y5))
         err = math.sqrt(np.sum((h * (ks.T @ dynamics._DP_E) / scale) ** 2) / (2 * k))
         if err > 1.0:
+            stats["rejected_steps"] += 1
             h = h * max(0.2, 0.9 * err ** (-0.2))
             err_prev = None
             continue
@@ -842,6 +956,10 @@ def test_integrate_matches_readable_oracle(monkeypatch, k2_matrix, k3_equilatera
          k2_matrix, ZERO, 40.0, IntegratorOptions(), None, False),
         ("underflow after rejected stages", TrajectoryState(0.0, 0.8 * eq3.a, 1.6 * eq3.a),
          k2_matrix, ZERO, 40.0, IntegratorOptions(alpha_floor=0.0), None, False),
+        # steps rejected for their error after accepted ones, so the PI controller restarts
+        ("rejected steps", state_at(eq3), k2_matrix,
+         PerturbationSchedule("exponential", amplitude=0.5, rate=5.0), 1.0,
+         IntegratorOptions(), [eq3], False),
     ]
     cases += [
         ("frozen K = 10", state_at(eq10), family.matrix, ZERO, 3.5, fine, [eq10], True),
@@ -862,5 +980,6 @@ def test_integrate_matches_readable_oracle(monkeypatch, k2_matrix, k3_equilatera
     assert outcomes["collapse at a sample"][0][2] == 1e-3
     assert outcomes["collapse at a step end"][0][2] == 1e-2  # the first step's end
     assert outcomes["power K = 3"][2]["rejected_stages"] == 0
+    assert outcomes["rejected steps"][2]["rejected_steps"] == 2
     for label in ("collapse after rejected stages", "underflow after rejected stages"):
         assert outcomes[label][2]["rejected_stages"] > 0
