@@ -8,8 +8,8 @@ whose solutions lift to equilibrium pairs (a, c) = (x^2, 2 x^2).  At a
 solution, conjugating the Jacobian by diag(x) yields 6I - A with the
 symmetric matrix A_ij = 3 m_ij x_i x_j; A always carries the eigenvalue 18
 with eigenvector x^2.  One eigendecomposition of A gives the Newton step, the
-spectrum and the Newton-Kantorovich test, which certifies a solution isolated;
-its uniqueness ball tells a new Newton hit from a known one.
+spectrum and the preconditioner of the Krawczyk test, which certifies a
+solution isolated; its uniqueness box tells a new Newton hit from a known one.
 """
 
 from __future__ import annotations
@@ -93,13 +93,12 @@ class EquilibriumPoint:
 
 @dataclass(frozen=True)
 class IsolationReport:
-    """Spectrum of the symmetrized matrix A and the Newton-Kantorovich certificate."""
+    """Spectrum of the symmetrized matrix A and the Krawczyk certificate."""
 
     eigenvalues: np.ndarray  # sorted ascending
     eig18_residual: float    # ||A u - 18 u|| / ||u||, u = x^2
-    isolated: bool           # the Newton-Kantorovich test passes
-    kantorovich_h: float     # h = beta L eta; the test needs h <= 1/2
-    existence_radius: float  # a true solution lies this close to x; inf if the test fails
+    isolated: bool           # the Krawczyk test passes on some box x +- rho
+    existence_radius: float  # a true solution lies this close to x (max-norm); inf on failure
     uniqueness_radius: float  # and is the only one this close; 0.0 if the test fails
 
 
@@ -165,47 +164,41 @@ def _spectrum(x: np.ndarray, m: InteractionMatrix):
 
 
 def _certificate(x: np.ndarray, m: InteractionMatrix, f: np.ndarray, v, r):
-    """(h, r0, r1) of the Newton-Kantorovich test at x with residual f, in max-norms.
+    """(r0, r1) of the Krawczyk test at x with residual f, on the boxes X = x +- rho.
 
-    beta = ||J^-1||, eta = || |J^-1| (|f| + gamma) || with gamma = (K + 2)
-    2^-53 (6x + m x^3) bounding the rounding of f; J is L-Lipschitz with
-    L = 6 ||m|| (max x + R) on the ball of radius R = max x / 10 around x.
-    J^-1 is known only through X = D^-1 v diag(r) v^T D from _spectrum: delta =
-    ||I - XJ|| + gamma_{K+1} || |X| |J| || bounds E = I - XJ with the
-    rounding of XJ, and delta < 1 gives J^-1 = (I - E)^-1 X, so
-    ||J^-1 w|| <= || |X| |w| || / (1 - delta): beta and eta are those of
-    |X| times (1 + gamma_K) / (1 - delta), and delta >= 1 (a cut) fails the test.
-    If h = beta L eta <= 1/2 and r0 <= R, a solution lies within
-    r0 = (1 - sqrt(1 - 2h)) / (beta L) of x and no other within
-    r1 = min(R, (1 + sqrt(1 - 2h)) / (beta L)) (Ortega & Rheinboldt 1970,
-    12.6.2); a failed test gives r0 = inf and r1 = 0.0.  The test is
-    evaluated in floating point, not in interval arithmetic.
+    For any matrix C, if the Krawczyk operator K(X) = x - C f(x) + (I - C J(X))(X - x)
+    maps X into its interior, X holds exactly one solution (Krawczyk 1969; Rump,
+    Acta Numerica 19, 2010); C = D^-1 v diag(r) v^T D is _spectrum's inverse of J.
+    For rho <= min x, |y^2 - x^2| <= 3 x rho on X, so in max-norms K(X) lies in
+    int X when a + e rho + p rho^2 < rho, with a = || |C| (|f| + g) || (g bounds
+    the rounding of f), e = || |I - C J| || plus the rounding of J and of C J, and
+    p = 9 || |C| m x ||; each sum carries its gamma_n.  A solution then lies within
+    r0, the lower root, and no other within r1, the upper root capped at min x;
+    r0 = inf and r1 = 0.0 when no rho passes.  The test is evaluated in floating
+    point, not in interval arithmetic.
     """
     k = x.shape[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        j = reduced_jacobian(x, m)
-        xinv = (v * r) @ v.T * x / x[:, None]
-        jinv = np.abs(xinv)
-        delta = float(np.add.reduce(np.abs(np.eye(k) - xinv @ j), axis=1).max())
-        delta += _gamma(k + 1) * float(np.add.reduce(jinv @ np.abs(j), axis=1).max())
-        if not delta < 1.0:  # NaN too
-            return math.inf, math.inf, 0.0
-        grow = (1.0 + _gamma(k)) / (1.0 - delta)
-        gamma = (k + 2) * 2.0**-53 * (6.0 * x + m.m @ x**3)
-        beta = float(np.add.reduce(jinv, axis=1).max()) * grow
-        eta = float((jinv @ (np.abs(f) + gamma)).max()) * grow
-        big_r = float(x.max()) / 10.0
-        bl = beta * 6.0 * float(np.add.reduce(m.m, axis=1).max()) * 11.0 * big_r  # max x + R = 11 R
-        h = bl * eta
-        root = math.sqrt(1.0 - 2.0 * h) if h <= 0.5 else math.nan
-        r0 = 2.0 * eta / (1.0 + root)  # (1 - root) / (beta L) without the cancellation
-        if not r0 <= big_r:  # NaN, and so a failure, whenever h > 1/2
-            return h, math.inf, 0.0
-    return h, r0, min(big_r, (1.0 + root) / bl)
+        c = (v * r) @ v.T * x / x[:, None]
+        cabs, j = np.abs(c), reduced_jacobian(x, m)
+        g = _gamma(k + 2) * (6.0 * x + m.m @ x**3)
+        a = (1.0 + _gamma(k + 1)) * float((cabs @ (np.abs(f) + g)).max())
+        e = float(np.add.reduce(np.abs(np.eye(k) - c @ j), axis=1).max())
+        e += _gamma(k + 4) * float(np.add.reduce(cabs @ np.abs(j), axis=1).max())
+        p = 9.0 * (1.0 + _gamma(2 * k + 1)) * float((cabs @ (m.m @ x)).max())
+        b = 1.0 - e
+        disc = b * b - 4.0 * a * p
+        if not (b > 0.0 and disc > 0.0):  # NaN too
+            return math.inf, 0.0
+        root = b + math.sqrt(disc)
+        r0, r1 = 2.0 * a / root, min(root / (2.0 * p), float(x.min()))
+    if not r0 < r1:  # the lower root lies past min x: no box in the orthant passes
+        return math.inf, 0.0
+    return r0, r1
 
 
 def isolation_check(sol: ReducedSolution, m: InteractionMatrix) -> IsolationReport:
-    """Certify (non-)isolation of a solution by the Newton-Kantorovich test (_certificate).
+    """Certify (non-)isolation of a solution by the Krawczyk test (_certificate).
 
     The spectrum of A is reported alongside.  The residual must meet the
     solver's relative form of the bound at its largest tol,
@@ -221,14 +214,13 @@ def isolation_check(sol: ReducedSolution, m: InteractionMatrix) -> IsolationRepo
     a = symmetrized_matrix(sol.x, m)
     eigs, v, r = _spectrum(sol.x, m)
     with np.errstate(over="ignore", invalid="ignore"):  # x^3 may overflow: the test fails
-        h, r0, r1 = _certificate(sol.x, m, reduced_residual(sol.x, m), v, r)
+        r0, r1 = _certificate(sol.x, m, reduced_residual(sol.x, m), v, r)
     u = _pow2_scaled(sol.x) ** 2
     eig18 = float(np.linalg.norm(a @ u - 18.0 * u) / np.linalg.norm(u))
     return IsolationReport(
         eigenvalues=eigs,
         eig18_residual=eig18,
         isolated=r1 > 0.0,
-        kantorovich_h=h,
         existence_radius=r0,
         uniqueness_radius=r1,
     )
@@ -349,7 +341,7 @@ def _ascend(s: _Solve, opts: SolverOptions):
     is tried, and counts only if its G on the sphere is no lower.  At a
     solution the Hessian of G on the sphere is a positive multiple of A - 6I
     off the eigenvector x^2 of the eigenvalue 18, so any other eigenvalue
-    above 6 at a solution the Newton-Kantorovich test isolates marks a
+    above 6 at a solution the Krawczyk test isolates marks a
     saddle: the iterate steps along its eigenvector to higher G and ascends
     again, within the same max_iter steps.
     """
@@ -370,7 +362,7 @@ def _ascend(s: _Solve, opts: SolverOptions):
         mu[np.argmax(np.abs(vecs.T @ hit[0] ** 2))] = -np.inf  # the eigenvalue 18
         # a hit the certificate cannot isolate is kept: on a curve of solutions
         # (the K = 10 family) G is constant, and no direction raises it
-        if mu.max() <= 6.0 or _certificate(hit[0], m, hit[3], vecs, r)[2] == 0.0:
+        if mu.max() <= 6.0 or _certificate(hit[0], m, hit[3], vecs, r)[1] == 0.0:
             return hit
         a, v = u**2, vecs[:, np.argmax(mu)]
         with np.errstate(invalid="ignore"):  # a + s v leaving the orthant gives NaN
@@ -416,7 +408,7 @@ def solve_equilibria(m: InteractionMatrix, options: SolverOptions = SolverOption
         hit = _newton(starts[0][0], solve, options, roots, xbar**2, starts[0][1])
         if hit is not None:
             certify = found[len(radii):] + [hit]
-            radii += [_certificate(x, m, f, *_spectrum(x, m)[1:])[2] for x, _, _, f in certify]
+            radii += [_certificate(x, m, f, *_spectrum(x, m)[1:])[1] for x, _, _, f in certify]
             if all(np.abs(hit[0] - h[0]).max() > max(radii[-1], r) for h, r in zip(found, radii)):
                 found.append(hit)
                 continue

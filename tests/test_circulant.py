@@ -178,6 +178,8 @@ def test_family_coefficients_cases():
         family_coefficients(2.0, 2.0)  # ratio 1 < 3/2
     with pytest.raises(OutOfWindow):
         family_coefficients(-1.0, 1.0)
+    with pytest.raises(OutOfWindow, match="positive"):
+        family_coefficients(-1.0, -0.5)  # ratio 2 is inside the window: not a math ValueError
     a, b = family_coefficients(3.0, 1.5)  # ratio 2
     assert abs(a - math.sqrt(1.2)) <= 1e-15
     assert abs(b - math.sqrt(8.0 / 15.0)) <= 1e-15
@@ -242,10 +244,19 @@ def test_zero_modes_of_interaction_matrix(family):
 
 
 def test_family_member_not_isolated(family):
-    for t in (0.37, 1.23):
-        rep = isolation_check(family_member(t, family), family.matrix)
-        # the Newton-Kantorovich test fails: no existence or uniqueness ball
-        assert not rep.isolated and rep.kantorovich_h > 0.5
+    import bubblefield.equilibrium as eq
+
+    for t in (0.0, 0.37, 1.23):
+        sol = family_member(t, family)
+        rep = isolation_check(sol, family.matrix)
+        # the Krawczyk test fails: the preconditioner C from the spectrum cuts the
+        # curve's tangent, so I - C J keeps a unit direction and no box x +- rho
+        # contracts; there is no existence or uniqueness ball
+        x = sol.x
+        _, v, r = eq._spectrum(x, family.matrix)
+        c = (v * r) @ v.T * x / x[:, None]
+        assert np.abs(np.eye(10) - c @ reduced_jacobian(x, family.matrix)).sum(axis=1).max() >= 1.0
+        assert not rep.isolated
         assert rep.existence_radius == math.inf and rep.uniqueness_radius == 0.0
         assert rep.eig18_residual <= 1e-8
         assert np.min(np.abs(6.0 - rep.eigenvalues)) <= 1e-6
@@ -277,6 +288,31 @@ def test_k10_report_fields(family):
     assert len(rep["lambda"]) == 10
     assert rep["max_family_residual"] <= 1e-9
     assert rep["kernel_residual"] <= 1e-8
+    # the larger ||m v|| / ||v|| of the mode-4 pair, which rounding keeps off 0
+    ks = np.arange(10)
+    pair = (np.cos(4.0 * ks * THETA), np.sin(4.0 * ks * THETA))
+    kernel = max(float(np.linalg.norm(family.matrix.m @ v) / np.linalg.norm(v)) for v in pair)
+    assert rep["kernel_residual"] == kernel > 0.0
+
+
+@pytest.mark.parametrize(
+    "name, broken, match",
+    [
+        ("solve_b0", lambda orig: lambda: 4.70, "modes 4 and 6"),
+        ("circulant_eigenvalue", lambda orig: lambda m, B, k: orig(m, B, k) + 1e-9 * (m == 9),
+         "symmetry"),
+        ("cube_expansion", lambda orig: lambda a, b: (orig(a, b)[0] * (1.0 + 1e-9),) + orig(a, b)[1:],
+         "closure"),
+    ],
+)
+def test_build_family_checks_its_structure(monkeypatch, name, broken, match):
+    # each identity build_family checks, broken alone, is a NumericalFailure: lambda_4 = 0
+    # at B0 (here a B off the root), lambda_{10-m} = lambda_m and lambda_0 A0 = 6a
+    import bubblefield.circulant as circ
+
+    monkeypatch.setattr(circ, name, broken(getattr(circ, name)))
+    with pytest.raises(NumericalFailure, match=match):
+        build_family()
 
 
 @pytest.mark.parametrize("k", [1e5, 1e-4, 1e-200, 1e200])

@@ -29,8 +29,7 @@ TRIANGLE_POINTS = [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0.5, math.sqrt(3.0) / 2.0,
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 # an isolation record is the spectrum and the certificate, each stated once
 ISOLATION_KEYS = {
-    "eigenvalues", "eig18_residual", "isolated",
-    "kantorovich_h", "existence_radius", "uniqueness_radius",
+    "eigenvalues", "eig18_residual", "isolated", "existence_radius", "uniqueness_radius",
 }
 OMEGA_KEYS = {"window", "t_start", "box_min", "box_max", "diameter"}
 

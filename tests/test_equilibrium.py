@@ -160,8 +160,9 @@ def test_isolation_check_large_k(K):
 def assert_certified_near(sol, m, x_star):
     """The certificate passes and its existence ball holds the exact solution x_star."""
     rep = isolation_check(sol, m)
-    assert rep.isolated and rep.kantorovich_h <= 0.5
-    assert rep.existence_radius < rep.uniqueness_radius
+    # the Krawczyk boxes x +- rho pass for every rho between the radii, all inside the orthant
+    assert rep.isolated
+    assert rep.existence_radius < rep.uniqueness_radius <= np.min(sol.x)
     # x_star itself is a float, so allow the few ulp of its own rounding
     ulp = np.max(np.spacing(x_star))
     assert np.max(np.abs(sol.x - x_star)) <= rep.existence_radius + 4.0 * ulp
@@ -471,10 +472,10 @@ def test_k2_closed_form_lies_on_the_solution_box():
     check()
 
 
-def test_certificate_bounds_the_rounded_inverse(monkeypatch, k3_equilateral):
-    # beta and eta come from X = D^-1 v diag(r) v^T D, the spectrum's inverse of J;
-    # an X whose residual ||I - XJ|| reaches 1 bounds nothing, while a merely
-    # scaled one is corrected by 1 / (1 - delta)
+def test_certificate_holds_for_any_preconditioner(monkeypatch, k3_equilateral):
+    # the Krawczyk test is sound for any C, so the spectrum's inverse of J needs no
+    # bound of its own: a C scaled by -1 or 2 leaves ||I - C J|| >= 1 and fails,
+    # and a C scaled by 1/2 halves a, p and 1 - e alike and keeps both radii
     import bubblefield.equilibrium as eq
 
     sol = solve_equilibria(k3_equilateral)[0]
@@ -488,14 +489,132 @@ def test_certificate_bounds_the_rounded_inverse(monkeypatch, k3_equilateral):
             return mu, v, c * r
         return patched
 
-    monkeypatch.setattr(eq, "_spectrum", scaled(-1.0))  # |X| exact, delta = 2
-    bad = isolation_check(sol, k3_equilateral)
-    assert not bad.isolated and bad.kantorovich_h > 0.5
-    assert bad.existence_radius == np.inf and bad.uniqueness_radius == 0.0
-    monkeypatch.setattr(eq, "_spectrum", scaled(0.5))  # |X| too small, delta = 1/2
+    for c in (-1.0, 2.0):
+        monkeypatch.setattr(eq, "_spectrum", scaled(c))
+        bad = isolation_check(sol, k3_equilateral)
+        assert not bad.isolated
+        assert bad.existence_radius == np.inf and bad.uniqueness_radius == 0.0
+    monkeypatch.setattr(eq, "_spectrum", scaled(0.5))
     half = isolation_check(sol, k3_equilateral)
-    assert half.isolated and half.kantorovich_h >= rep.kantorovich_h * (1.0 - 1e-12)
-    assert half.uniqueness_radius <= rep.uniqueness_radius * (1.0 + 1e-12)
+    assert half.isolated
+    assert half.existence_radius == pytest.approx(rep.existence_radius, rel=1e-12)
+    assert half.uniqueness_radius == pytest.approx(rep.uniqueness_radius, rel=1e-12)
+
+
+def certificate_inputs(x, m, f=None):
+    """x, m, the residual (or f) and the spectrum's v and r: _certificate's arguments."""
+    import bubblefield.equilibrium as eq
+
+    _, v, r = eq._spectrum(x, m)
+    return x, m, reduced_residual(x, m) if f is None else f, v, r
+
+
+def k2_one_ulp_off(distance, direction):
+    m = interaction_matrix(build_configuration([[0, 0, 0, 0, 0], [distance, 0, 0, 0, 0]]))
+    x_star = np.sqrt(k2_closed_form(distance, m.kappa).a)
+    return np.nextafter(x_star, direction), x_star, m
+
+
+@pytest.mark.parametrize("direction", [-np.inf, np.inf])
+@pytest.mark.parametrize("distance", [1e-3, 1.0, 2.0, 5.0])
+def test_existence_radius_covers_the_k2_closed_form_one_ulp_away(distance, direction):
+    # the rounding gate, centred: one ulp off the closed form the residual is at
+    # rounding level, and only its rounding bound keeps the closed form in the box
+    x, x_star, m = k2_one_ulp_off(distance, direction)
+    residual = float(np.max(np.abs(reduced_residual(x, m))))
+    rep = isolation_check(ReducedSolution(x=x, residual_norm=residual, tolerance=1e-12), m)
+    assert rep.isolated
+    assert np.max(np.abs(x - x_star)) <= rep.existence_radius < rep.uniqueness_radius
+
+
+def exact_krawczyk(x, m, c):
+    """(a, e, p) of the Krawczyk quadratic at x for the preconditioner c, in exact arithmetic."""
+    from fractions import Fraction
+
+    k = len(x)
+    X = [Fraction(float(t)) for t in x]
+    M = [[Fraction(float(t)) for t in row] for row in m.m]
+    C = [[Fraction(float(t)) for t in row] for row in c]
+    f = [6 * X[i] - sum(M[i][j] * X[j] ** 3 for j in range(k)) for i in range(k)]
+    J = [[6 * (i == j) - 3 * M[i][j] * X[j] ** 2 for j in range(k)] for i in range(k)]
+    mx = [sum(M[i][j] * X[j] for j in range(k)) for i in range(k)]
+    a = max(sum(abs(C[i][j] * f[j]) for j in range(k)) for i in range(k))
+    e = max(
+        sum(abs((i == l) - sum(C[i][j] * J[j][l] for j in range(k))) for l in range(k))
+        for i in range(k)
+    )
+    p = 9 * max(sum(abs(C[i][j]) * mx[j] for j in range(k)) for i in range(k))
+    return a, e, p
+
+
+def test_certificate_holds_in_exact_arithmetic(k3_equilateral):
+    # every box x +- rho with rho between the radii passes the Krawczyk test with
+    # the exact residual and Jacobian at the float x; the quadratic is convex in
+    # rho, so its two ends suffice, and the box stays in the orthant
+    from fractions import Fraction
+
+    import bubblefield.equilibrium as eq
+
+    cases = [k2_one_ulp_off(1.0, d)[::2] for d in (-np.inf, np.inf)]
+    cases.append((solve_equilibria(k3_equilateral)[0].x, k3_equilateral))
+    m5 = random_matrix(5, np.random.default_rng(505))
+    cases += [(s.x, m5) for s in solve_equilibria(m5)]
+    for x, m in cases:
+        x, m, f, v, r = certificate_inputs(x, m)
+        for scale in (1.0, 0.5):  # any preconditioner: the spectrum's, and half of it
+            r0, r1 = eq._certificate(x, m, f, v, scale * r)
+            assert 0.0 < r0 < r1 <= np.min(x)
+            a, e, p = exact_krawczyk(x, m, (v * (scale * r)) @ v.T * x / x[:, None])
+            for rho in (Fraction(r0), Fraction(r1)):
+                assert a + e * rho + p * rho**2 <= rho
+
+
+def test_every_rounding_allowance_widens_the_test(monkeypatch):
+    # four roundings are bounded, each by one gamma_n: of the residual f, of a's
+    # sums, of J and C J, and of p's sums.  Inflating any one alone must move the
+    # radii the safe way, and visibly: a larger existence, a smaller uniqueness box
+    import bubblefield.equilibrium as eq
+
+    args = certificate_inputs(*k2_one_ulp_off(1.0, np.inf)[::2])
+    r0, r1 = eq._certificate(*args)
+    assert r1 < np.min(args[0])  # the upper root, not the cap, so p's allowance can move it
+    gamma, calls = eq._gamma, []
+
+    def inflated(i):
+        def g(n):
+            calls.append(n)
+            return gamma(n) + (2.0**-20 if len(calls) == i + 1 else 0.0)
+        return g
+
+    for i in range(4):
+        calls.clear()
+        monkeypatch.setattr(eq, "_gamma", inflated(i))
+        s0, s1 = eq._certificate(*args)
+        assert s0 >= r0 and s1 <= r1 and (s0 > r0 or s1 < r1), i
+    assert len(calls) == 4
+
+
+def test_uniqueness_radius_is_capped_at_min_x():
+    # |y^2 - x^2| <= 3 x rho only holds for rho <= min x, where the box stays in the
+    # orthant: on this K = 16 solution the quadratic's upper root is 0.080, 15 min x
+    m = cluster_pool()[1]
+    sol = solve_equilibria(m)[0]
+    rep = isolation_check(sol, m)
+    assert rep.isolated and rep.uniqueness_radius == np.min(sol.x)
+
+
+@pytest.mark.parametrize("scale", [8.0, 20.0])
+def test_certificate_fails_when_no_box_passes(scale):
+    # on the solution of the last test, a residual f = scale min x puts the
+    # quadratic's lower root past min x (scale 8: 0.0094 > 0.0055) or leaves it no
+    # real root (scale 20): either way no box x +- rho passes
+    import bubblefield.equilibrium as eq
+
+    m = cluster_pool()[1]
+    x = solve_equilibria(m)[0].x
+    args = certificate_inputs(x, m, np.full(m.K, scale * np.min(x)))
+    assert eq._certificate(*args) == (np.inf, 0.0)
+    assert eq._certificate(*args[:2], args[2] / scale, *args[3:])[0] < np.min(x)
 
 
 def test_spectrum_cuts_the_kernel_on_the_k10_curve(family):
@@ -527,7 +646,7 @@ def test_hit_inside_either_uniqueness_ball_is_a_duplicate(monkeypatch):
 
     def certificate(x, m, f, v, r):
         certified.append(x)
-        return 0.0, 0.0, (gap / 10.0 if len(certified) == 1 else 10.0 * gap)
+        return 0.0, (gap / 10.0 if len(certified) == 1 else 10.0 * gap)
 
     monkeypatch.setattr(eq, "_certificate", certificate)
     assert len(solve_equilibria(m)) == 1
@@ -648,6 +767,36 @@ def test_lift_round_trip(k2_matrix):
     simple = ReducedSolution(x=np.array([1.0, 1.0]), residual_norm=0.0, tolerance=1e-12)
     eq2 = lift(simple)
     assert np.array_equal(eq2.a, [1.0, 1.0]) and np.array_equal(eq2.c, [2.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "result",
+    [
+        lambda m, fam: solve_equilibria(m)[0].x,
+        lambda m, fam: lift(solve_equilibria(m)[0]).a,
+        lambda m, fam: lift(solve_equilibria(m)[0]).c,
+        lambda m, fam: k2_closed_form(1.0, m.kappa).a,
+        lambda m, fam: k2_closed_form(1.0, m.kappa).c,
+        lambda m, fam: fam.lambdas,
+        lambda m, fam: family_member(0.37, fam).x,
+    ],
+    ids=["solve_equilibria.x", "lift.a", "lift.c", "k2_closed_form.a", "k2_closed_form.c",
+         "build_family.lambdas", "family_member.x"],
+)
+def test_returned_arrays_are_read_only(result, k2_matrix, family):
+    # the frozen results hold their arrays read-only, so no caller can change one in place
+    arr = result(k2_matrix, family)
+    with pytest.raises(ValueError, match="read-only"):
+        arr[0] = 0.0
+
+
+def test_a_solution_from_a_seed_leaves_the_seed_writable(family):
+    # a family member given as an extra seed is returned as it is, a new point of the
+    # curve; the solution is a read-only copy, and the caller's array stays writable
+    seed = np.array(family_member(1.23, family).x)
+    sols = solve_equilibria(family.matrix, SolverOptions(extra_seeds=(seed,)))
+    assert any(np.array_equal(s.x, seed) for s in sols)
+    seed[0] = 0.0
 
 
 def test_k2_closed_form_op(kappa):

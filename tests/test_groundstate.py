@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from bubblefield.groundstate import (
     N_PANELS,
@@ -23,6 +24,13 @@ from bubblefield.groundstate import (
 def test_ground_state_values():
     assert ground_state(0.0) == 1.0
     assert abs(ground_state(math.sqrt(15.0)) - 2.0**-1.5) <= 1e-16
+
+
+def test_scalar_in_scalar_out():
+    # a float argument gives a Python float, as the docstrings' "scalars or arrays" say
+    for fn in (ground_state, ground_state_prime, lambda_w):
+        assert type(fn(2.0)) is float
+    assert ground_state_prime(2.0) == -(2.0 / 5.0) * (1.0 + 4.0 / 15.0) ** -2.5
 
 
 def test_ground_state_tail():
@@ -90,6 +98,15 @@ def test_verify_kappa_integrates_each_level_once(monkeypatch):
     monkeypatch.setattr(gs, "_panel_integral", lambda f, *a: levels.append(a[1]) or panel(f, *a))
     verify_kappa()
     assert sorted(levels) == [512, 512, 1024, 1024, 2048, 2048]
+
+
+def test_verify_kappa_raises_when_refinement_diverges(monkeypatch):
+    # panel sums whose differences grow from 512 to 1024 to 2048 panels
+    import bubblefield.groundstate as gs
+
+    monkeypatch.setattr(gs, "_panel_integral", lambda f, r_max, n: float(n))
+    with pytest.raises(gs.QuadratureDiverged, match=r"W\^\(7/3\).*5\.120e\+02 -> 1\.024e\+03"):
+        verify_kappa()
 
 
 # closed forms: int W^(7/3) dx = 8 pi^2 15^(3/2), ||LW||^2 = (63 pi/256) 15^(5/2) * (8 pi^2/3)
