@@ -81,7 +81,7 @@ _REQUIRED = {
 }
 # each sub-object: the option type it builds and the keys that type takes
 _SECTIONS = {
-    "solver": (equilibrium.SolverOptions, {"tol", "n_random", "max_iter"}),
+    "solver": (equilibrium.SolverOptions, {"tol", "n_random"}),
     "integrator": (dynamics.IntegratorOptions, {"rtol", "atol", "alpha_floor", "sample_dt"}),
     "schedule": (dynamics.PerturbationSchedule, {"kind", "amplitude", "rate", "dir1", "dir2"}),
 }

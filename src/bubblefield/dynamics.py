@@ -46,7 +46,6 @@ __all__ = [
     "WindowTooLarge",
     "vector_field",
     "lyapunov",
-    "lyapunov_gradient",
     "lyapunov_rate",
     "integrate",
     "distance_to_set",
@@ -289,17 +288,6 @@ def lyapunov(state: TrajectoryState | Trajectory, m: InteractionMatrix):
     # half of the 2/3-weighted i<j double sum
     coupling = np.matmul(a32[..., None, :], np.matmul(m.m, a32[..., :, None]))[..., 0, 0]
     return 0.5 * np.sum((2.0 * a - b) ** 2, axis=-1) + 3.0 * np.sum(a**2, axis=-1) - coupling / 3.0
-
-
-def lyapunov_gradient(state: TrajectoryState, m: InteractionMatrix):
-    """(dL/dalpha, dL/dbeta) at one state in closed form."""
-    _check_shape(state, m.K, one=True)
-    a, b = state.alpha, state.beta
-    if np.any(a < 0):
-        raise NegativeAlpha(f"alpha must be entrywise >= 0, got min {a.min()}")
-    galpha = 2.0 * (2.0 * a - b) + 6.0 * a - np.sqrt(a) * (m.m @ a**1.5)
-    gbeta = -(2.0 * a - b)
-    return galpha, gbeta
 
 
 def lyapunov_rate(state: TrajectoryState | Trajectory):

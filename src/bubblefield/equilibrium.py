@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 _HALVINGS = 8  # Newton step halvings before a run fails; a converging run needs at most 5
+# iterations of each Newton run and growth steps of the whole ascent; measured need: at
+# most 55 and 20 on the benchmark and test pools, 394 and 410 near the K = 10 curve
+_MAX_ITER = 1000
 MAX_TOL = 1e-8  # the largest solver tol: isolation_check needs max|f| <= MAX_TOL (1 + 6 max|x|)
 
 
@@ -62,7 +65,7 @@ class NoSolutionFound(NumericalFailure):
     """The sphere ascent reached its iteration cap without a solution.
 
     Every configuration has a positive solution, so this is a failure of
-    the solver within options.max_iter, never a proof of non-existence.
+    the solver within _MAX_ITER steps, never a proof of non-existence.
     """
 
 
@@ -104,19 +107,19 @@ class IsolationReport:
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """The solver's settings; its iteration cap is the module constant _MAX_ITER."""
+
     tol: float = 1e-12            # residual max-norm <= tol * (1 + ||6x||_inf); tol <= MAX_TOL
     n_random: int = 64            # deflation budget: deflated Newton runs beyond one per start
-    max_iter: int = 200           # cap on all ascent steps and on each Newton run's iterations
     extra_seeds: tuple = ()       # user-supplied starts for deflated Newton
 
     def __post_init__(self):
         object.__setattr__(self, "tol", real("tol", self.tol))
         if not 0 < self.tol <= MAX_TOL:
             raise InvalidInput(f"tol must be positive and at most {MAX_TOL:g}, got {self.tol}")
-        for name, low in (("n_random", 0), ("max_iter", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-                raise InvalidInput(f"{name} must be an integer >= {low}, got {value!r}")
+        n = self.n_random
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+            raise InvalidInput(f"n_random must be an integer >= 0, got {n!r}")
 
 
 def reduced_residual(x, m: InteractionMatrix) -> np.ndarray:
@@ -275,7 +278,7 @@ def _newton(x, s: _Solve, opts: SolverOptions, roots, scale2=1.0, f=None):
     The step -J^-1 f (from _spectrum, whose cut bounds it where J is near-singular,
     as on non-isolated solution manifolds) is halved until it keeps x > 0,
     checked only up to the first trial that does (halving is exact and
-    rounding monotone), and lowers |M f|^2.  A run fails after max_iter
+    rounding monotone), and lowers |M f|^2.  A run fails after _MAX_ITER
     iterations, as soon as an accepted iterate leaves the box of the solve
     s (min x < s.low (1 - tol)), when it converges to a point with max x
     below s.floor (1 - tol), or when _HALVINGS halvings do not descend: it
@@ -303,7 +306,7 @@ def _newton(x, s: _Solve, opts: SolverOptions, roots, scale2=1.0, f=None):
     floor, low = s.floor * (1.0 - opts.tol), s.low * (1.0 - opts.tol)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f, m0, dd = merit(x, f)
-        for _ in range(opts.max_iter):
+        for _ in range(_MAX_ITER):
             nf = float(np.maximum.reduce(np.abs(f)))
             thresh = opts.tol * (1.0 + 6.0 * float(np.maximum.reduce(x)))  # x > 0 throughout
             if nf <= thresh:
@@ -337,17 +340,17 @@ def _ascend(s: _Solve, opts: SolverOptions):
     The solutions are the rescaled critical points of G on the sphere
     |a| = 1, where G has a maximum inside the positive orthant.  The growth
     transform x <- sqrt(x m x^3) never lowers G; after every 5 of its at most
-    max_iter steps a Newton polish from the iterate rescaled by sqrt(6 / G)
+    _MAX_ITER steps a Newton polish from the iterate rescaled by sqrt(6 / G)
     is tried, and counts only if its G on the sphere is no lower.  At a
     solution the Hessian of G on the sphere is a positive multiple of A - 6I
     off the eigenvector x^2 of the eigenvalue 18, so any other eigenvalue
     above 6 at a solution the Krawczyk test isolates marks a
     saddle: the iterate steps along its eigenvector to higher G and ascends
-    again, within the same max_iter steps.
+    again, within the same _MAX_ITER steps.
     """
     m = s.m
     x = _unit(np.ones(m.K))
-    for _ in range(opts.max_iter // 5):
+    for _ in range(_MAX_ITER // 5):
         for _ in range(5):
             x = _unit(np.sqrt(x * (m.m @ x**3)))
         g = _g(x, m)
@@ -399,7 +402,7 @@ def solve_equilibria(m: InteractionMatrix, options: SolverOptions = SolverOption
     solve = _Solve(m, *_bounds(m))
     found = [_ascend(solve, options)]
     if found[0] is None:
-        raise NoSolutionFound(f"sphere ascent found no solution in max_iter = {options.max_iter}")
+        raise NoSolutionFound(f"sphere ascent found no solution in _MAX_ITER = {_MAX_ITER} steps")
     radii = []  # uniqueness radius of each found solution, certified once a hit needs it
     runs = 1 + options.n_random + len(options.extra_seeds)
     while starts and runs:

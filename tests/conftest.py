@@ -6,6 +6,20 @@ from bubblefield import (
     build_family,
     interaction_matrix,
     kappa_closed_form,
+    points_k10,
+    solve_b0,
+)
+
+# the K = 10 points P0 = points_k10(B0), on the configuration of the curve of
+# solutions, and P0 moved off it: points_k10(B0 (1 + eps)), which keeps m
+# circulant, and P0 + eps N, each N a 10 x 5 standard normal drawn in this
+# order from default_rng(3)
+NEAR_CURVE_B0 = (1e-2, -1e-2, 1e-3, -1e-3, 1e-4, -1e-4, 1e-6, -1e-6)
+NEAR_CURVE_NOISE = (1e-2, 1e-3, 1e-4)
+NEAR_CURVE = (
+    ("P0",)
+    + tuple(f"B0(1{e:+.0e})".replace("e-0", "e-") for e in NEAR_CURVE_B0)
+    + tuple(f"P0+{e:.0e}N".replace("e-0", "e-") for e in NEAR_CURVE_NOISE)
 )
 
 
@@ -38,6 +52,19 @@ def family():
     return build_family()
 
 
+@pytest.fixture(scope="session")
+def near_curve():
+    """The interaction matrix of each NEAR_CURVE configuration, by name."""
+    b0 = solve_b0()
+    p0 = points_k10(b0).points
+    rng = np.random.default_rng(3)
+    pools = [p0] + [points_k10(b0 * (1.0 + e)).points for e in NEAR_CURVE_B0]
+    pools += [p0 + e * rng.normal(size=(10, 5)) for e in NEAR_CURVE_NOISE]
+    return {
+        name: interaction_matrix(build_configuration(pts)) for name, pts in zip(NEAR_CURVE, pools)
+    }
+
+
 def signs(eigenvalues) -> str:
     """'-', '0' or '+' per eigenvalue, '0' within 1e-10 max(max |mu|, 1) of zero."""
     e = np.asarray(eigenvalues)
@@ -51,6 +78,13 @@ def flow_jacobian(eq, m):
     eye = np.eye(eq.K)
     dn = np.diag(0.5 * (m.m @ a**1.5) / np.sqrt(a)) + 1.5 * np.sqrt(np.outer(a, a)) * m.m
     return np.block([[2.0 * eye, -eye], [-dn, 3.0 * eye]])
+
+
+def lyapunov_gradient(state, m):
+    """(dL/dalpha, dL/dbeta) of dynamics.lyapunov at one state, in closed form."""
+    a, b = state.alpha, state.beta
+    galpha = 2.0 * (2.0 * a - b) + 6.0 * a - np.sqrt(a) * (m.m @ a**1.5)
+    return galpha, -(2.0 * a - b)
 
 
 def random_matrix(K, rng, kappa=None, min_sep=0.2):

@@ -51,7 +51,6 @@ from bubblefield.dynamics import (
     TrajectoryState,
     integrate,
     lyapunov,
-    lyapunov_gradient,
     lyapunov_rate,
 )
 from bubblefield.equilibrium import (
@@ -64,7 +63,7 @@ from bubblefield.equilibrium import (
 )
 from bubblefield.groundstate import verify_kappa
 
-from conftest import flow_jacobian, random_matrix
+from conftest import flow_jacobian, lyapunov_gradient, random_matrix
 
 KAPPA = kappa_closed_form()
 ZERO = PerturbationSchedule("zero")

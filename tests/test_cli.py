@@ -354,14 +354,15 @@ def test_equilibrium_index_beyond_those_found_exits_1(tmp_path, capsys, monkeypa
     assert not (tmp_path / "simulate.csv").exists()
 
 
-def test_simulate_from_an_explicit_state_runs_without_equilibria(tmp_path, capsys):
-    # with max_iter 4 the solve raises NoSolutionFound: a run from an explicit state
-    # goes on without equilibria, so its distances are NaN, and one from the directive,
-    # which needs an equilibrium, exits 2
+def test_simulate_from_an_explicit_state_runs_without_equilibria(tmp_path, capsys, monkeypatch):
+    # with the iteration cap at 4 the solve raises NoSolutionFound: a run from an
+    # explicit state goes on without equilibria, so its distances are NaN, and one
+    # from the directive, which needs an equilibrium, exits 2
     eq = lift(solve_equilibria(interaction_matrix(build_configuration(K2_POINTS)))[0])
+    monkeypatch.setattr(equilibrium, "_MAX_ITER", 4)
     doc = dict(
         command="simulate", points=K2_POINTS, schedule={"kind": "zero"}, t_end=0.5,
-        solver={"max_iter": 4}, initial={"alpha": eq.a.tolist(), "beta": eq.c.tolist()},
+        initial={"alpha": eq.a.tolist(), "beta": eq.c.tolist()},
     )
     conf = tmp_path / "run.json"
     conf.write_text(json.dumps(doc))
@@ -598,6 +599,7 @@ MALFORMED = {
     # isolation_check certifies residuals only up to 1e-8 (1 + 6 max x)
     "tol-above-1e-8": {"command": "equilibria", "points": K2_POINTS, "solver": {"tol": 2e-8}},
     "n_random-negative": {"command": "equilibria", "points": K2_POINTS, "solver": {"n_random": -5}},
+    # the iteration cap is a module constant, not a setting
     "max_iter-zero": {"command": "equilibria", "points": K2_POINTS, "solver": {"max_iter": 0}},
     "dedup_radius-unknown-key": {
         "command": "equilibria", "points": K2_POINTS, "solver": {"dedup_radius": 1e-6}
@@ -719,10 +721,9 @@ MALFORMED = {
 
 
 def _never_runs(**kw):
-    """A K = 2 simulate config; with max_iter 4 its solve raises NoSolutionFound (exit 2)."""
+    """A K = 2 simulate config; with _MAX_ITER patched to 4 its solve raises NoSolutionFound."""
     return {
-        "command": "simulate", "points": K2_POINTS, **AT_EQ, "schedule": {"kind": "zero"},
-        "solver": {"max_iter": 4}, **kw,
+        "command": "simulate", "points": K2_POINTS, **AT_EQ, "schedule": {"kind": "zero"}, **kw,
     }
 
 
@@ -788,6 +789,7 @@ MALFORMED_ERROR = {
     "simulate-kappa": "UnknownKey",
     "k3-check-kappa": "UnknownKey",
     "max_step": "UnknownKey",
+    "max_iter-zero": "UnknownKey",
     "t_end-numeric-string": "InvalidInput",
     "amplitude-numeric-string": "InvalidInput",
     "points-too-far-apart": "InvalidInput",
@@ -800,6 +802,8 @@ def test_malformed_config_exits_1(case, tmp_path, capsys, monkeypatch):
     solves = []
     solve = equilibrium.solve_equilibria
     monkeypatch.setattr(equilibrium, "solve_equilibria", lambda *a: solves.append(a) or solve(*a))
+    if case in NEVER_RUNS:  # a run that got past the parser exits 2 with NoSolutionFound
+        monkeypatch.setattr(equilibrium, "_MAX_ITER", 4)
     doc = MALFORMED[case]
     conf = tmp_path / "run.json"
     conf.write_text(json.dumps(doc))
@@ -809,7 +813,7 @@ def test_malformed_config_exits_1(case, tmp_path, capsys, monkeypatch):
     err = json.loads(lines[0])
     assert err["error"] == MALFORMED_ERROR.get(case, err["error"])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
-    assert not (case in NEVER_RUNS and solves)
+    assert not (case in NEVER_RUNS and (solves or err["error"] == "UnknownKey"))
 
 
 # one valid config per command with every settable field present
@@ -817,7 +821,7 @@ FULL_CONFIGS = [
     {
         "command": "equilibria", "seed": 1, "output": "eq.json",
         "points": K2_POINTS,
-        "solver": {"tol": 1e-12, "n_random": 4, "max_iter": 50},
+        "solver": {"tol": 1e-12, "n_random": 4},
     },
     {
         "command": "simulate", "points": K2_POINTS, "t_end": 1.0,

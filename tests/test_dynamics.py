@@ -18,7 +18,6 @@ from bubblefield.dynamics import (
     distance_to_set,
     integrate,
     lyapunov,
-    lyapunov_gradient,
     lyapunov_rate,
     omega_limit_estimate,
     to_physical,
@@ -32,7 +31,7 @@ from bubblefield.equilibrium import (
 )
 from bubblefield.errors import InvalidInput
 
-from conftest import random_matrix
+from conftest import lyapunov_gradient, random_matrix
 
 ZERO = PerturbationSchedule("zero")
 
@@ -89,11 +88,10 @@ def test_lyapunov_values(k2_matrix, kappa):
     assert abs(lyapunov(st, k2_matrix) - (6.0 - 2.0 * kappa / 3.0)) <= 1e-13 * kappa
 
 
-def test_lyapunov_and_its_gradient_reject_negative_alpha(k2_matrix):
+def test_lyapunov_rejects_negative_alpha(k2_matrix):
     st = TrajectoryState(0.0, np.array([1.0, -1.0]), np.zeros(2))
-    for f in (lyapunov, lyapunov_gradient):
-        with pytest.raises(NegativeAlpha, match="got min -1"):
-            f(st, k2_matrix)
+    with pytest.raises(NegativeAlpha, match="got min -1"):
+        lyapunov(st, k2_matrix)
 
 
 def test_lyapunov_rate_values():
@@ -554,8 +552,6 @@ def test_one_state_functions_reject_a_stack(k2_matrix):
     stack = TrajectoryState(0.0, np.ones((2, 2)), 2.0 * np.ones((2, 2)))
     with pytest.raises(InvalidInput):
         vector_field(stack, k2_matrix)
-    with pytest.raises(InvalidInput):
-        lyapunov_gradient(stack, k2_matrix)
 
 
 @pytest.mark.parametrize(
@@ -569,7 +565,6 @@ def test_state_shape_mismatch_raises_invalid_input(k2_matrix, alpha, beta):
     for call in (
         lambda: vector_field(st, k2_matrix),
         lambda: lyapunov(st, k2_matrix),
-        lambda: lyapunov_gradient(st, k2_matrix),
         lambda: distance_to_set(st, [eq]),
     ):
         with pytest.raises(InvalidInput):
