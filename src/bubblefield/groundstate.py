@@ -6,9 +6,10 @@ satisfies
 
     kappa = (3/2) * 15^(3/2) * int_{R^5} W^(7/3) dx / ||LW||_L2^2,
 
-which verify_kappa reproduces with one fixed rule, 8-point Gauss-Legendre on
-N_PANELS panels over [0, R_MAX] plus a two-term analytic power-law tail, and
-compares against the closed form.
+which verify_kappa reproduces with one fixed rule and compares against the
+closed form: r = s / (1 - s) maps [0, 1) onto [0, inf), and 8-point
+Gauss-Legendre on N_PANELS panels of s integrates all of it, with no cut-off
+and no tail expansion.
 """
 
 from __future__ import annotations
@@ -35,16 +36,12 @@ __all__ = [
 OMEGA4 = 8.0 * math.pi**2 / 3.0
 
 GL_NODES_PER_PANEL = 8
-# the rule: panels on [0, R_MAX], checked against N_PANELS / 4 and N_PANELS / 2
-# (at R_MAX = 200 all three sums are bit-equal, see verify_kappa); beyond R_MAX
-# the leading term and first correction of each integrand's power-law
-# expansion are integrated analytically
-R_MAX = 200.0
-N_PANELS = 2048
+# the rule: panels of s = r / (1 + r) on [0, 1), checked against N_PANELS / 2
+N_PANELS = 64
 
 
 class QuadratureDiverged(NumericalFailure):
-    """Panel refinement failed to reduce the estimated quadrature error."""
+    """The quadrature rule and its half-panel check disagree above round-off."""
 
 
 def ground_state(r):
@@ -87,61 +84,32 @@ def _integrand_lw_sq(r):
     return r**4 * lambda_w(r) ** 2
 
 
-def _panel_integral(f, r_max: float, n_panels: int) -> float:
-    edges = np.linspace(0.0, r_max, n_panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
+def _panel_integral(f, n_panels: int) -> float:
+    """int_0^inf f(r) dr by Gauss-Legendre on n_panels equal panels of s = r / (1 + r)."""
     nodes, weights = leggauss(GL_NODES_PER_PANEL)
-    half = 0.5 * (edges[1] - edges[0])
-    pts = mids[:, None] + half * nodes[None, :]
-    return float(half * np.sum(f(pts) @ weights))
-
-
-def _tail_w73(r_max: float) -> float:
-    # r^4 W^(7/3) = 15^(7/2) (r^-3 - (105/2) r^-5 + ...)
-    return 15.0**3.5 / (2.0 * r_max**2) - 15.0**3.5 * 105.0 / (8.0 * r_max**4)
-
-
-def _tail_lw_sq(r_max: float) -> float:
-    # r^4 (LW)^2 = 15^5 ((1/100) r^-2 - (21/20) r^-4 + ...)
-    return 15.0**5 / (100.0 * r_max) - 15.0**5 * 7.0 / (20.0 * r_max**3)
-
-
-def _refinement_failed(coarse: float, mid: float, fine: float) -> bool:
-    """True when the two-level error estimate grew under panel halving.
-
-    Estimates below a relative floor are indistinguishable from round-off and
-    never count as divergence.
-    """
-    est_prev = abs(mid - coarse)
-    est = abs(fine - mid)
-    floor = 1e-13 * (abs(fine) + 1.0)
-    return est > max(est_prev, floor)
+    half = 0.5 / n_panels
+    s = (2.0 * np.arange(n_panels) + 1.0)[:, None] * half + half * nodes
+    return float(half * np.sum((f(s / (1.0 - s)) / (1.0 - s) ** 2) @ weights))
 
 
 def verify_kappa() -> KappaReport:
     """Compute both 5-D radial integrals and compare kappa against the closed form.
 
-    Raises QuadratureDiverged when the two-level error estimate of either
-    integrand grows from 512 to 1024 to 2048 panels above its round-off floor,
-    a guard of the fixed rule against the rounding of the numpy build.  At
-    R_MAX = 200 the three panel sums are bit-equal for both integrands, so
-    both estimates are 0.0 (against floors of 1.8e-11 and 6.4e-11), and the
-    reported rel_error of 4.08e-8 comes entirely from the two-term tail.
+    Raises QuadratureDiverged when the N_PANELS / 2 and N_PANELS sums of
+    either integrand differ by more than the round-off floor
+    1e-13 (|sum| + 1), a guard of the fixed rule against the rounding of the
+    numpy build: they differ by 1.6e-3 and 3.4e-3 of it, while the 8- and
+    16-panel sums, not yet converged, differ by 10 and 22 times it.
     """
     integrals = []
-    for f, tail, name in (
-        (_integrand_w73, _tail_w73, "W^(7/3)"),
-        (_integrand_lw_sq, _tail_lw_sq, "(LW)^2"),
-    ):
-        coarse, mid, fine = (
-            _panel_integral(f, R_MAX, n) for n in (N_PANELS // 4, N_PANELS // 2, N_PANELS)
-        )
-        if _refinement_failed(coarse, mid, fine):
+    for f, name in ((_integrand_w73, "W^(7/3)"), (_integrand_lw_sq, "(LW)^2")):
+        coarse, fine = (_panel_integral(f, n) for n in (N_PANELS // 2, N_PANELS))
+        if abs(fine - coarse) > 1e-13 * (abs(fine) + 1.0):
             raise QuadratureDiverged(
-                f"{name}: error estimate grew under refinement "
-                f"({abs(mid - coarse):.3e} -> {abs(fine - mid):.3e})"
+                f"{name}: {N_PANELS // 2} and {N_PANELS} panels differ by "
+                f"{abs(fine - coarse):.3e}, above round-off"
             )
-        integrals.append(OMEGA4 * (fine + tail(R_MAX)))
+        integrals.append(OMEGA4 * fine)
     i_w73, i_lw = integrals
     kq = 1.5 * 15.0**1.5 * i_w73 / i_lw
     kc = kappa_closed_form()

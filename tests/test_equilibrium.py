@@ -123,13 +123,27 @@ def test_isolation_check_requires_converged_input(k2_matrix, k3_equilateral):
     bad = ReducedSolution(x=np.array([1.0, 1.0]), residual_norm=1e-3, tolerance=1e-3)
     with pytest.raises(InvalidInput):
         isolation_check(bad, k2_matrix)
-    # the bound is relative to the solution's size, as the solver's is
-    x = np.full(2, 1e10)
-    scale = 1.0 + 6.0 * 1e10
-    far = ReducedSolution(x=x, residual_norm=1e-6 * scale, tolerance=1e-12 * scale)
-    with pytest.raises(InvalidInput):
-        isolation_check(far, k2_matrix)
-    isolation_check(replace(far, residual_norm=1e-9 * scale), k2_matrix)
+    # the gate checks the residual at x, not the one stated: twice the K = 2 solution
+    # has max|f| = 18.6, and before, its residual_norm of 0.0 passed the gate and its
+    # eigenvalues (-72, 72) were reported
+    wrong = ReducedSolution(x=2.0 * k2_solution_x(k2_matrix), residual_norm=0.0, tolerance=1e-12)
+    with pytest.raises(InvalidInput, match=r"got 1\.857e\+01"):
+        isolation_check(wrong, k2_matrix)
+    # and a residual that overflows (to NaN: 0 inf on the diagonal) fails it, without a warning
+    with pytest.raises(InvalidInput, match="got nan"):
+        isolation_check(replace(wrong, x=np.full(2, 1e200)), k2_matrix)
+    # the bound is relative to the solution's size, as the solver's is: K = 2 at
+    # distance 7.2e6 has the solution x = 1e10, where the bound is 600; off it by a
+    # relative 1e-6, max|f| is 1.2e5, and by 1e-10 it is 12
+    kappa = k2_matrix.kappa
+    distance = (kappa * 1e20 / 6.0) ** (1.0 / 3.0)
+    m = interaction_matrix(build_configuration([[0, 0, 0, 0, 0], [distance, 0, 0, 0, 0]]))
+    x_star = np.sqrt(k2_closed_form(distance, kappa).a)
+    assert np.allclose(x_star, 1e10, rtol=1e-12, atol=0)
+    far = ReducedSolution(x=x_star * (1.0 + 1e-6), residual_norm=0.0, tolerance=1e-12)
+    with pytest.raises(InvalidInput, match=r"max\|f\| <= 6\.000e\+02 at x, got 1\.200e\+05"):
+        isolation_check(far, m)
+    isolation_check(replace(far, x=x_star * (1.0 + 1e-10)), m)
     # and x must have the matrix's length: before, numpy's broadcast ValueError escaped
     with pytest.raises(InvalidInput, match="2 components"):
         isolation_check(solve_equilibria(k3_equilateral)[0], k2_matrix)
@@ -306,6 +320,12 @@ def test_near_curve_pool(case, near_curve):
     for s in sols:
         assert np.all(s.x > 0)
         assert np.max(np.abs(reduced_residual(s.x, m))) <= s.tolerance
+    if case == "P0+1e-3N":
+        # a deflated run that finds a new solution is repeated from the same start,
+        # and every run spends one of the 1 + n_random: by default four runs hit
+        # and the fifth misses, while n_random = 1 stops after two hits
+        assert len(sols) == 5
+        assert len(solve_equilibria(m, SolverOptions(n_random=1))) == 3
 
 
 def test_residual_evaluations_per_solve(monkeypatch):

@@ -6,14 +6,11 @@ import pytest
 from bubblefield.groundstate import (
     N_PANELS,
     OMEGA4,
-    R_MAX,
     KappaReport,
+    QuadratureDiverged,
     _integrand_lw_sq,
     _integrand_w73,
     _panel_integral,
-    _refinement_failed,
-    _tail_lw_sq,
-    _tail_w73,
     ground_state,
     ground_state_prime,
     lambda_w,
@@ -86,26 +83,40 @@ def test_verify_kappa_default():
     rep = verify_kappa()
     assert rep.integral_w73 > 0 and rep.norm_lw_sq > 0
     assert rep.kappa_quadrature == 1.5 * 15.0**1.5 * rep.integral_w73 / rep.norm_lw_sq
-    assert rep.rel_error <= 1e-6
+    assert rep.rel_error <= 1e-14
 
 
 def test_verify_kappa_integrates_each_level_once(monkeypatch):
-    # the finest level of the refinement check is the reported integral
+    # the finer level of the check is the reported integral
     import bubblefield.groundstate as gs
 
     levels = []
     panel = gs._panel_integral
-    monkeypatch.setattr(gs, "_panel_integral", lambda f, *a: levels.append(a[1]) or panel(f, *a))
+    monkeypatch.setattr(gs, "_panel_integral", lambda f, n: levels.append(n) or panel(f, n))
     verify_kappa()
-    assert sorted(levels) == [512, 512, 1024, 1024, 2048, 2048]
+    assert sorted(levels) == [32, 32, 64, 64]
 
 
 def test_verify_kappa_raises_when_refinement_diverges(monkeypatch):
-    # panel sums whose differences grow from 512 to 1024 to 2048 panels
+    # 32- and 64-panel sums of one integrand that differ by 64 - 32, far above round-off
     import bubblefield.groundstate as gs
 
-    monkeypatch.setattr(gs, "_panel_integral", lambda f, r_max, n: float(n))
-    with pytest.raises(gs.QuadratureDiverged, match=r"W\^\(7/3\).*5\.120e\+02 -> 1\.024e\+03"):
+    panel = gs._panel_integral
+    for bad, name in ((_integrand_w73, r"W\^\(7/3\)"), (_integrand_lw_sq, r"\(LW\)\^2")):
+        monkeypatch.setattr(
+            gs, "_panel_integral", lambda f, n, bad=bad: panel(f, n) + (n if f is bad else 0.0)
+        )
+        with pytest.raises(QuadratureDiverged, match=name + r": 32 and 64 panels differ by 3\.2"):
+            verify_kappa()
+
+
+def test_guard_rejects_an_unconverged_rule(monkeypatch):
+    # at 16 panels the 8- and 16-panel sums still differ by 10 and 22 times the
+    # round-off floor, so the check refuses the coarser rule
+    import bubblefield.groundstate as gs
+
+    monkeypatch.setattr(gs, "N_PANELS", 16)
+    with pytest.raises(QuadratureDiverged, match=r"W\^\(7/3\): 8 and 16 panels"):
         verify_kappa()
 
 
@@ -116,45 +127,17 @@ EXACT_LW_SQ = (8.0 * math.pi**2 / 3.0) * 15.0**2.5 * (9.0 / 4.0) * (7.0 * math.p
 
 def test_verify_kappa_exact_integrals():
     rep = verify_kappa()
-    assert abs(rep.integral_w73 - EXACT_W73) <= 1e-7 * EXACT_W73
-    assert abs(rep.norm_lw_sq - EXACT_LW_SQ) <= 1e-7 * EXACT_LW_SQ
+    assert abs(rep.integral_w73 - EXACT_W73) <= 1e-14 * EXACT_W73
+    assert abs(rep.norm_lw_sq - EXACT_LW_SQ) <= 1e-14 * EXACT_LW_SQ
 
 
 def test_refinement_does_not_worsen():
     # twice the panels of the fixed rule lands no farther from the closed forms
-    for f, tail, exact in (
-        (_integrand_w73, _tail_w73, EXACT_W73),
-        (_integrand_lw_sq, _tail_lw_sq, EXACT_LW_SQ),
-    ):
+    for f, exact in ((_integrand_w73, EXACT_W73), (_integrand_lw_sq, EXACT_LW_SQ)):
         base, fine = (
-            abs(OMEGA4 * (_panel_integral(f, R_MAX, n) + tail(R_MAX)) - exact) / exact
-            for n in (N_PANELS, 2 * N_PANELS)
+            abs(OMEGA4 * _panel_integral(f, n) - exact) / exact for n in (N_PANELS, 2 * N_PANELS)
         )
         assert fine <= 2.0 * base + 1e-15
-
-
-def test_refinement_divergence_detection():
-    # healthy refinement: error estimates shrink
-    assert not _refinement_failed(1.0, 1.01, 1.011)
-    # round-off plateau never counts as divergence
-    assert not _refinement_failed(1.0, 1.0 + 1e-16, 1.0 + 3e-16)
-    # growing estimate on a resolved integral is flagged
-    assert _refinement_failed(1.0, 1.001, 1.005)
-
-
-def test_tail_scales_like_inverse_square():
-    # tail of the W^(7/3) radial integral beyond r_max ~ r_max^-2 for large r_max
-    assert abs(_tail_w73(1e4) / _tail_w73(2e4) - 4.0) < 1e-5
-    # truncation-point independence: panel + tail must agree across r_max
-    # (two-term tails leave a ~r_max^-6 remainder, negligible from 200 up)
-    f = lambda r: r**4 * ground_state(r) ** (7.0 / 3.0)
-    full = {
-        rm: _panel_integral(f, rm, 2048) + _tail_w73(rm)
-        for rm in (200.0, 400.0)
-    }
-    assert abs(full[200.0] - full[400.0]) <= 1e-9 * full[400.0]
-    # exact value of the radial integral: 15^(5/2) / 5
-    assert abs(full[400.0] - 15.0**2.5 / 5.0) <= 1e-9 * full[400.0]
 
 
 def test_report_serialization_roundtrip():
