@@ -107,7 +107,12 @@ class IsolationReport:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """The solver's settings; its iteration cap is the module constant _MAX_ITER."""
+    """The solver's settings; its iteration cap is the module constant _MAX_ITER.
+
+    n_random and extra_seeds shape the deflated search, which makes no run at
+    K <= 3, where the solution is unique (solve_equilibria); seeds are still
+    checked there.
+    """
 
     tol: float = 1e-12            # residual max-norm <= tol * (1 + ||6x||_inf); tol <= MAX_TOL
     n_random: int = 64            # deflation budget: deflated Newton runs beyond one per start
@@ -387,6 +392,20 @@ def solve_equilibria(m: InteractionMatrix, options: SolverOptions = SolverOption
     1 + n_random + len(extra_seeds) runs in all; no random draw is made.  A
     hit is a known solution if within the larger of their uniqueness radii.
     A seed, the symmetric one included, needs x > 0 and a finite residual.
+
+    At K <= 3 the system has exactly one positive solution, so no deflated
+    run is made there (seeds are still checked).  At a solution A has a zero
+    diagonal, positive entries off it and the eigenvalue 18 with eigenvector
+    x^2.  At K = 2 its other eigenvalue is tr A - 18 = -18.  At K = 3 the
+    other two have mu2 + mu3 = -18 and 18 mu2 mu3 = det A = 2 A12 A13 A23 > 0,
+    so both are negative.  Every solution thus has |6 - mu| >= 6 off x^2 and
+    no eigenvalue but 18 above 6: by _ascend's Hessian it is a nondegenerate
+    maximum of G on the sphere, with q = 0 ascent directions.  Cut the sphere
+    to a >= delta: it stays a closed disk, it holds every solution (all have
+    x >= low > 0), and for small delta grad G points strictly inward on its
+    boundary.  Poincare-Hopf (Milnor, Topology from the Differentiable
+    Viewpoint, 1965, ch. 6) for -grad G there gives sum (-1)^q = 1 over the
+    solutions, so there is exactly one.
     """
     k = m.K
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -404,7 +423,8 @@ def solve_equilibria(m: InteractionMatrix, options: SolverOptions = SolverOption
     if found[0] is None:
         raise NoSolutionFound(f"sphere ascent found no solution in _MAX_ITER = {_MAX_ITER} steps")
     radii = []  # uniqueness radius of each found solution, certified once a hit needs it
-    runs = 1 + options.n_random + len(options.extra_seeds)
+    # at K <= 3 the ascent's solution is the only one (see above): no run can find another
+    runs = 0 if k <= 3 else 1 + options.n_random + len(options.extra_seeds)
     while starts and runs:
         runs -= 1
         roots = np.array([np.zeros(k)] + [h[0] for h in found])

@@ -254,6 +254,12 @@ def cluster_pool():
     return [random_matrix(k, ref) for _ in range(16) for k in (12, 16, 20, 24)]
 
 
+def k4_pool():
+    """64 random K = 4 configurations, the smallest K at which deflated runs are made."""
+    rng = np.random.default_rng(1)
+    return [random_matrix(4, rng) for _ in range(64)]
+
+
 def _stable_dimension(sol, m):
     """Negative eigenvalues of the flow Jacobian at lift(sol), checked against A's spectrum.
 
@@ -428,7 +434,7 @@ def newton_oracle(x, m, opts, roots=None, scale=1.0, f=None):
 
 def test_newton_matches_readable_oracle(monkeypatch):
     # every Newton run of the solver, ascent polishes and deflated runs alike,
-    # on the cluster pool and 64 triangle-sweep triangles
+    # on the cluster pool and the K = 4 pool (a triangle makes no deflated run)
     import bubblefield.equilibrium as eq
 
     calls = []
@@ -443,8 +449,7 @@ def test_newton_matches_readable_oracle(monkeypatch):
         return hit
 
     monkeypatch.setattr(eq, "_newton", recorded)
-    rng = np.random.default_rng(1)
-    for m in cluster_pool() + [random_matrix(3, rng) for _ in range(64)]:
+    for m in cluster_pool() + k4_pool():
         solve_equilibria(m)
     assert sum(len(r[3]) == 0 for r in runs) > 100 and sum(len(r[3]) > 0 for r in runs) > 100
     assert sum(r[6] is not None for r in runs) > 100
@@ -482,7 +487,7 @@ def test_newton_fails_on_a_non_finite_step_without_a_warning(monkeypatch, k3_equ
     assert calls == []
 
 
-def test_solution_box_changes_no_solution(monkeypatch, family):
+def test_solution_box_changes_no_solution_and_saves_work_at_k4(monkeypatch, family):
     # a Newton run that leaves the box fails at once; with the bound at 0 it runs
     # on until it stalls, so the box only saves work on runs that find nothing
     import bubblefield.equilibrium as eq
@@ -501,16 +506,16 @@ def test_solution_box_changes_no_solution(monkeypatch, family):
         ]
         return sols, len(calls)
 
-    rng, three = np.random.default_rng(1), np.random.default_rng(104)
+    three = np.random.default_rng(104)
     random_matrix(4, three)  # the second draw has three solutions, two of them maxima
     k2 = interaction_matrix(build_configuration([[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]))
-    triangles = [random_matrix(3, rng) for _ in range(64)]
-    pools = (cluster_pool(), triangles, [k2, random_matrix(4, three), family.matrix])
+    k4 = k4_pool()
+    pools = (cluster_pool(), k4, [k2, random_matrix(4, three), family.matrix])
     for pool, count in zip(pools, (82, 64, 5)):
         boxed, n_boxed = solve_all(pool, box)
         unboxed, n_unboxed = solve_all(pool, lambda m: (box(m)[0], 0.0))
         assert boxed == unboxed and sum(map(len, boxed)) == count
-        assert n_boxed < n_unboxed or pool is not triangles
+        assert n_boxed < n_unboxed or pool is not k4
 
 
 def test_newton_accepts_an_iterate_within_rounding_below_the_box():
@@ -826,6 +831,70 @@ def test_k3_random_triangles_isolated():
             assert signs(e) == "--+"
 
 
+def unique_solution_pool(rng):
+    """Triangles of solve_equilibria's K <= 3 uniqueness proof.
+
+    64 random, 16 near-collinear (three points at least 0.2 apart on a line,
+    moved off it by 1e-3) and 16 with two points 0.3 apart and the third 2 to
+    4 away.  With the third point farther away, A's smallest entries are so
+    small that its second eigenvalue lies within eigh's rounding of 0.
+    """
+    pool = [random_matrix(3, rng) for _ in range(64)]
+    while len(pool) < 80:
+        s = np.sort(rng.uniform(-2.0, 2.0, size=3))
+        if np.min(np.diff(s)) > 0.2:
+            u = rng.normal(size=5)
+            pts = s[:, None] * u / np.linalg.norm(u) + 1e-3 * rng.normal(size=(3, 5))
+            pool.append(interaction_matrix(build_configuration(pts)))
+    for _ in range(16):
+        u, v = (w / np.linalg.norm(w) for w in rng.normal(size=(2, 5)))
+        pts = [np.zeros(5), 0.3 * u, rng.uniform(2.0, 4.0) * v]
+        pool.append(interaction_matrix(build_configuration(pts)))
+    return pool
+
+
+def test_every_solution_at_k_le_3_is_a_nondegenerate_maximum(k2_matrix):
+    # the proof in solve_equilibria: A has a zero diagonal and the eigenvalue 18, so its
+    # other eigenvalue is -18 at K = 2, and at K = 3 the other two sum to -18 with
+    # product det A / 18 = 2 A12 A13 A23 / 18 > 0: no eigenvalue but 18 lies above 6
+    for m in unique_solution_pool(np.random.default_rng(35)) + [k2_matrix]:
+        (sol,) = solve_equilibria(m)
+        a = symmetrized_matrix(sol.x, m)
+        mu, vecs = np.linalg.eigh(a)
+        i18 = np.argmax(np.abs(vecs.T @ sol.x**2))  # the eigenvector x^2
+        assert abs(mu[i18] - 18.0) <= 1e-7 and abs(mu.sum()) <= 1e-12  # tr A = 0
+        assert np.delete(mu, i18).max() < 0.0
+        if m.K == 3:
+            product = 2.0 * a[0, 1] * a[0, 2] * a[1, 2]
+            assert abs(np.linalg.det(a) - product) <= 1e-13 * product
+
+
+def test_no_deflated_run_at_k_le_3(monkeypatch, k2_matrix, k3_equilateral):
+    # the proof leaves a deflated run nothing to find at K <= 3, so none is made, not
+    # even from an extra seed; at K = 4 the symmetric seed's run still is
+    import bubblefield.equilibrium as eq
+
+    newton, deflated = eq._newton, []
+
+    def counted(x, s, opts, roots, scale2=1.0, f=None):
+        deflated.append(len(roots) > 0)
+        return newton(x, s, opts, roots, scale2, f)
+
+    monkeypatch.setattr(eq, "_newton", counted)
+    seeded = SolverOptions(extra_seeds=(np.array([0.4, 0.6, 0.5]),))
+    rng = np.random.default_rng(1)
+    for m, opts in ((k2_matrix, SolverOptions()), (k3_equilateral, SolverOptions()),
+                    (k3_equilateral, seeded), (random_matrix(3, rng), seeded),
+                    (random_matrix(4, rng), SolverOptions())):
+        deflated.clear()
+        assert len(solve_equilibria(m, opts)) == 1
+        assert sum(deflated) == 0 if m.K <= 3 else sum(deflated) >= 1
+    # an extra seed is still checked at K = 3, though no run starts from it
+    for bad in ([0.4, -0.6, 0.5], [0.4, 0.0, 0.5], [0.4, 0.6]):
+        with pytest.raises(InvalidInput):
+            solve_equilibria(k3_equilateral, SolverOptions(extra_seeds=(np.array(bad),)))
+
+
 def test_lift_round_trip(k2_matrix):
     sol = solve_equilibria(k2_matrix)[0]
     eq = lift(sol)
@@ -913,10 +982,10 @@ def test_extra_seed_validation(k2_matrix):
     for bad in ([1.0, -1.0], [np.nan, 1.0], [np.inf, 1.0], [1e200, 1.0], [1e300, 1e300]):
         with pytest.raises(InvalidInput):
             solve_equilibria(k2_matrix, SolverOptions(extra_seeds=(np.array(bad),)))
-    sols = solve_equilibria(
-        k2_matrix, SolverOptions(n_random=0, extra_seeds=(np.array([0.4, 0.6]),))
-    )
+    # a run starts from a seed only at K >= 4
+    m = random_matrix(4, np.random.default_rng(1))
+    sols = solve_equilibria(m, SolverOptions(n_random=0, extra_seeds=(np.full(4, 0.5),)))
     assert len(sols) == 1
     # a seed beside the trivial root 0 meets the residual test at once; the
     # bound max x >= sqrt(6 / max row sum) rejects it
-    assert len(solve_equilibria(k2_matrix, SolverOptions(extra_seeds=(np.full(2, 1e-13),)))) == 1
+    assert len(solve_equilibria(m, SolverOptions(extra_seeds=(np.full(4, 1e-13),)))) == 1
