@@ -24,7 +24,6 @@ have written.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, fields
 
@@ -57,7 +56,8 @@ __all__ = [
 SCHEDULE_KINDS = ("zero", "exponential", "power")
 # cap on the values a run holds, (samples + 1) (2K + 3) with samples = (t_end - t) / sample_dt
 # and 2K + 3 the trajectory's columns, checked before the grid is allocated: 10^6 samples fit
-# at K = 2, and about 3.5 x 10^5 at K = 10
+# at K = 2, and about 3.5 x 10^5 at K = 10.  integrate peaks at about 8 (2K + 5) bytes a
+# sample, 1.09 (K = 10) to 1.29 (K = 2) times 8 bytes a counted value: at most about 82 MB
 MAX_VALUES = 8 * 10**6
 # rows of the trajectory CSV formatted at a time: perfbench's flow-fine runs (at most
 # 3,501 rows) fit in one block, and a streamed block of K = 10 rows is about 2 MB of text
@@ -405,18 +405,16 @@ def integrate(
     t = float(initial.t)
     y = np.concatenate([initial.alpha.astype(float), initial.beta.astype(float)])
 
+    t_stop = t_end - 1e-12 * max(1.0, abs(t_end))  # the loop's end tolerance
     n_samples = int(math.floor((t_end - t) / options.sample_dt + 1e-9))
-    sample_ts = [t + i * options.sample_dt for i in range(1, n_samples + 1)]
-    if not sample_ts or sample_ts[-1] < t_end - 1e-12 * max(1.0, abs(t_end)):
-        sample_ts.append(t_end)
+    # ts[0] = t on its own: t + 0 * sample_dt would turn -0.0 into 0.0, and NaN at inf
+    ts = np.append(t, t + np.arange(1, n_samples + 1) * options.sample_dt)
+    if n_samples == 0 or ts[-1] < t_stop:
+        ts = np.append(ts, t_end)
     else:
-        sample_ts[-1] = t_end
-
-    ts = np.array([t] + sample_ts)
+        ts[-1] = t_end
     ys = np.empty((ts.shape[0], y.shape[0]))
     ys[0] = y
-    basis = np.empty((ts.shape[0], 4))  # the interpolant's polynomials at the samples in a step
-    dense = np.empty((4, y.shape[0]))   # and their coefficients
     ks = np.empty((7, y.shape[0]))  # row 0 carries f(t, y) between steps (FSAL)
     inputs = np.empty((6, y.shape[0]))  # the stage inputs; the last is the 5th-order solution
     y5 = inputs[5]
@@ -427,7 +425,6 @@ def integrate(
         for i in range(1, 7)
     ]
     ks_t = ks.T
-    t_stop = t_end - 1e-12 * max(1.0, abs(t_end))
     h = 1e-2
     err_prev = None
     j = 1  # the first sample not yet written
@@ -458,20 +455,13 @@ def integrate(
             continue
         t_new = t_end if last else t + h
         t_exit = t_new if np.minimum.reduce(y5[:k]) < options.alpha_floor else None
-        j_new = bisect.bisect_right(sample_ts, t_new, j - 1) + 1  # ts[j:j_new] in (t, t_new]
-        j_in = j_new - 1 if j_new > j and sample_ts[j_new - 2] == t_new else j_new
+        j_new = int(ts.searchsorted(t_new, "right"))  # ts[j:j_new] in (t, t_new]
+        j_in = j_new - 1 if j_new > j and ts[j_new - 1] == t_new else j_new
         if j_in > j:  # samples inside the step, from the continuous extension
-            th = basis[j:j_in]
-            np.subtract(ts[j:j_in], t, out=th[:, 0])
-            th[:, 0] /= h
-            np.subtract(1.0, th[:, 0], out=th[:, 1])
-            th[:, 1] *= th[:, 0]
-            np.multiply(th[:, 1], th[:, 0], out=th[:, 2])
-            np.multiply(th[:, 1], th[:, 1], out=th[:, 3])
-            np.matmul(_DP_W, ks, out=dense)
-            dense *= h
+            th = (ts[j:j_in] - t) / h
+            u = (1.0 - th) * th
             seg = ys[j:j_in]
-            np.matmul(th, dense, out=seg)
+            np.matmul(np.column_stack((th, u, u * th, u * u)), h * (_DP_W @ ks), out=seg)
             seg += y
             # no stage evaluation has checked these states: one pass, the mask on failure
             if not (seg[:, :k].min() >= options.alpha_floor and np.isfinite(seg).all()):
@@ -512,8 +502,7 @@ def integrate(
                     err_max = math.sqrt(
                         np.add.reduce((h_max * (ks_t @ _DP_E) / scale) ** 2) / (2 * k)
                     )
-                    np.matmul(_DP_W, ks, out=dense)
-                    dense *= h_max
+                    dense = h_max * (_DP_W @ ks)
                     mag = np.abs(y)
                     half_gap = 0.5 * (mag - np.nextafter(mag, 0.0))  # 0 where y_i is 0
                     if err_max <= 1e-10 and (
@@ -542,10 +531,10 @@ def omega_limit_estimate(traj: Trajectory, window: float) -> OmegaReport:
     if window >= span:
         raise WindowTooLarge(f"window {window} must be smaller than the span {span}")
     t0 = traj.ts[-1] - window
-    sel = traj.ts >= t0 - 1e-12 * max(1.0, abs(t0))
-    cloud = np.hstack([traj.alpha[sel], traj.beta[sel]])
-    box_min = cloud.min(axis=0)
-    box_max = cloud.max(axis=0)
+    i0 = traj.ts.searchsorted(t0 - 1e-12 * max(1.0, abs(t0)))  # ts is sorted
+    alpha, beta = traj.alpha[i0:], traj.beta[i0:]
+    box_min = np.concatenate([alpha.min(axis=0), beta.min(axis=0)])
+    box_max = np.concatenate([alpha.max(axis=0), beta.max(axis=0)])
     return OmegaReport(
         window=window,
         t_start=float(t0),

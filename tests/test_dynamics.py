@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -362,6 +363,15 @@ def test_omega_limit_estimate(k2_matrix):
         with pytest.raises(InvalidInput):
             omega_limit_estimate(traj, window)
     assert omega_limit_estimate(traj, 0.0).t_start == traj.ts[-1]
+    # a window that starts within 1e-12 of a sample takes that sample in
+    forced = PerturbationSchedule("exponential", amplitude=0.01, rate=1.0)
+    moving = integrate(state_at(eq), k2_matrix, forced, 1.0)
+    rep = omega_limit_estimate(moving, moving.ts[-1] - moving.ts[5] - 1e-12)
+    assert moving.ts[5] < rep.t_start < moving.ts[6]
+    cloud = np.hstack([moving.alpha[5:], moving.beta[5:]])
+    assert rep.box_min.tolist() == cloud.min(axis=0).tolist()
+    assert rep.box_max.tolist() == cloud.max(axis=0).tolist()
+    assert rep.box_min.tolist() != np.hstack([moving.alpha[6:], moving.beta[6:]]).min(axis=0).tolist()
 
 
 def test_to_physical_round_trip(k2_matrix):
@@ -600,6 +610,21 @@ def test_equilibria_stay_exactly_fixed_on_a_fine_grid(k2_matrix, kappa, family):
     eq10 = lift(family_member(0.37, family))
     traj = integrate(state_at(eq10), family.matrix, ZERO, 3.5, fine, equilibria=[eq10])
     assert len(traj.ts) == 3501 and np.max(traj.dist_to_eq) == 0.0
+
+
+def test_integrate_holds_no_per_sample_scratch(k2_matrix, kappa):
+    # the grid is built once, as ts, and the dense output of a step spans only the
+    # samples inside it: besides what it returns, a run holds little per sample
+    eq2 = k2_closed_form(1.0, kappa)
+    tracemalloc.start()
+    try:
+        traj = integrate(state_at(eq2), k2_matrix, ZERO, 10.0, IntegratorOptions(sample_dt=1e-3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = (traj.ts, traj.alpha, traj.beta, traj.lyapunov, traj.lyapunov_rate, traj.dist_to_eq)
+    assert traj.ts.shape == (10001,)
+    assert peak <= 1.5 * sum(x.nbytes for x in arrays)
 
 
 def _count_field_calls(monkeypatch):
@@ -978,3 +1003,31 @@ def test_integrate_matches_readable_oracle(monkeypatch, k2_matrix, k3_equilatera
     assert outcomes["rejected steps"][2]["rejected_steps"] == 2
     for label in ("collapse after rejected stages", "underflow after rejected stages"):
         assert outcomes[label][2]["rejected_stages"] > 0
+
+
+def test_sample_grid_edges_match_readable_oracle(k2_matrix, kappa):
+    eq2 = k2_closed_form(1.0, kappa)
+    forced = PerturbationSchedule("exponential", amplitude=0.01, rate=1.0)
+    tenth = IntegratorOptions(sample_dt=0.1)
+    # (label, start time, t_end, options, the grid the run must record)
+    cases = [
+        ("start at -0.0", -0.0, 0.3, tenth, [-0.0, 0.1, 0.2, 0.3]),
+        # 0.1 + 2 * 0.1 is 0.30000000000000004: the samples keep the rounded sums
+        ("off-grid start", 0.1, 1.0, tenth, [0.1 + i * 0.1 for i in range(9)] + [1.0]),
+        # the last sample, 0.30000000000000004, replaced by a t_end within 1e-12 of it
+        ("t_end just inside", 0.0, 0.3 + 5e-13, tenth, [0.0, 0.1, 0.2, 0.3 + 5e-13]),
+        # and kept beside one just outside
+        ("t_end just outside", 0.0, 0.3 + 2e-12, tenth,
+         [0.0, 0.1, 0.2, 0.1 * 3, 0.3 + 2e-12]),
+        ("one sample", 0.0, 1.0, IntegratorOptions(sample_dt=math.inf), [0.0, 1.0]),
+        # no step at all: t_end is within the end tolerance of the start
+        ("no step", 0.0, 5e-13, tenth, [0.0, 5e-13]),
+    ]
+    for label, t0, t_end, opts, grid in cases:
+        start = state_at(eq2, t=t0)
+        got = integrate(start, k2_matrix, forced, t_end, opts, equilibria=[eq2])
+        assert got.ts.tobytes() == np.array(grid).tobytes(), label
+        want = integrate_oracle(start, k2_matrix, forced, t_end, opts, [eq2])
+        assert _outcome(lambda: got) == _outcome(lambda: want), label
+    traj = integrate(state_at(eq2, t=-0.0), k2_matrix, ZERO, 0.3)
+    assert trajectory_csv(traj).split("\n")[1].startswith("-0,1,")
