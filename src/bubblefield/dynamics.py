@@ -24,6 +24,7 @@ have written.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -56,8 +57,8 @@ __all__ = [
 SCHEDULE_KINDS = ("zero", "exponential", "power")
 # cap on the values a run holds, (samples + 1) (2K + 3) with samples = (t_end - t) / sample_dt
 # and 2K + 3 the trajectory's columns, checked before the grid is allocated: 10^6 samples fit
-# at K = 2, and about 3.5 x 10^5 at K = 10.  integrate peaks at about 8 (2K + 5) bytes a
-# sample, 1.09 (K = 10) to 1.29 (K = 2) times 8 bytes a counted value: at most about 82 MB
+# at K = 2, about 3.5 x 10^5 at K = 10.  At any number of equilibria a run peaks at 1.09 (K = 10)
+# to 1.29 (K = 2) times 8 bytes a counted value if it freezes (82 MB), else about 2.0 (128 MB)
 MAX_VALUES = 8 * 10**6
 # rows of the trajectory CSV formatted at a time: perfbench's flow-fine runs (at most
 # 3,501 rows) fit in one block, and a streamed block of K = 10 rows is about 2 MB of text
@@ -305,12 +306,11 @@ def distance_to_set(state: TrajectoryState | Trajectory, equilibria):
     k = state.alpha.shape[-1]
     if any(np.shape(e.a) != (k,) or np.shape(e.c) != (k,) for e in eqs):
         raise InvalidInput(f"every equilibrium must have {k} components, as the state does")
-    ea = np.array([e.a for e in eqs])
-    ec = np.array([e.c for e in eqs])
-    return np.maximum(
-        np.abs(state.alpha[..., None, :] - ea).max(axis=-1),
-        np.abs(state.beta[..., None, :] - ec).max(axis=-1),
-    ).min(axis=-1)
+    # a running minimum, one equilibrium at a time (exact in any order): no n x E x K stack
+    return functools.reduce(np.minimum, (
+        np.maximum(np.abs(state.alpha - e.a).max(axis=-1), np.abs(state.beta - e.c).max(axis=-1))
+        for e in eqs
+    ))
 
 
 # Dormand-Prince 5(4) tableau (FSAL)

@@ -348,6 +348,21 @@ def test_distance_to_set(k2_matrix):
     k3 = EquilibriumPoint(a=np.ones(3), c=2.0 * np.ones(3))
     with pytest.raises(InvalidInput):
         distance_to_set(st, [eq, k3])
+    # a stack against three equilibria, bit for bit as per sample and per equilibrium
+    rng = np.random.default_rng(5)
+    eqs = [EquilibriumPoint(a=rng.normal(size=4), c=rng.normal(size=4)) for _ in range(3)]
+    alpha, beta = rng.normal(size=(20, 4)), rng.normal(size=(20, 4))
+    alpha[3, 1], beta[7, 2] = math.nan, -0.0
+    dist = distance_to_set(TrajectoryState(0.0, alpha, beta), eqs)
+    oracle = [
+        min(max(max(abs(x - y) for x, y in zip(a, e.a)), max(abs(x - y) for x, y in zip(b, e.c)))
+            for e in eqs)
+        for a, b in zip(alpha.tolist(), beta.tolist())
+    ]
+    assert dist.shape == (20,) and np.isnan(dist[3]) and not np.isnan(np.delete(dist, 3)).any()
+    assert np.delete(dist, 3).tobytes() == np.array(oracle[:3] + oracle[4:]).tobytes()
+    one = distance_to_set(TrajectoryState(0.0, alpha[0], beta[0]), eqs)
+    assert type(one) is np.float64 and one == oracle[0]
 
 
 def test_omega_limit_estimate(k2_matrix):
@@ -625,6 +640,24 @@ def test_integrate_holds_no_per_sample_scratch(k2_matrix, kappa):
     arrays = (traj.ts, traj.alpha, traj.beta, traj.lyapunov, traj.lyapunov_rate, traj.dist_to_eq)
     assert traj.ts.shape == (10001,)
     assert peak <= 1.5 * sum(x.nbytes for x in arrays)
+
+
+def test_integrate_memory_does_not_grow_with_the_equilibria(family):
+    # distance_to_set reduces one equilibrium at a time: a forced K = 10 run, which
+    # never freezes, peaks the same with 1 and with 11 equilibria
+    eqs = [lift(family_member(t, family)) for t in np.linspace(0.0, math.tau, 11, endpoint=False)]
+    forced = PerturbationSchedule("exponential", amplitude=0.01, rate=1.0)
+    opts = IntegratorOptions(sample_dt=1e-4)
+    peaks = []
+    for n in (1, 11):
+        tracemalloc.start()
+        try:
+            traj = integrate(state_at(eqs[0]), family.matrix, forced, 1.0, opts, equilibria=eqs[:n])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert traj.ts.shape == (10001,) and traj.dist_to_eq[0] == 0.0
+    assert peaks[1] <= 1.05 * peaks[0]
 
 
 def _count_field_calls(monkeypatch):

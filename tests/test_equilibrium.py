@@ -725,6 +725,32 @@ def test_hit_inside_either_uniqueness_ball_is_a_duplicate(monkeypatch):
     assert len(certified) > 1
 
 
+def test_a_duplicate_hit_leaves_no_radius_behind(monkeypatch):
+    # the symmetric start hits d0, a duplicate of h0 whose radius covers h0; the seed
+    # then hits h1 and, on its repeat, h2 just outside h1's ball.  Were d0's radius
+    # kept, it would stand as h1's, and h2 would be dropped as a duplicate of h1
+    import bubblefield.equilibrium as eq
+
+    m = random_matrix(4, np.random.default_rng(4))
+    h0 = np.array([1.0, 1.1, 1.2, 1.3])
+    d0, h1 = h0 + 1e-2, h0 + 0.5
+    h2 = h1 + 1e-3
+    radius = {tuple(h0): 1e-6, tuple(d0): 1.0, tuple(h1): 1e-6, tuple(h2): 1e-6}
+    hits = [d0, h1, h2]
+
+    def hit(x):
+        return x, 0.0, 1e-12, np.zeros(4)
+
+    def newton(x, s, opts, roots, scale2=1.0, f=None):
+        return hit(hits.pop(0)) if hits else None
+
+    monkeypatch.setattr(eq, "_ascend", lambda s, opts: hit(h0))
+    monkeypatch.setattr(eq, "_newton", newton)
+    monkeypatch.setattr(eq, "_certificate", lambda x, m, f, v, r: (0.0, radius[tuple(x)]))
+    sols = solve_equilibria(m, SolverOptions(extra_seeds=(np.ones(4),)))
+    assert [s.x.tolist() for s in sols] == [h0.tolist(), h1.tolist(), h2.tolist()]
+
+
 def test_eigensolver_failure_in_a_solve_is_a_spectrum_failure(monkeypatch):
     # the Newton steps, the saddle test and the certificates share one eigh:
     # a LinAlgError at its first, a middle or its last call in a solve that
