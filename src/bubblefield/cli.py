@@ -1,10 +1,12 @@
 """Configuration ingestion, subcommand dispatch, and deterministic reports.
 
-One JSON run-config file describes an experiment.  A command has --output,
-and --seed and --tol where it takes "seed" and "solver"; main writes them into
-the document before the one parse.  Randomness (only k3-check's triangles)
-flows from "seed", and every report is written with 17-significant-digit
-floats, so identical config + seed yields byte-identical artifacts.
+One JSON run-config file describes an experiment.  Each command is one row of
+_COMMANDS: its runner, its default artifact, the keys it takes and the keys it
+requires.  A command has --output, and --seed and --tol where it takes "seed"
+and "solver"; main writes them into the document before the one parse.  A
+runner returns its report and run writes it, with the "command" echoed, at
+17-significant-digit floats.  Randomness (only k3-check's triangles) flows
+from "seed", so identical config + seed yields byte-identical artifacts.
 
 Exit codes: 0 success, 1 invalid input (a malformed command line too), 2
 numerical failure; failures also emit a machine-readable JSON object on stderr.
@@ -27,7 +29,6 @@ from .errors import InvalidInput, NumericalFailure, real, reals
 
 __all__ = ["RunConfig", "ParseError", "ValidationError", "UnknownKey", "parse_run_config", "run", "main"]
 
-COMMANDS = ("equilibria", "simulate", "k10", "k3-check", "kappa-check")
 MAX_TRIANGLES = 10**5  # cap on k3-check's n_triangles: a few ms each keeps a run to minutes
 
 
@@ -62,28 +63,13 @@ class RunConfig:
     n_triangles: int = 50
 
 
-# no command takes kappa: each works at the closed form (kappa-check computes it), and a
-# run at another kappa is that run rescaled; the two closed-form checks take no settings
-_COMMON_KEYS = {"command", "output"}
-_ALLOWED_KEYS = {
-    "equilibria": _COMMON_KEYS | {"seed", "points", "solver"},
-    "simulate": _COMMON_KEYS
-    | {"seed", "points", "solver", "integrator", "schedule", "initial", "t_end"},
-    "k10": _COMMON_KEYS,
-    "k3-check": _COMMON_KEYS | {"seed", "n_triangles", "solver"},
-    "kappa-check": _COMMON_KEYS,
-}
-# the keys that a command or a section must give
-_REQUIRED = {
-    "equilibria": {"points"},
-    "simulate": {"points", "schedule", "initial", "t_end"},
-    "schedule": {"kind"},
-}
-# each sub-object: the option type it builds and the keys that type takes
+# each sub-object: the option type it builds, the keys that type takes and those it requires
 _SECTIONS = {
-    "solver": (equilibrium.SolverOptions, {"tol", "n_random"}),
-    "integrator": (dynamics.IntegratorOptions, {"rtol", "atol", "alpha_floor", "sample_dt"}),
-    "schedule": (dynamics.PerturbationSchedule, {"kind", "amplitude", "rate", "dir1", "dir2"}),
+    "solver": (equilibrium.SolverOptions, {"tol", "n_random"}, ()),
+    "integrator": (dynamics.IntegratorOptions, {"rtol", "atol", "alpha_floor", "sample_dt"}, ()),
+    "schedule": (
+        dynamics.PerturbationSchedule, {"kind", "amplitude", "rate", "dir1", "dir2"}, {"kind"}
+    ),
 }
 _AT_EQUILIBRIUM = "start-at-equilibrium:"
 
@@ -122,9 +108,10 @@ def parse_run_config(document: str | dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ValidationError("run config must be a JSON object")
     command = doc.get("command")
-    if command not in COMMANDS:
-        raise ValidationError(f'"command" must be one of {COMMANDS}, got {command!r}')
-    _check_keys(doc, f'"{command}" run config', _ALLOWED_KEYS[command], _REQUIRED.get(command, ()))
+    if not isinstance(command, str) or command not in _COMMANDS:  # a list is unhashable
+        raise ValidationError(f'"command" must be one of {tuple(_COMMANDS)}, got {command!r}')
+    _, _, keys, required = _COMMANDS[command]
+    _check_keys(doc, f'"{command}" run config', keys | {"command", "output"}, required)
     try:
         cfg = _build(doc, command)
     except (TypeError, ValueError, OverflowError) as e:
@@ -157,21 +144,21 @@ def _initial(value):
 
 
 def _build(doc: dict, command: str) -> RunConfig:
-    seed = doc.get("seed", 0)
+    seed = doc.get("seed", RunConfig.seed)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValidationError(f'"seed" must be a non-negative integer, got {seed!r}')
     output = doc.get("output")
     if output is not None and (not isinstance(output, str) or "\x00" in output):
         raise ValidationError('"output" must be a string path without a NUL character')
-    n = doc.get("n_triangles", 50)
+    n = doc.get("n_triangles", RunConfig.n_triangles)
     if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_TRIANGLES:
         raise ValidationError(
             f'"n_triangles" must be an integer from 1 to {MAX_TRIANGLES}, got {n!r}'
         )
     sections = {}
-    for name, (kind, keys) in _SECTIONS.items():
+    for name, (kind, keys, required) in _SECTIONS.items():
         if name in doc:
-            _check_keys(doc[name], f'"{name}"', keys, _REQUIRED.get(name, ()))
+            _check_keys(doc[name], f'"{name}"', keys, required)
             sections[name] = kind(**doc[name])
     return RunConfig(
         command=command,
@@ -237,20 +224,14 @@ def _solutions(m, options: equilibrium.SolverOptions) -> dict:
     return {"count": len(sols), "solutions": [_solution_record(s, m) for s in sols]}
 
 
-def _run_equilibria(cfg: RunConfig) -> None:
+def _run_equilibria(cfg: RunConfig, path: str) -> tuple[str, dict]:
     conf = build_configuration(cfg.points)
     m = interaction_matrix(conf)
-    doc = {
-        "command": "equilibria",
-        "seed": cfg.seed,
-        "kappa": m.kappa,
-        "K": conf.K,
-        **_solutions(m, cfg.solver),
-    }
-    _write(cfg.output or "equilibria.json", _fmt(doc) + "\n")
+    return path, {"seed": cfg.seed, "kappa": m.kappa, "K": conf.K, **_solutions(m, cfg.solver)}
 
 
-def _run_simulate(cfg: RunConfig) -> None:
+def _run_simulate(cfg: RunConfig, path: str) -> tuple[str, dict]:
+    """Stream the trajectory CSV to path; the report is the summary beside it."""
     conf = build_configuration(cfg.points)
     m = interaction_matrix(conf)
     state = cfg.initial
@@ -269,13 +250,11 @@ def _run_simulate(cfg: RunConfig) -> None:
     traj = dynamics.integrate(
         state, m, cfg.schedule, cfg.t_end, cfg.integrator, equilibria=eqs or None
     )
-    out_csv = cfg.output or "simulate.csv"
-    _write(out_csv, dynamics._csv_blocks(traj))  # block by block: no whole CSV is held
+    _write(path, dynamics._csv_blocks(traj))  # block by block: no whole CSV is held
 
     span = float(traj.ts[-1] - traj.ts[0])
     omega = dynamics.omega_limit_estimate(traj, 0.25 * span)
     summary = {
-        "command": "simulate",
         "seed": cfg.seed,
         "kappa": m.kappa,
         "K": traj.K,
@@ -288,14 +267,12 @@ def _run_simulate(cfg: RunConfig) -> None:
         "final_dist_to_eq": float(traj.dist_to_eq[-1]),
         "omega": asdict(omega),
     }
-    root, _ = os.path.splitext(out_csv)
-    _write(root + ".summary.json", _fmt(summary) + "\n")
+    return os.path.splitext(path)[0] + ".summary.json", summary
 
 
-def _run_k10(cfg: RunConfig) -> None:
+def _run_k10(cfg: RunConfig, path: str) -> tuple[str, dict]:
     fam = circulant.build_family()
-    doc = {"command": "k10", "kappa": fam.matrix.kappa, **circulant.k10_report(fam)}
-    _write(cfg.output or "k10.json", _fmt(doc) + "\n")
+    return path, {"kappa": fam.matrix.kappa, **circulant.k10_report(fam)}
 
 
 def _random_triangle(rng: np.random.Generator) -> np.ndarray:
@@ -307,7 +284,7 @@ def _random_triangle(rng: np.random.Generator) -> np.ndarray:
             return pts
 
 
-def _run_k3_check(cfg: RunConfig) -> None:
+def _run_k3_check(cfg: RunConfig, path: str) -> tuple[str, dict]:
     rng = np.random.default_rng(cfg.seed)
     triangles = []
     for _ in range(cfg.n_triangles):
@@ -315,8 +292,7 @@ def _run_k3_check(cfg: RunConfig) -> None:
         m = interaction_matrix(build_configuration(points))
         triangles.append({"points": points, **_solutions(m, cfg.solver)})
     n_isolated = sum(all(s["isolation"]["isolated"] for s in t["solutions"]) for t in triangles)
-    doc = {
-        "command": "k3-check",
+    return path, {
         "seed": cfg.seed,
         "kappa": kappa_closed_form(),
         "n_triangles": cfg.n_triangles,
@@ -324,27 +300,35 @@ def _run_k3_check(cfg: RunConfig) -> None:
         "all_isolated": n_isolated == cfg.n_triangles,
         "triangles": triangles,
     }
-    _write(cfg.output or "k3_check.json", _fmt(doc) + "\n")
 
 
-def _run_kappa_check(cfg: RunConfig) -> None:
-    doc = {"command": "kappa-check", **asdict(groundstate.verify_kappa())}
-    _write(cfg.output or "kappa_check.json", _fmt(doc) + "\n")
+def _run_kappa_check(cfg: RunConfig, path: str) -> tuple[str, dict]:
+    return path, asdict(groundstate.verify_kappa())
 
 
-_RUNNERS = {
-    "equilibria": _run_equilibria,
-    "simulate": _run_simulate,
-    "k10": _run_k10,
-    "k3-check": _run_k3_check,
-    "kappa-check": _run_kappa_check,
+# name: (runner, default artifact, keys besides "command" and "output", required keys);
+# no command takes kappa: each works at the closed form (kappa-check computes it), and a
+# run at another kappa is that run rescaled; the two closed-form checks take no settings
+_COMMANDS = {
+    "equilibria": (_run_equilibria, "equilibria.json", {"seed", "points", "solver"}, {"points"}),
+    "simulate": (
+        _run_simulate,
+        "simulate.csv",
+        {"seed", "points", "solver", "integrator", "schedule", "initial", "t_end"},
+        {"points", "schedule", "initial", "t_end"},
+    ),
+    "k10": (_run_k10, "k10.json", set(), ()),
+    "k3-check": (_run_k3_check, "k3_check.json", {"seed", "n_triangles", "solver"}, ()),
+    "kappa-check": (_run_kappa_check, "kappa_check.json", set(), ()),
 }
 
 
 def run(config: RunConfig) -> int:
-    """Execute a validated run config; returns the process exit code."""
+    """Execute a validated run config and write its report; returns the process exit code."""
+    runner, default = _COMMANDS[config.command][:2]
     try:
-        _RUNNERS[config.command](config)
+        path, report = runner(config, config.output or default)
+        _write(path, _fmt({"command": config.command, **report}) + "\n")
     except (InvalidInput, NumericalFailure, OSError) as e:  # OSError: an unwritable output
         _emit_error(e)
         return 2 if isinstance(e, NumericalFailure) else 1
@@ -363,7 +347,7 @@ def main(argv=None) -> int:
         description="multi-bubble reduction toolkit: equilibria, modulation flow, spectra",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, keys in _ALLOWED_KEYS.items():
+    for name, (_, _, keys, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON run-config file")
         p.add_argument("--output", help="artifact path override")

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import bubblefield
 from bubblefield import cli, dynamics, equilibrium
 from bubblefield.cli import (
     ParseError,
@@ -26,7 +27,8 @@ from conftest import signs
 
 K2_POINTS = [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]
 TRIANGLE_POINTS = [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0.5, math.sqrt(3.0) / 2.0, 0, 0, 0]]
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 # an isolation record is the spectrum and the certificate, each stated once
 ISOLATION_KEYS = {
     "eigenvalues", "eig18_residual", "isolated", "existence_radius", "uniqueness_radius",
@@ -95,6 +97,31 @@ def test_parse_rejects_bad_documents():
             parse_run_config(text)
     with pytest.raises(ValidationError, match='"solver" must be an object'):
         parse_run_config(cfg_text(command="equilibria", points=K2_POINTS, solver=[1]))
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["k10"], {"name": "k10"}, 3, None, True],
+    ids=["list", "object", "number", "null", "true"],
+)
+def test_non_string_command_exits_1(command, tmp_path, capsys):
+    # an unhashable "command" must not reach a lookup in the command table
+    names = "('equilibria', 'simulate', 'k10', 'k3-check', 'kappa-check')"
+    for document in ({"command": command}, json.dumps({"command": command})):
+        with pytest.raises(ValidationError) as e:
+            parse_run_config(document)
+        assert str(e.value) == f'"command" must be one of {names}, got {command!r}'
+    # main compares the file's command with the subcommand's before the parse
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"command": command}))
+    assert main(["k10", "--config", str(conf)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "ValidationError",
+        "message": f"config file says command {command!r} but CLI asked for 'k10'",
+    }
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 def test_parse_simulate_full():
@@ -447,6 +474,41 @@ def test_main_end_to_end(tmp_path, capsys):
     assert main(["equilibria", "--config", str(conf)]) == 1
 
 
+# what each command writes without --output, in the order it prints "wrote <name>"
+DEFAULT_ARTIFACTS = {
+    "equilibria": ["equilibria.json"],
+    "simulate": ["simulate.csv", "simulate.summary.json"],
+    "k10": ["k10.json"],
+    "k3-check": ["k3_check.json"],
+    "kappa-check": ["kappa_check.json"],
+}
+DEFAULT_RUN_CONFIGS = {
+    "equilibria": {"points": K2_POINTS},
+    "simulate": {
+        "points": TRIANGLE_POINTS,
+        "schedule": {"kind": "zero"},
+        "initial": "start-at-equilibrium:0,0",
+        "t_end": 1.0,
+    },
+    "k3-check": {"n_triangles": 1},
+}
+
+
+@pytest.mark.parametrize("command", DEFAULT_ARTIFACTS)
+def test_default_artifacts(command, tmp_path, capsys, monkeypatch):
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"command": command, **DEFAULT_RUN_CONFIGS.get(command, {})}))
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    assert main([command, "--config", str(conf)]) == 0
+    out, err = capsys.readouterr()
+    names = DEFAULT_ARTIFACTS[command]
+    assert out == "".join(f"wrote {name}\n" for name in names) and err == ""
+    assert sorted(p.name for p in run_dir.iterdir()) == sorted(names)
+    assert json.loads((run_dir / names[-1]).read_text())["command"] == command
+
+
 # malformed command lines: argparse's own exit code was 2, the numerical-failure code
 USAGE_ERRORS = {
     "no-command": [],
@@ -483,16 +545,19 @@ def _flags(command, capsys) -> set:
 def test_flags_follow_the_keys(capsys):
     # a flag exists exactly where the key it overrides does
     overrides = {"--output": "output", "--seed": "seed", "--tol": "solver"}
-    for command, keys in cli._ALLOWED_KEYS.items():
+    for command, (_, _, keys, _) in cli._COMMANDS.items():
+        keys = keys | {"command", "output"}
         expected = {"--config"} | {flag for flag, key in overrides.items() if key in keys}
         assert _flags(command, capsys) == expected, command
 
 
 def test_readme_synopsis_matches_parser(capsys):
     synopsis = dict(re.findall(r"^bubblefield (\S+) +(.*)$", README.read_text(), re.M))
-    assert synopsis.keys() == set(cli.COMMANDS)
+    assert synopsis.keys() == cli._COMMANDS.keys()
     for command, line in synopsis.items():
         assert set(re.findall(r"--[a-z]+", line)) == _flags(command, capsys), command
+        # the --output value shown is the command's default artifact
+        assert re.search(r"\[--output (\S+)\]", line)[1] == cli._COMMANDS[command][1], command
 
 
 def test_main_fails_only_with_one_json_line(tmp_path, capsys, monkeypatch):
@@ -515,7 +580,7 @@ def test_main_fails_only_with_one_json_line(tmp_path, capsys, monkeypatch):
     # a flag and its value (often a config file), or a lone flag or value
     configs = st.sampled_from(paths).map(lambda path: ("--config", path))
     tokens = st.tuples(flags, values) | configs | st.tuples(flags | values)
-    argvs = st.tuples(st.sampled_from(cli.COMMANDS) | junk, st.lists(tokens, max_size=4))
+    argvs = st.tuples(st.sampled_from(list(cli._COMMANDS)) | junk, st.lists(tokens, max_size=4))
 
     @hypothesis.settings(max_examples=300, deadline=None, database=None)
     @hypothesis.given(argvs)
@@ -884,29 +949,46 @@ def test_parse_never_raises_outside_invalid_input():
 
 def _readme_table_keys() -> dict:
     """Config keys per command as the README CLI table lists them."""
-    keys = {c: set() for c in cli.COMMANDS}
+    keys = {c: set() for c in cli._COMMANDS}
     for line in README.read_text().splitlines():
         if line.startswith("| `"):
             names, commands = line.split("|")[1:3]
             commands = commands.strip()
-            for c in cli.COMMANDS if commands == "all" else commands.split(", "):
+            for c in cli._COMMANDS if commands == "all" else commands.split(", "):
                 keys[c] |= set(re.findall(r"`([^`]+)`", names))
     return keys
 
 
 def test_readme_config_table_matches_parser():
-    sections = {name: keys for name, (_, keys) in cli._SECTIONS.items()}
+    sections = {name: keys for name, (_, keys, _) in cli._SECTIONS.items()}
     documented = _readme_table_keys()
-    for command, allowed in cli._ALLOWED_KEYS.items():
+    for command, (_, _, keys, _) in cli._COMMANDS.items():
+        allowed = keys | {"command", "output"}
         accepted = {f"{k}.{sub}" for k in allowed & sections.keys() for sub in sections[k]}
         assert documented[command] == accepted | (allowed - sections.keys()), command
 
 
-def test_readme_json_examples_parse():
+def test_readme_json_examples_parse(tmp_path, capsys, monkeypatch):
     examples = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
-    assert examples
-    for text in examples:
+    assert [json.loads(text)["command"] for text in examples] == ["equilibria", "simulate"]
+    monkeypatch.chdir(tmp_path)
+    results = {}
+    for i, text in enumerate(examples):
         assert isinstance(parse_run_config(text), RunConfig)
+        (tmp_path / f"{i}.json").write_text(text)
+        command = json.loads(text)["command"]
+        results[command] = main([command, "--config", f"{i}.json"]), *capsys.readouterr()
+    assert results["equilibria"] == (0, "wrote equilibria.json\n", "")
+    # the simulate example starts off the stable set and blows up: the README says so
+    code, out, err = results["simulate"]
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] == "StepUnderflow"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["0.json", "1.json", "equilibria.json"]
+
+
+def test_version_matches_pyproject():
+    (version,) = re.findall(r'^version = "([^"]+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    assert bubblefield.__version__ == version
 
 
 def test_readme_library_block_runs():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import bubblefield
 from bubblefield.groundstate import (
     N_PANELS,
     OMEGA4,
@@ -156,3 +157,10 @@ def test_report_serialization_roundtrip():
         "rel_error",
     }
     assert KappaReport(**doc) == rep
+
+
+def test_package_exports_the_groundstate_api():
+    # the library is used as `import bubblefield as bf`, so the names reach the package
+    exported = (bubblefield.KappaReport, bubblefield.QuadratureDiverged, bubblefield.ground_state,
+                bubblefield.lambda_w, bubblefield.verify_kappa)
+    assert exported == (KappaReport, QuadratureDiverged, ground_state, lambda_w, verify_kappa)
