@@ -108,9 +108,7 @@ def parse_run_config(document: str | dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ValidationError("run config must be a JSON object")
     command = doc.get("command")
-    if not isinstance(command, str) or command not in _COMMANDS:  # a list is unhashable
-        raise ValidationError(f'"command" must be one of {tuple(_COMMANDS)}, got {command!r}')
-    _, _, keys, required = _COMMANDS[command]
+    _, _, keys, required = _row(command)
     _check_keys(doc, f'"{command}" run config', keys | {"command", "output"}, required)
     try:
         cfg = _build(doc, command)
@@ -323,10 +321,17 @@ _COMMANDS = {
 }
 
 
+def _row(command):
+    """The _COMMANDS row of command; ValidationError if it names no command."""
+    if not isinstance(command, str) or command not in _COMMANDS:  # a list is unhashable
+        raise ValidationError(f'"command" must be one of {tuple(_COMMANDS)}, got {command!r}')
+    return _COMMANDS[command]
+
+
 def run(config: RunConfig) -> int:
     """Execute a validated run config and write its report; returns the process exit code."""
-    runner, default = _COMMANDS[config.command][:2]
     try:
+        runner, default = _row(config.command)[:2]
         path, report = runner(config, config.output or default)
         _write(path, _fmt({"command": config.command, **report}) + "\n")
     except (InvalidInput, NumericalFailure, OSError) as e:  # OSError: an unwritable output

@@ -57,12 +57,12 @@ __all__ = [
 SCHEDULE_KINDS = ("zero", "exponential", "power")
 # cap on the values a run holds, (samples + 1) (2K + 3) with samples = (t_end - t) / sample_dt
 # and 2K + 3 the trajectory's columns, checked before the grid is allocated: 10^6 samples fit
-# at K = 2, about 3.5 x 10^5 at K = 10.  At any number of equilibria a run peaks at 1.09 (K = 10)
-# to 1.29 (K = 2) times 8 bytes a counted value if it freezes (82 MB), else about 2.0 (128 MB)
+# at K = 2, about 3.5 x 10^5 at K = 10.  Frozen or not, at any number of equilibria, a run peaks
+# at 8 bytes a counted value (64 MB at the cap) plus one block: 1.00-1.05 times at 10^5 samples
 MAX_VALUES = 8 * 10**6
-# rows of the trajectory CSV formatted at a time: perfbench's flow-fine runs (at most
-# 3,501 rows) fit in one block, and a streamed block of K = 10 rows is about 2 MB of text
-CSV_ROWS = 4096
+# rows taken at a time by integrate's diagnostics and the CSV writer: perfbench's flow-fine
+# runs (at most 3,501 rows) fit in one block; a streamed K = 10 block is about 2 MB of text
+BLOCK_ROWS = 4096
 
 
 class NegativeAlpha(InvalidInput):
@@ -513,14 +513,16 @@ def integrate(
         ks[0] = ks[6]  # FSAL
     ys[j:] = y  # after a frozen exit, or when t_end is within the end tolerance of the start
 
-    # the rows after row j repeat it, and so do their diagnostics
-    head = TrajectoryState(t=ts[: j + 1], alpha=ys[: j + 1, :k], beta=ys[: j + 1, k:])
-    rep = np.minimum(np.arange(ts.shape[0]), j)
-    dist = distance_to_set(head, eqs)[rep] if eqs else np.full(ts.shape[0], math.nan)
-    return Trajectory(
-        ts=ts, alpha=ys[:, :k], beta=ys[:, k:], lyapunov=lyapunov(head, m)[rep],
-        lyapunov_rate=lyapunov_rate(head)[rep], dist_to_eq=dist,
-    )
+    # row-wise diagnostics of rows 0..j a block at a time, as the CSV is made; later rows repeat j
+    lyap, rate, dist = (np.empty(ts.shape[0]) for _ in range(3))
+    for lo in range(0, min(j + 1, ts.shape[0]), BLOCK_ROWS):
+        rows = slice(lo, min(lo + BLOCK_ROWS, j + 1))
+        part = TrajectoryState(t=ts[rows], alpha=ys[rows, :k], beta=ys[rows, k:])
+        lyap[rows], rate[rows] = lyapunov(part, m), lyapunov_rate(part)
+        dist[rows] = distance_to_set(part, eqs) if eqs else math.nan
+    for col in (lyap, rate, dist):
+        col[j + 1 :] = col[j : j + 1]
+    return Trajectory(ts, ys[:, :k], ys[:, k:], lyap, rate, dist)
 
 
 def omega_limit_estimate(traj: Trajectory, window: float) -> OmegaReport:
@@ -562,7 +564,7 @@ def to_physical(traj: Trajectory):
 
 def _csv_blocks(traj: Trajectory):
     """The CSV of trajectory_csv as consecutive strings: the header line, then one block
-    of up to CSV_ROWS rows at a time, each made from slices of the trajectory's arrays.
+    of up to BLOCK_ROWS rows at a time, each made from slices of the trajectory's arrays.
 
     A block takes two `%` passes: one formats the state columns (alpha through
     dist_to_eq) once for each run of consecutive rows that are equal bit for bit, the
@@ -577,8 +579,8 @@ def _csv_blocks(traj: Trajectory):
     )
     yield ",".join(cols) + "\n"
     state_fmt = ",".join(["%.17g"] * (2 * k + 3)) + "\n"
-    for lo in range(0, traj.ts.shape[0], CSV_ROWS):
-        rows = slice(lo, lo + CSV_ROWS)
+    for lo in range(0, traj.ts.shape[0], BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
         state = np.column_stack([
             traj.alpha[rows], traj.beta[rows],
             traj.lyapunov[rows], traj.lyapunov_rate[rows], traj.dist_to_eq[rows],
@@ -610,7 +612,7 @@ def trajectory_csv(traj: Trajectory) -> str:
     state columns (alpha through dist_to_eq) are formatted once for each run of
     consecutive rows that are equal bit for bit, as a frozen trajectory's are, and
     only t and s are formatted per row; the bytes are those of per-value `%.17g`.
-    The text is made in blocks of CSV_ROWS rows, which the CLI writes to its file
+    The text is made in blocks of BLOCK_ROWS rows, which the CLI writes to its file
     one at a time.
     """
     return "".join(_csv_blocks(traj))

@@ -281,14 +281,12 @@ def _newton(x, s: _Solve, opts: SolverOptions, roots, scale2=1.0, f=None):
     """Damped Newton from x (residual f, if known): (x, max|f|, threshold, f) at a root, or None.
 
     The step -J^-1 f (from _spectrum, whose cut bounds it where J is near-singular,
-    as on non-isolated solution manifolds) is halved until it keeps x > 0,
-    checked only up to the first trial that does (halving is exact and
-    rounding monotone), and lowers |M f|^2.  A run fails after _MAX_ITER
-    iterations, as soon as an accepted iterate leaves the box of the solve
-    s (min x < s.low (1 - tol)), when it converges to a point with max x
-    below s.floor (1 - tol), or when _HALVINGS halvings do not descend: it
-    stalls at a local minimum of |M f|.  The (1 - tol) allows for rounding:
-    K = 2 solutions lie on both bounds.
+    as on non-isolated solution manifolds) is halved until it keeps x > 0 and
+    lowers |M f|^2.  A run fails after _MAX_ITER iterations, as soon as an
+    accepted iterate leaves the box of the solve s (min x < s.low (1 - tol)),
+    when it converges to a point with max x below s.floor (1 - tol), or when
+    _HALVINGS halvings do not descend: it stalls at a local minimum of |M f|.
+    The (1 - tol) allows for rounding: K = 2 solutions lie on both bounds.
     M = prod_r (1 + scale2 / |x - r|^2) over the rows r of roots, and the
     step rescaled by 1 / (1 - grad log M . step) is the Newton step of M f
     (Farrell, Birkisson & Funke, SIAM J. Sci. Comput. 37(4), 2015).  With
@@ -325,11 +323,10 @@ def _newton(x, s: _Solve, opts: SolverOptions, roots, scale2=1.0, f=None):
                 return None
             # skip the halvings from 1 that would leave the orthant
             edge = np.minimum.reduce(-x / step, where=step < 0, initial=np.inf)
-            lam = 2.0 ** min(0.0, np.floor(np.log2(edge))) if edge < 1.0 else 1.0
-            trial = None  # merit(y) of the first y > 0, then of each later y
+            lam = 2.0 ** np.floor(np.log2(edge)) if edge < 1.0 else 1.0
             for h in range(_HALVINGS + 1):
                 y = x + lam * 0.5**h * step
-                if (trial or np.minimum.reduce(y) > 0.0) and (trial := merit(y))[1] < m0:
+                if np.minimum.reduce(y) > 0.0 and (trial := merit(y))[1] < m0:
                     break
             else:
                 return None

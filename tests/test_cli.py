@@ -124,6 +124,19 @@ def test_non_string_command_exits_1(command, tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
+@pytest.mark.parametrize("command", ["fly", ["k10"]], ids=["unknown", "list"])
+def test_run_rejects_a_command_without_a_row(command, tmp_path, capsys, monkeypatch):
+    # a RunConfig built by hand, not parsed: the same error line as the parse, and exit 1
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValidationError) as e:
+        parse_run_config({"command": command})
+    assert run(RunConfig(command=command)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": "ValidationError", "message": str(e.value)}
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_parse_simulate_full():
     cfg = parse_run_config(
         cfg_text(
@@ -253,8 +266,8 @@ def test_simulate_writes_its_csv_block_by_block(tmp_path, capsys, monkeypatch):
         integrator={"sample_dt": 0.01},
     ))
     texts = []
-    for rows in (dynamics.CSV_ROWS, 7):
-        monkeypatch.setattr(dynamics, "CSV_ROWS", rows)
+    for rows in (dynamics.BLOCK_ROWS, 7):
+        monkeypatch.setattr(dynamics, "BLOCK_ROWS", rows)
         out = tmp_path / f"blocks{rows}.csv"
         assert main(["simulate", "--config", str(conf), "--output", str(out)]) == 0
         assert capsys.readouterr().out == f"wrote {out}\nwrote {out.with_suffix('.summary.json')}\n"

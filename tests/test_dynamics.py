@@ -521,7 +521,7 @@ def test_trajectory_csv_matches_per_value_oracle(
     assert [row.split(",")[3] for row in rows] == ["0", "-0"]
     # runs of equal rows across the block boundary: one that crosses it, and one that
     # ends on it
-    n = dynamics.CSV_ROWS
+    n = dynamics.BLOCK_ROWS
     crossing = hand_built([a] * (n + 2) + [b, a])
     ending = hand_built([a] * n + [b] * 2)
     # NaN, both infinities and both zeros in the state columns
@@ -541,35 +541,50 @@ def test_trajectory_csv_matches_per_value_oracle(
         text = csv_oracle(traj)
         assert trajectory_csv(traj) == text
         for rows in (1, 2, 3):
-            monkeypatch.setattr(dynamics, "CSV_ROWS", rows)
+            monkeypatch.setattr(dynamics, "BLOCK_ROWS", rows)
             assert trajectory_csv(traj) == text
         monkeypatch.undo()
 
 
-def test_diagnostics_match_per_sample_functions(family):
+def test_diagnostics_match_per_sample_functions(monkeypatch, family):
     # forcing along the chord between two points of the equilibrium curve
     # carries the state from the first towards the second
     e1, e2 = lift(family_member(0.30, family)), lift(family_member(0.34, family))
     sch = PerturbationSchedule(
         "exponential", amplitude=1.0, rate=1.0, dir1=e2.a - e1.a, dir2=e2.c - e1.c
     )
-    traj = integrate(
-        state_at(e1), family.matrix, sch, 1.0, IntegratorOptions(sample_dt=0.05),
-        equilibria=[e1, e2],
-    )
+    opts = IntegratorOptions(sample_dt=0.05)
+    runs = [  # forced, frozen and without equilibria, 21 samples each
+        lambda: integrate(state_at(e1), family.matrix, sch, 1.0, opts, equilibria=[e1, e2]),
+        lambda: integrate(state_at(e1), family.matrix, ZERO, 1.0, opts, equilibria=[e1, e2]),
+        lambda: integrate(state_at(e1), family.matrix, sch, 1.0, opts),
+    ]
+    whole = [run() for run in runs]
+    # in blocks of 7 rows the 21 span 3 blocks: every array keeps its bytes
+    monkeypatch.setattr(dynamics, "BLOCK_ROWS", 7)
+    blocked = [run() for run in runs]
+    for a, b in zip(whole, blocked):
+        for name in ("ts", "alpha", "beta", "lyapunov", "lyapunov_rate", "dist_to_eq"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    traj, frozen, no_eq = blocked
+    assert np.all(np.isnan(no_eq.dist_to_eq)) and no_eq.ts.shape == (21,)
+    assert np.array_equal(no_eq.lyapunov, traj.lyapunov)
     samples = states(traj)
     nearer_first = [distance_to_set(st, [e1]) < distance_to_set(st, [e2]) for st in samples]
     assert any(nearer_first) and not all(nearer_first)
-    lyap = np.array([lyapunov(st, family.matrix) for st in samples])
-    rate = np.array([lyapunov_rate(st) for st in samples])
-    dist = np.array([distance_to_set(st, [e1, e2]) for st in samples])
-    for per_sample, whole, recorded in (
-        (lyap, lyapunov(traj, family.matrix), traj.lyapunov),
-        (rate, lyapunov_rate(traj), traj.lyapunov_rate),
-        (dist, distance_to_set(traj, [e1, e2]), traj.dist_to_eq),
-    ):
-        assert np.array_equal(recorded, per_sample)
-        assert np.array_equal(recorded, whole)
+    for t in (traj, frozen):
+        samples = states(t)
+        lyap = np.array([lyapunov(st, family.matrix) for st in samples])
+        rate = np.array([lyapunov_rate(st) for st in samples])
+        dist = np.array([distance_to_set(st, [e1, e2]) for st in samples])
+        for per_sample, stack, recorded in (
+            (lyap, lyapunov(t, family.matrix), t.lyapunov),
+            (rate, lyapunov_rate(t), t.lyapunov_rate),
+            (dist, distance_to_set(t, [e1, e2]), t.dist_to_eq),
+        ):
+            assert np.array_equal(recorded, per_sample)
+            assert np.array_equal(recorded, stack)
+    assert np.max(frozen.dist_to_eq) == 0.0
 
 
 def test_one_state_functions_reject_a_stack(k2_matrix):
@@ -628,18 +643,24 @@ def test_equilibria_stay_exactly_fixed_on_a_fine_grid(k2_matrix, kappa, family):
 
 
 def test_integrate_holds_no_per_sample_scratch(k2_matrix, kappa):
-    # the grid is built once, as ts, and the dense output of a step spans only the
-    # samples inside it: besides what it returns, a run holds little per sample
+    # the grid is built once, as ts, the dense output of a step spans only the samples
+    # inside it, and the diagnostics are made a block at a time into the returned arrays:
+    # besides what it returns, a run that freezes or never does holds little per sample
     eq2 = k2_closed_form(1.0, kappa)
-    tracemalloc.start()
-    try:
-        traj = integrate(state_at(eq2), k2_matrix, ZERO, 10.0, IntegratorOptions(sample_dt=1e-3))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    arrays = (traj.ts, traj.alpha, traj.beta, traj.lyapunov, traj.lyapunov_rate, traj.dist_to_eq)
-    assert traj.ts.shape == (10001,)
-    assert peak <= 1.5 * sum(x.nbytes for x in arrays)
+    forced = PerturbationSchedule("exponential", amplitude=0.01, rate=1.0)
+    for schedule, t_end, dt, bound in ((ZERO, 10.0, 1e-3, 1.05), (forced, 1.0, 1e-5, 1.10)):
+        opts = IntegratorOptions(sample_dt=dt)
+        tracemalloc.start()
+        try:
+            traj = integrate(state_at(eq2), k2_matrix, schedule, t_end, opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = (
+            traj.ts, traj.alpha, traj.beta, traj.lyapunov, traj.lyapunov_rate, traj.dist_to_eq
+        )
+        assert traj.ts.shape == (round(t_end / dt) + 1,)
+        assert peak <= bound * sum(x.nbytes for x in arrays)
 
 
 def test_integrate_memory_does_not_grow_with_the_equilibria(family):
@@ -690,6 +711,19 @@ def test_a_frozen_autonomous_run_stops_stepping(monkeypatch, k2_matrix, kappa, f
             n = len(traj.ts)
             assert traj.alpha.tobytes() == np.tile(eq.a, (n, 1)).tobytes()
             assert traj.beta.tobytes() == np.tile(eq.c, (n, 1)).tobytes()
+
+
+def test_frozen_diagnostics_are_evaluated_on_the_head_only(monkeypatch, k2_matrix, kappa, family):
+    # the exit comes after the first step, of 0.01: rows 0 to 11 (t = 0.011) are the
+    # head, and the thousands of rows after it copy row 11's diagnostics
+    seen = []
+    rate = dynamics.lyapunov_rate
+    monkeypatch.setattr(dynamics, "lyapunov_rate", lambda st: seen.append(len(st.t)) or rate(st))
+    for eq, m, t_end in _frozen_starts(k2_matrix, kappa, family):
+        seen.clear()
+        traj = integrate(state_at(eq), m, ZERO, t_end, IntegratorOptions(sample_dt=1e-3))
+        assert seen == [12] and len(traj.ts) > 3000
+        assert np.unique(traj.lyapunov_rate).shape == (1,)
 
 
 def test_the_frozen_replay_sets_every_stage_to_the_field(monkeypatch, family):
