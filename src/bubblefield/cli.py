@@ -5,8 +5,8 @@ _COMMANDS: its runner, its default artifact, the keys it takes and the keys it
 requires.  A command has --output, and --seed and --tol where it takes "seed"
 and "solver"; main writes them into the document before the one parse.  A
 runner returns its report and run writes it, with the "command" echoed, at
-17-significant-digit floats.  Randomness (only k3-check's triangles) flows
-from "seed", so identical config + seed yields byte-identical artifacts.
+17-significant-digit floats, so identical config + seed yields byte-identical
+artifacts.
 
 Exit codes: 0 success, 1 invalid input (a malformed command line too), 2
 numerical failure; failures also emit a machine-readable JSON object on stderr.
@@ -24,12 +24,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import circulant, dynamics, equilibrium, groundstate
-from .config import build_configuration, interaction_matrix, kappa_closed_form
+from .config import build_configuration, interaction_matrix
 from .errors import InvalidInput, NumericalFailure, real, reals
 
 __all__ = ["RunConfig", "ParseError", "ValidationError", "UnknownKey", "parse_run_config", "run", "main"]
-
-MAX_TRIANGLES = 10**5  # cap on k3-check's n_triangles: a few ms each keeps a run to minutes
 
 
 class ParseError(InvalidInput):
@@ -60,7 +58,6 @@ class RunConfig:
     schedule: dynamics.PerturbationSchedule | None = None
     initial: dynamics.TrajectoryState | tuple | None = None  # or (index, offset) of the directive
     t_end: float | None = None
-    n_triangles: int = 50
 
 
 # each sub-object: the option type it builds, the keys that type takes and those it requires
@@ -148,11 +145,6 @@ def _build(doc: dict, command: str) -> RunConfig:
     output = doc.get("output")
     if output is not None and (not isinstance(output, str) or "\x00" in output):
         raise ValidationError('"output" must be a string path without a NUL character')
-    n = doc.get("n_triangles", RunConfig.n_triangles)
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_TRIANGLES:
-        raise ValidationError(
-            f'"n_triangles" must be an integer from 1 to {MAX_TRIANGLES}, got {n!r}'
-        )
     sections = {}
     for name, (kind, keys, required) in _SECTIONS.items():
         if name in doc:
@@ -165,7 +157,6 @@ def _build(doc: dict, command: str) -> RunConfig:
         points=reals('"points"', doc["points"]) if "points" in doc else None,
         initial=_initial(doc["initial"]) if "initial" in doc else None,
         t_end=real('"t_end"', doc["t_end"]) if "t_end" in doc else None,
-        n_triangles=n,
         **sections,
     )
 
@@ -216,16 +207,13 @@ def _solution_record(sol: equilibrium.ReducedSolution, m) -> dict:
     }
 
 
-def _solutions(m, options: equilibrium.SolverOptions) -> dict:
-    """The count and solutions of an equilibria report, one _solution_record each."""
-    sols = equilibrium.solve_equilibria(m, options)
-    return {"count": len(sols), "solutions": [_solution_record(s, m) for s in sols]}
-
-
 def _run_equilibria(cfg: RunConfig, path: str) -> tuple[str, dict]:
     conf = build_configuration(cfg.points)
     m = interaction_matrix(conf)
-    return path, {"seed": cfg.seed, "kappa": m.kappa, "K": conf.K, **_solutions(m, cfg.solver)}
+    sols = [_solution_record(s, m) for s in equilibrium.solve_equilibria(m, cfg.solver)]
+    return path, {
+        "seed": cfg.seed, "kappa": m.kappa, "K": conf.K, "count": len(sols), "solutions": sols
+    }
 
 
 def _run_simulate(cfg: RunConfig, path: str) -> tuple[str, dict]:
@@ -273,33 +261,6 @@ def _run_k10(cfg: RunConfig, path: str) -> tuple[str, dict]:
     return path, {"kappa": fam.matrix.kappa, **circulant.k10_report(fam)}
 
 
-def _random_triangle(rng: np.random.Generator) -> np.ndarray:
-    # rejection-sample three well-separated points in R^5
-    while True:
-        pts = rng.normal(size=(3, 5))
-        d = [np.linalg.norm(pts[i] - pts[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
-        if min(d) > 0.2:
-            return pts
-
-
-def _run_k3_check(cfg: RunConfig, path: str) -> tuple[str, dict]:
-    rng = np.random.default_rng(cfg.seed)
-    triangles = []
-    for _ in range(cfg.n_triangles):
-        points = _random_triangle(rng)
-        m = interaction_matrix(build_configuration(points))
-        triangles.append({"points": points, **_solutions(m, cfg.solver)})
-    n_isolated = sum(all(s["isolation"]["isolated"] for s in t["solutions"]) for t in triangles)
-    return path, {
-        "seed": cfg.seed,
-        "kappa": kappa_closed_form(),
-        "n_triangles": cfg.n_triangles,
-        "n_isolated": n_isolated,
-        "all_isolated": n_isolated == cfg.n_triangles,
-        "triangles": triangles,
-    }
-
-
 def _run_kappa_check(cfg: RunConfig, path: str) -> tuple[str, dict]:
     return path, asdict(groundstate.verify_kappa())
 
@@ -316,7 +277,6 @@ _COMMANDS = {
         {"points", "schedule", "initial", "t_end"},
     ),
     "k10": (_run_k10, "k10.json", set(), ()),
-    "k3-check": (_run_k3_check, "k3_check.json", {"seed", "n_triangles", "solver"}, ()),
     "kappa-check": (_run_kappa_check, "kappa_check.json", set(), ()),
 }
 

@@ -23,8 +23,6 @@ from bubblefield.config import build_configuration, interaction_matrix, kappa_cl
 from bubblefield.equilibrium import lift, solve_equilibria
 from bubblefield.errors import InvalidInput
 
-from conftest import signs
-
 K2_POINTS = [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]
 TRIANGLE_POINTS = [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0.5, math.sqrt(3.0) / 2.0, 0, 0, 0]]
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -106,7 +104,7 @@ def test_parse_rejects_bad_documents():
 )
 def test_non_string_command_exits_1(command, tmp_path, capsys):
     # an unhashable "command" must not reach a lookup in the command table
-    names = "('equilibria', 'simulate', 'k10', 'k3-check', 'kappa-check')"
+    names = "('equilibria', 'simulate', 'k10', 'kappa-check')"
     for document in ({"command": command}, json.dumps({"command": command})):
         with pytest.raises(ValidationError) as e:
             parse_run_config(document)
@@ -289,53 +287,6 @@ def test_k10_artifact(tmp_path):
     assert 4.70 < doc["B0"] < 4.71
 
 
-def test_k3_check_artifact(tmp_path):
-    out = tmp_path / "k3.json"
-    cfg = parse_run_config(cfg_text(command="k3-check", n_triangles=5, seed=1, output=str(out)))
-    assert run(cfg) == 0
-    doc = json.loads(out.read_text())
-    assert doc["n_triangles"] == 5
-    assert doc["all_isolated"] is True
-    for tri in doc["triangles"]:
-        reports = [sol["isolation"] for sol in tri["solutions"]]
-        assert all(set(r) == ISOLATION_KEYS for r in reports)
-        assert {signs(r["eigenvalues"]) for r in reports} == {"--+"}
-        assert min(abs(np.prod(6.0 - np.array(r["eigenvalues"]))) for r in reports) > 1e-6
-
-
-def test_k3_check_triangle_is_the_equilibria_report(tmp_path):
-    # each triangle entry is its points and the count and solutions that equilibria
-    # writes for them
-    out = tmp_path / "k3.json"
-    cfg = parse_run_config(cfg_text(command="k3-check", n_triangles=4, seed=3, output=str(out)))
-    assert run(cfg) == 0
-    doc = json.loads(out.read_text())
-    eq_out = tmp_path / "eq.json"
-    for tri in doc["triangles"]:
-        cfg = cfg_text(command="equilibria", points=tri["points"], output=str(eq_out))
-        assert run(parse_run_config(cfg)) == 0
-        eq = json.loads(eq_out.read_text())
-        assert tri == {"points": tri["points"], "count": eq["count"], "solutions": eq["solutions"]}
-    assert len({json.dumps(t["points"]) for t in doc["triangles"]}) == 4
-    isolated = [all(s["isolation"]["isolated"] for s in t["solutions"]) for t in doc["triangles"]]
-    assert doc["n_isolated"] == sum(isolated) == 4
-
-
-def test_k3_check_caps_n_triangles(tmp_path, capsys, monkeypatch):
-    # a run of a billion triangles is rejected while parsing, before any is drawn
-    with pytest.raises(ValidationError):
-        parse_run_config(cfg_text(command="k3-check", n_triangles=10**9))
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "MAX_TRIANGLES", 2)
-    assert parse_run_config(cfg_text(command="k3-check", n_triangles=2)).n_triangles == 2
-    conf = tmp_path / "run.json"
-    conf.write_text(cfg_text(command="k3-check", n_triangles=3))
-    assert main(["k3-check", "--config", str(conf)]) == 1
-    lines = capsys.readouterr().err.strip().split("\n")
-    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ValidationError"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
-
-
 def test_kappa_check_artifact(tmp_path):
     out = tmp_path / "kc.json"
     assert run(parse_run_config(cfg_text(command="kappa-check", output=str(out)))) == 0
@@ -492,7 +443,6 @@ DEFAULT_ARTIFACTS = {
     "equilibria": ["equilibria.json"],
     "simulate": ["simulate.csv", "simulate.summary.json"],
     "k10": ["k10.json"],
-    "k3-check": ["k3_check.json"],
     "kappa-check": ["kappa_check.json"],
 }
 DEFAULT_RUN_CONFIGS = {
@@ -503,7 +453,6 @@ DEFAULT_RUN_CONFIGS = {
         "initial": "start-at-equilibrium:0,0",
         "t_end": 1.0,
     },
-    "k3-check": {"n_triangles": 1},
 }
 
 
@@ -528,7 +477,7 @@ USAGE_ERRORS = {
     "unknown-command": ["fly"],
     "unknown-flag": ["equilibria", "--bogus"],
     "flag-without-value": ["k10", "--output"],
-    "seed-not-an-integer": ["k3-check", "--seed", "abc"],
+    "seed-not-an-integer": ["equilibria", "--seed", "abc"],
     "tol-not-a-number": ["equilibria", "--tol", "x"],
     "seed-on-k10": ["k10", "--seed", "1"],
     "seed-on-kappa-check": ["kappa-check", "--seed", "1"],
@@ -537,13 +486,18 @@ USAGE_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
-def test_malformed_command_line_exits_1(argv, tmp_path, capsys, monkeypatch):
+# the flag an error message must name: an error elsewhere on the line must not pass for it
+USAGE_ERROR_FLAG = {"seed-not-an-integer": "--seed"}
+
+
+@pytest.mark.parametrize("case", USAGE_ERRORS)
+def test_malformed_command_line_exits_1(case, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert main(argv) == 1
+    assert main(USAGE_ERRORS[case]) == 1
     out, err = capsys.readouterr()
     lines = err.strip().split("\n")
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "ValidationError"
+    assert USAGE_ERROR_FLAG.get(case, "") in json.loads(lines[0])["message"]
     assert out == "" and list(tmp_path.iterdir()) == []
 
 
@@ -643,17 +597,19 @@ def test_equilibria_on_a_widely_spaced_triangle(tmp_path):
 
 
 def test_main_seed_override(tmp_path):
+    # no command draws a random number, so the seed changes only its own field
     conf = tmp_path / "run.json"
-    conf.write_text(cfg_text(command="k3-check", n_triangles=2))
+    conf.write_text(cfg_text(command="equilibria", points=TRIANGLE_POINTS))
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    assert main(["k3-check", "--config", str(conf), "--output", str(a), "--seed", "7"]) == 0
-    assert main(["k3-check", "--config", str(conf), "--output", str(b), "--seed", "7"]) == 0
+    assert main(["equilibria", "--config", str(conf), "--output", str(a), "--seed", "7"]) == 0
+    assert main(["equilibria", "--config", str(conf), "--output", str(b), "--seed", "7"]) == 0
     assert a.read_bytes() == b.read_bytes()
     c = tmp_path / "c.json"
-    assert main(["k3-check", "--config", str(conf), "--output", str(c), "--seed", "8"]) == 0
-    assert json.loads(a.read_text())["seed"] == 7
-    assert json.loads(c.read_text())["seed"] == 8
+    assert main(["equilibria", "--config", str(conf), "--output", str(c), "--seed", "8"]) == 0
+    doc_a, doc_c = json.loads(a.read_text()), json.loads(c.read_text())
+    assert doc_a["seed"] == 7 and doc_c["seed"] == 8
+    assert {**doc_a, "seed": 8} == doc_c
 
 
 AT_EQ = {"initial": "start-at-equilibrium:0,0.0", "t_end": 1}
@@ -731,7 +687,7 @@ MALFORMED = {
     "k10-kappa": {"command": "k10", "kappa": 1e-200},
     "k10-kappa-huge": {"command": "k10", "kappa": 1e200},
     "r_max-string": {"command": "kappa-check", "quadrature": {"r_max": "x"}},
-    "tol-null": {"command": "k3-check", "solver": {"tol": None}},
+    "tol-null": {"command": "equilibria", "points": K2_POINTS, "solver": {"tol": None}},
     "initial-alpha-scalar": {
         "command": "simulate", "points": K2_POINTS, "schedule": {"kind": "zero"}, "t_end": 1,
         "initial": {"alpha": 1, "beta": 2},
@@ -793,7 +749,6 @@ MALFORMED = {
     # set by rtol and atol alone
     "equilibria-kappa": {"command": "equilibria", "points": K2_POINTS, "kappa": 6.0},
     "simulate-kappa": {**_integrator(), "kappa": 6.0},
-    "k3-check-kappa": {"command": "k3-check", "kappa": 6.0},
     "max_step": _integrator(max_step=1.0),
 }
 
@@ -865,13 +820,14 @@ MALFORMED_ERROR = {
     "kappa-check-seed": "UnknownKey",
     "equilibria-kappa": "UnknownKey",
     "simulate-kappa": "UnknownKey",
-    "k3-check-kappa": "UnknownKey",
     "max_step": "UnknownKey",
     "max_iter-zero": "UnknownKey",
     "t_end-numeric-string": "InvalidInput",
     "amplitude-numeric-string": "InvalidInput",
     "points-too-far-apart": "InvalidInput",
 }
+# the cases whose message is asserted too: an error elsewhere in the config must not pass
+MALFORMED_MESSAGE = {"tol-null": "tol must be a number"}
 
 
 @pytest.mark.parametrize("case", MALFORMED)
@@ -890,6 +846,7 @@ def test_malformed_config_exits_1(case, tmp_path, capsys, monkeypatch):
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert err["error"] == MALFORMED_ERROR.get(case, err["error"])
+    assert MALFORMED_MESSAGE.get(case, "") in err["message"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
     assert not (case in NEVER_RUNS and (solves or err["error"] == "UnknownKey"))
 
@@ -910,7 +867,6 @@ FULL_CONFIGS = [
         "integrator": {"rtol": 1e-9, "atol": 1e-12, "alpha_floor": 1e-8, "sample_dt": 0.1},
     },
     {"command": "k10", "output": "k10.json"},
-    {"command": "k3-check", "n_triangles": 2, "solver": {"tol": 1e-12}},
     {"command": "kappa-check", "output": "kc.json"},
 ]
 

@@ -844,8 +844,10 @@ def test_permutation_equivariance():
 
 
 def test_k3_random_triangles_isolated():
+    # 50 seeded triangles, standard normal in R^5 with every pairwise distance > 0.2:
+    # the certificate isolates each one's solution in a box inside the positive orthant
     rng = np.random.default_rng(0)
-    for _ in range(10):
+    for _ in range(50):
         m = random_matrix(3, rng)
         for sol in solve_equilibria(m):
             rep = isolation_check(sol, m)
@@ -854,6 +856,7 @@ def test_k3_random_triangles_isolated():
             assert abs(e[2] - 18.0) <= 1e-7
             assert abs(np.prod(6.0 - e)) > 1e-6
             assert rep.isolated
+            assert rep.existence_radius < rep.uniqueness_radius <= sol.x.min()
             assert signs(e) == "--+"
 
 
