@@ -56,7 +56,7 @@ __all__ = [
 
 SCHEDULE_KINDS = ("zero", "exponential", "power")
 # cap on the values a run holds, (samples + 1) (2K + 3) with samples = (t_end - t) / sample_dt
-# and 2K + 3 the trajectory's columns, checked before the grid is allocated: 10^6 samples fit
+# and 2K + 3 the columns of Trajectory.table, checked before the grid is allocated: 10^6 samples fit
 # at K = 2, about 3.5 x 10^5 at K = 10.  Frozen or not, at any number of equilibria, a run peaks
 # at 8 bytes a counted value (64 MB at the cap) plus one block: 1.00-1.05 times at 10^5 samples
 MAX_VALUES = 8 * 10**6
@@ -73,7 +73,6 @@ class AlphaCollapse(NumericalFailure):
     """A trajectory left the admissible regime alpha_k >= alpha_floor."""
 
     def __init__(self, message: str, t_exit: float):
-        super().__init__(message)
         self.t_exit = t_exit
 
 
@@ -180,18 +179,19 @@ class IntegratorOptions:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded samples plus per-sample diagnostics."""
+    """Recorded samples plus per-sample diagnostics: row i of table is (alpha, beta, L,
+    L_rate, dist_to_eq) at ts[i], the CSV's columns after t and s, with dist_to_eq nan when
+    no equilibria were supplied.  alpha through dist_to_eq are views of its columns."""
 
-    ts: np.ndarray            # (n,)
-    alpha: np.ndarray         # (n, K)
-    beta: np.ndarray          # (n, K)
-    lyapunov: np.ndarray      # (n,)
-    lyapunov_rate: np.ndarray # (n,)
-    dist_to_eq: np.ndarray    # (n,), nan when no equilibria were supplied
+    ts: np.ndarray     # (n,)
+    table: np.ndarray  # (n, 2K + 3)
 
-    @property
-    def K(self) -> int:
-        return self.alpha.shape[1]
+    K = property(lambda self: (self.table.shape[1] - 3) // 2)
+    alpha = property(lambda self: self.table[:, : self.K])
+    beta = property(lambda self: self.table[:, self.K : -3])
+    lyapunov = property(lambda self: self.table[:, -3])
+    lyapunov_rate = property(lambda self: self.table[:, -2])
+    dist_to_eq = property(lambda self: self.table[:, -1])
 
 
 @dataclass(frozen=True)
@@ -413,7 +413,8 @@ def integrate(
         ts = np.append(ts, t_end)
     else:
         ts[-1] = t_end
-    ys = np.empty((ts.shape[0], y.shape[0]))
+    table = np.empty((ts.shape[0], 2 * k + 3))
+    ys = table[:, : 2 * k]
     ys[0] = y
     ks = np.empty((7, y.shape[0]))  # row 0 carries f(t, y) between steps (FSAL)
     inputs = np.empty((6, y.shape[0]))  # the stage inputs; the last is the 5th-order solution
@@ -511,18 +512,16 @@ def integrate(
                         break
         t, y = t_new, y5.copy()
         ks[0] = ks[6]  # FSAL
-    ys[j:] = y  # after a frozen exit, or when t_end is within the end tolerance of the start
+    ys[j : j + 1] = y  # after a frozen exit, or when the start is within the end tolerance
 
     # row-wise diagnostics of rows 0..j a block at a time, as the CSV is made; later rows repeat j
-    lyap, rate, dist = (np.empty(ts.shape[0]) for _ in range(3))
     for lo in range(0, min(j + 1, ts.shape[0]), BLOCK_ROWS):
         rows = slice(lo, min(lo + BLOCK_ROWS, j + 1))
         part = TrajectoryState(t=ts[rows], alpha=ys[rows, :k], beta=ys[rows, k:])
-        lyap[rows], rate[rows] = lyapunov(part, m), lyapunov_rate(part)
-        dist[rows] = distance_to_set(part, eqs) if eqs else math.nan
-    for col in (lyap, rate, dist):
-        col[j + 1 :] = col[j : j + 1]
-    return Trajectory(ts, ys[:, :k], ys[:, k:], lyap, rate, dist)
+        table[rows, -3], table[rows, -2] = lyapunov(part, m), lyapunov_rate(part)
+        table[rows, -1] = distance_to_set(part, eqs) if eqs else math.nan
+    table[j + 1 :] = table[j : j + 1]
+    return Trajectory(ts, table)
 
 
 def omega_limit_estimate(traj: Trajectory, window: float) -> OmegaReport:
@@ -534,9 +533,8 @@ def omega_limit_estimate(traj: Trajectory, window: float) -> OmegaReport:
         raise WindowTooLarge(f"window {window} must be smaller than the span {span}")
     t0 = traj.ts[-1] - window
     i0 = traj.ts.searchsorted(t0 - 1e-12 * max(1.0, abs(t0)))  # ts is sorted
-    alpha, beta = traj.alpha[i0:], traj.beta[i0:]
-    box_min = np.concatenate([alpha.min(axis=0), beta.min(axis=0)])
-    box_max = np.concatenate([alpha.max(axis=0), beta.max(axis=0)])
+    states = traj.table[i0:, : 2 * traj.K]
+    box_min, box_max = states.min(axis=0), states.max(axis=0)
     return OmegaReport(
         window=window,
         t_start=float(t0),
@@ -564,7 +562,7 @@ def to_physical(traj: Trajectory):
 
 def _csv_blocks(traj: Trajectory):
     """The CSV of trajectory_csv as consecutive strings: the header line, then one block
-    of up to BLOCK_ROWS rows at a time, each made from slices of the trajectory's arrays.
+    of up to BLOCK_ROWS rows at a time, each made from a slice of ts and of table.
 
     A block takes two `%` passes: one formats the state columns (alpha through
     dist_to_eq) once for each run of consecutive rows that are equal bit for bit, the
@@ -581,10 +579,7 @@ def _csv_blocks(traj: Trajectory):
     state_fmt = ",".join(["%.17g"] * (2 * k + 3)) + "\n"
     for lo in range(0, traj.ts.shape[0], BLOCK_ROWS):
         rows = slice(lo, lo + BLOCK_ROWS)
-        state = np.column_stack([
-            traj.alpha[rows], traj.beta[rows],
-            traj.lyapunov[rows], traj.lyapunov_rate[rows], traj.dist_to_eq[rows],
-        ])
+        state = traj.table[rows]
         # bits, not ==: 0.0 and -0.0 format differently, and NaN never equals itself
         bits = state.view(np.uint64)
         new = np.ones(state.shape[0], dtype=bool)

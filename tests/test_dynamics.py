@@ -485,11 +485,7 @@ def csv_oracle(traj, exp=_exp_or_inf):
 def hand_built(states):
     """A Trajectory whose rows (alpha, beta, L, L_rate, dist) are given, at t = 0, 0.1, ..."""
     rows = np.array(states, dtype=float)
-    k = (rows.shape[1] - 3) // 2
-    return Trajectory(
-        ts=0.1 * np.arange(len(rows)), alpha=rows[:, :k], beta=rows[:, k:2 * k],
-        lyapunov=rows[:, -3], lyapunov_rate=rows[:, -2], dist_to_eq=rows[:, -1],
-    )
+    return Trajectory(ts=0.1 * np.arange(len(rows)), table=rows)
 
 
 def test_trajectory_csv_matches_per_value_oracle(
@@ -529,9 +525,8 @@ def test_trajectory_csv_matches_per_value_oracle(
     specials = hand_built([special, special, special[::-1], special[::-1], special])
     # s = e^t overflows to inf above t ~ 709.78
     late = Trajectory(
-        ts=np.array([709.0, 709.78, 709.79, 800.0]), alpha=np.ones((4, 2)),
-        beta=np.full((4, 2), 2.0), lyapunov=np.zeros(4), lyapunov_rate=np.zeros(4),
-        dist_to_eq=np.full(4, math.nan),
+        ts=np.array([709.0, 709.78, 709.79, 800.0]),
+        table=np.tile([1.0, 1.0, 2.0, 2.0, 0.0, 0.0, math.nan], (4, 1)),
     )
     assert trajectory_csv(late).splitlines()[3].split(",")[1] == "inf"
     for traj in (frozen, frozen_no_eq, crossing, ending):
@@ -566,6 +561,15 @@ def test_diagnostics_match_per_sample_functions(monkeypatch, family):
     for a, b in zip(whole, blocked):
         for name in ("ts", "alpha", "beta", "lyapunov", "lyapunov_rate", "dist_to_eq"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    # one table holds the CSV's columns after t and s; each named column is a view of it
+    k = family.matrix.K
+    columns = dict(alpha=np.s_[:, :k], beta=np.s_[:, k:2 * k], lyapunov=np.s_[:, 2 * k],
+                   lyapunov_rate=np.s_[:, 2 * k + 1], dist_to_eq=np.s_[:, 2 * k + 2])
+    for tr in whole + blocked:
+        assert tr.table.shape == (21, 2 * k + 3)
+        for name, col in columns.items():
+            view = getattr(tr, name)
+            assert np.shares_memory(view, tr.table) and view.tobytes() == tr.table[col].tobytes()
     traj, frozen, no_eq = blocked
     assert np.all(np.isnan(no_eq.dist_to_eq)) and no_eq.ts.shape == (21,)
     assert np.array_equal(no_eq.lyapunov, traj.lyapunov)
@@ -997,11 +1001,10 @@ def integrate_oracle(initial, m, schedule, t_end, options, equilibria=None, stat
     ys[j:] = y
     samples = TrajectoryState(t=ts, alpha=ys[:, :k], beta=ys[:, k:])
     eqs = [] if equilibria is None else list(equilibria)
-    return Trajectory(
-        ts=ts, alpha=samples.alpha, beta=samples.beta, lyapunov=lyapunov(samples, m),
-        lyapunov_rate=lyapunov_rate(samples),
-        dist_to_eq=distance_to_set(samples, eqs) if eqs else np.full(len(ts), math.nan),
-    )
+    return Trajectory(ts=ts, table=np.column_stack([
+        samples.alpha, samples.beta, lyapunov(samples, m), lyapunov_rate(samples),
+        distance_to_set(samples, eqs) if eqs else np.full(len(ts), math.nan),
+    ]))
 
 
 def _outcome(run):

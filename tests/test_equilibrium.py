@@ -845,8 +845,9 @@ def test_permutation_equivariance():
 
 def test_k3_random_triangles_isolated():
     # 50 seeded triangles, standard normal in R^5 with every pairwise distance > 0.2:
-    # the certificate isolates each one's solution in a box inside the positive orthant
-    rng = np.random.default_rng(0)
+    # the certificate isolates each one's solution in a box inside the positive orthant;
+    # seed 45 draws triangles no other test draws (acceptance criterion 3 draws seed 0's)
+    rng = np.random.default_rng(45)
     for _ in range(50):
         m = random_matrix(3, rng)
         for sol in solve_equilibria(m):
