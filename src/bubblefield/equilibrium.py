@@ -10,6 +10,8 @@ symmetric matrix A_ij = 3 m_ij x_i x_j; A always carries the eigenvalue 18
 with eigenvector x^2.  One eigendecomposition of A gives the Newton step, the
 spectrum and the preconditioner of the Krawczyk test, which certifies a
 solution isolated; its uniqueness box tells a new Newton hit from a known one.
+Each point a solve finds is decomposed and certified at most once: the
+solution it returns carries both to isolation_check.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,6 +78,9 @@ class ReducedSolution:
     x: np.ndarray
     residual_norm: float
     tolerance: float  # absolute acceptance threshold the residual met
+    # (m, _Hit) of the solve that found x, for isolation_check; set by solve_equilibria only,
+    # so dataclasses.replace drops it
+    _record: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def K(self) -> int:
@@ -98,7 +103,7 @@ class EquilibriumPoint:
 class IsolationReport:
     """Spectrum of the symmetrized matrix A and the Krawczyk certificate."""
 
-    eigenvalues: np.ndarray  # sorted ascending
+    eigenvalues: np.ndarray  # sorted ascending, read-only
     eig18_residual: float    # ||A u - 18 u|| / ||u||, u = x^2
     isolated: bool           # the Krawczyk test passes on some box x +- rho
     existence_radius: float  # a true solution lies this close to x (max-norm); inf on failure
@@ -128,13 +133,14 @@ class SolverOptions:
 
 
 def reduced_residual(x, m: InteractionMatrix) -> np.ndarray:
-    """Component k of 6 x_k - sum_{j != k} m[j][k] x_j^3.
+    """Component k of 6 x_k - sum_{j != k} m[j][k] x_j^3, at a point or each row of a stack.
 
     Evaluated for any finite x (cubes are odd); solutions themselves are
-    filtered to x > 0 by the solver.
+    filtered to x > 0 by the solver.  The product is m.m @ x**3, one gemv a row,
+    so a row of a stack has the bytes of the call on that row alone.
     """
     x = np.asarray(x, dtype=float)
-    return 6.0 * x - m.m @ x**3
+    return 6.0 * x - np.matmul(m.m, (x**3)[..., None])[..., 0]
 
 
 def reduced_jacobian(x, m: InteractionMatrix) -> np.ndarray:
@@ -166,6 +172,7 @@ def _spectrum(x: np.ndarray, m: InteractionMatrix):
         mu, v = np.linalg.eigh(3.0 * m.m * (x * x[:, None]))
     except np.linalg.LinAlgError as e:
         raise SpectrumFailure(f"symmetric eigensolver failed: {e}") from e
+    mu.setflags(write=False)  # every report on the point shares it
     d = 6.0 - mu
     d[np.abs(d) <= x.shape[0] * 2.0**-52 * max(d[0], -d[-1])] = np.inf  # 1 / inf = 0
     return mu, v, 1.0 / d
@@ -210,23 +217,28 @@ def isolation_check(sol: ReducedSolution, m: InteractionMatrix) -> IsolationRepo
 
     The spectrum of A is reported alongside.  The residual f at sol.x, not
     the residual_norm sol states, must meet the solver's relative form of the
-    bound at its largest tol, max|f| <= MAX_TOL * (1 + 6 max|x|).
+    bound at its largest tol, max|f| <= MAX_TOL * (1 + 6 max|x|).  Given the very
+    matrix object its solve_equilibria call was given, with read-only couplings
+    (as interaction_matrix makes them), the residual, spectrum and certificate
+    that solve made at x are reused, with the same bits; otherwise they are
+    computed here.
     """
     if sol.x.shape != (m.K,):
         raise InvalidInput(f"isolation_check needs {m.K} components, got x of shape {sol.x.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):  # x^3 may overflow: the gate fails
-        f = reduced_residual(sol.x, m)
+    solved_m, hit = sol._record or (None, None)
+    if solved_m is not m or m.m.flags.writeable:  # couplings that can change are not trusted
+        with np.errstate(over="ignore", invalid="ignore"):  # x^3 may overflow: the gate fails
+            hit = _Hit(sol.x, None, None, reduced_residual(sol.x, m))
     bound = MAX_TOL * (1.0 + 6.0 * float(np.abs(sol.x).max()))
-    norm = float(np.abs(f).max())
+    norm = float(np.abs(hit.f).max())
     if not norm <= bound:
         raise InvalidInput(f"isolation_check needs max|f| <= {bound:.3e} at x, got {norm:.3e}")
     a = symmetrized_matrix(sol.x, m)
-    eigs, v, r = _spectrum(sol.x, m)
-    r0, r1 = _certificate(sol.x, m, f, v, r)
+    r0, r1 = hit.certify(m)
     u = _pow2_scaled(sol.x) ** 2
     eig18 = float(np.linalg.norm(a @ u - 18.0 * u) / np.linalg.norm(u))
     return IsolationReport(
-        eigenvalues=eigs,
+        eigenvalues=hit.spectrum[0],
         eig18_residual=eig18,
         isolated=r1 > 0.0,
         existence_radius=r0,
@@ -268,6 +280,46 @@ def _bounds(m: InteractionMatrix):
     return floor, floor * float(np.minimum.reduce(m.m[~np.eye(m.K, dtype=bool)])) / rho
 
 
+@dataclass(eq=False)
+class _Hit:
+    """A Newton run's root x, with max|f|, the threshold it met and f.
+
+    Its _spectrum and _certificate are kept once made, so that a point is
+    decomposed and certified at most once, whoever asks first.
+    """
+
+    x: np.ndarray
+    nf: float
+    thresh: float
+    f: np.ndarray
+    spectrum: tuple | None = None      # _spectrum(x, m)
+    certificate: tuple | None = None   # _certificate(x, m, f, ...): (r0, r1)
+
+    def certify(self, m: InteractionMatrix):
+        """(r0, r1) of the Krawczyk test at x, from the kept spectrum and certificate if made."""
+        if self.spectrum is None:
+            self.spectrum = _spectrum(self.x, m)
+        if self.certificate is None:
+            self.certificate = _certificate(self.x, m, self.f, *self.spectrum[1:])
+        return self.certificate
+
+
+def _merit(y, m: InteractionMatrix, roots, scale2, f=None):
+    """f, |M f|^2 and the |y - r|^2 (None without roots) at a point y or each row of a stack.
+
+    M = prod_r (1 + scale2 / |y - r|^2) over the rows r of roots.  f . f is one
+    dot a row and each sum over a row one reduce, so a row of a stack has the
+    bytes of the call on that row alone.
+    """
+    f = reduced_residual(y, m) if f is None else f
+    ff = np.matmul(f[..., None, :], f[..., :, None])[..., 0, 0][()]  # a scalar at a point
+    if not len(roots):
+        return f, ff, None
+    dd = np.add.reduce((y[..., None, :] - roots) ** 2, axis=-1)
+    w = np.multiply.reduce(1.0 + scale2 / dd, axis=-1)
+    return f, w * w * ff, dd
+
+
 @dataclass(frozen=True)
 class _Solve:
     """What every Newton run of one solve shares: m and the solution box of _bounds(m)."""
@@ -278,11 +330,14 @@ class _Solve:
 
 
 def _newton(x, s: _Solve, opts: SolverOptions, roots, scale2=1.0, f=None):
-    """Damped Newton from x (residual f, if known): (x, max|f|, threshold, f) at a root, or None.
+    """Damped Newton from x (residual f, if known): a _Hit at a root, or None.
 
     The step -J^-1 f (from _spectrum, whose cut bounds it where J is near-singular,
     as on non-isolated solution manifolds) is halved until it keeps x > 0 and
-    lowers |M f|^2.  A run fails after _MAX_ITER iterations, as soon as an
+    lowers |M f|^2.  The whole step is tried first; if it is refused, its
+    _HALVINGS halvings are evaluated as one stack (_merit) and the first that
+    passes is taken, the trial a loop over them would take, with its bits.
+    A run fails after _MAX_ITER iterations, as soon as an
     accepted iterate leaves the box of the solve s (min x < s.low (1 - tol)),
     when it converges to a point with max x below s.floor (1 - tol), or when
     _HALVINGS halvings do not descend: it stalls at a local minimum of |M f|.
@@ -297,23 +352,14 @@ def _newton(x, s: _Solve, opts: SolverOptions, roots, scale2=1.0, f=None):
     and 1 / inf = 0 is the limit; a step that is not finite fails the run.
     """
     m = s.m
-
-    def merit(y, f=None):  # f, |M f|^2 and the |y - r|^2 at y
-        f = reduced_residual(y, m) if f is None else f
-        if not len(roots):
-            return f, f @ f, None
-        dd = np.add.reduce((y - roots) ** 2, axis=1)
-        w = np.multiply.reduce(1.0 + scale2 / dd)
-        return f, w * w * (f @ f), dd
-
     floor, low = s.floor * (1.0 - opts.tol), s.low * (1.0 - opts.tol)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f, m0, dd = merit(x, f)
+        f, m0, dd = _merit(x, m, roots, scale2, f)
         for _ in range(_MAX_ITER):
             nf = float(np.maximum.reduce(np.abs(f)))
             thresh = opts.tol * (1.0 + 6.0 * float(np.maximum.reduce(x)))  # x > 0 throughout
             if nf <= thresh:
-                return (x, nf, thresh, f) if np.maximum.reduce(x) >= floor else None
+                return _Hit(x, nf, thresh, f) if np.maximum.reduce(x) >= floor else None
             _, v, r = _spectrum(x, m)
             step = -(v @ (r * ((x * f) @ v))) / x
             if len(roots):
@@ -324,13 +370,17 @@ def _newton(x, s: _Solve, opts: SolverOptions, roots, scale2=1.0, f=None):
             # skip the halvings from 1 that would leave the orthant
             edge = np.minimum.reduce(-x / step, where=step < 0, initial=np.inf)
             lam = 2.0 ** np.floor(np.log2(edge)) if edge < 1.0 else 1.0
-            for h in range(_HALVINGS + 1):
-                y = x + lam * 0.5**h * step
-                if np.minimum.reduce(y) > 0.0 and (trial := merit(y))[1] < m0:
-                    break
-            else:
-                return None
-            if np.minimum.reduce(y) < low:
+            y = x + lam * step
+            ymin = np.minimum.reduce(y)
+            if not (ymin > 0.0 and (trial := _merit(y, m, roots, scale2))[1] < m0):
+                ys = x + (lam * 0.5 ** np.arange(1, _HALVINGS + 1))[:, None] * step
+                fs, ms, dds = _merit(ys, m, roots, scale2)
+                mins = np.minimum.reduce(ys, axis=1)
+                h = ((mins > 0.0) & (ms < m0)).argmax()  # the first that passes, if any
+                if not (mins[h] > 0.0 and ms[h] < m0):
+                    return None
+                y, ymin, trial = ys[h], mins[h], (fs[h], ms[h], None if dds is None else dds[h])
+            if ymin < low:
                 return None
             x, (f, m0, dd) = y, trial
     return None
@@ -359,15 +409,16 @@ def _ascend(s: _Solve, opts: SolverOptions):
         hit = _newton(math.sqrt(6.0 / g) * x, s, opts, ())
         if hit is None:
             continue
-        u = _unit(hit[0])
+        u = _unit(hit.x)
         g_hit = _g(u, m)
         if not g_hit >= g * (1.0 - opts.tol):
             continue
-        mu, vecs, r = _spectrum(hit[0], m)
-        mu[np.argmax(np.abs(vecs.T @ hit[0] ** 2))] = -np.inf  # the eigenvalue 18
+        hit.spectrum = _spectrum(hit.x, m)
+        mu, vecs = hit.spectrum[0].copy(), hit.spectrum[1]  # the hit keeps mu unmasked
+        mu[np.argmax(np.abs(vecs.T @ hit.x**2))] = -np.inf  # the eigenvalue 18
         # a hit the certificate cannot isolate is kept: on a curve of solutions
         # (the K = 10 family) G is constant, and no direction raises it
-        if mu.max() <= 6.0 or _certificate(hit[0], m, hit[3], vecs, r)[1] == 0.0:
+        if mu.max() <= 6.0 or hit.certify(m)[1] == 0.0:
             return hit
         a, v = u**2, vecs[:, np.argmax(mu)]
         with np.errstate(invalid="ignore"):  # a + s v leaving the orthant gives NaN
@@ -419,27 +470,26 @@ def solve_equilibria(m: InteractionMatrix, options: SolverOptions = SolverOption
     found = [_ascend(solve, options)]
     if found[0] is None:
         raise NoSolutionFound(f"sphere ascent found no solution in _MAX_ITER = {_MAX_ITER} steps")
-    radii = []  # uniqueness radius of each found solution, certified once a hit needs it
     # at K <= 3 the ascent's solution is the only one (see above): no run can find another
     runs = 0 if k <= 3 else 1 + options.n_random + len(options.extra_seeds)
     while starts and runs:
         runs -= 1
-        roots = np.array([np.zeros(k)] + [h[0] for h in found])
+        roots = np.array([np.zeros(k)] + [h.x for h in found])
         hit = _newton(starts[0][0], solve, options, roots, xbar**2, starts[0][1])
         if hit is not None:
-            certify = found[len(radii):] + [hit]
-            radii += [_certificate(x, m, f, *_spectrum(x, m)[1:])[1] for x, _, _, f in certify]
-            if all(np.abs(hit[0] - h[0]).max() > max(radii[-1], r) for h, r in zip(found, radii)):
+            radii = [h.certify(m)[1] for h in found + [hit]]  # each point certified once
+            if all(np.abs(hit.x - h.x).max() > max(radii[-1], r) for h, r in zip(found, radii)):
                 found.append(hit)
                 continue
-            radii.pop()
         starts.pop(0)
 
     sols = []
-    for x, nf, thresh, _ in sorted(found, key=lambda h: tuple(h[0])):
-        x = x.copy()
+    for hit in sorted(found, key=lambda h: tuple(h.x)):
+        x = hit.x.copy()
         x.setflags(write=False)
-        sols.append(ReducedSolution(x=x, residual_norm=float(nf), tolerance=float(thresh)))
+        sol = ReducedSolution(x=x, residual_norm=float(hit.nf), tolerance=float(hit.thresh))
+        object.__setattr__(sol, "_record", (m, hit))  # for isolation_check
+        sols.append(sol)
     return sols
 
 

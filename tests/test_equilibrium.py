@@ -24,6 +24,7 @@ from bubblefield.equilibrium import (
     symmetrized_matrix,
     _ascend,
     _bounds,
+    _Hit,
     _Solve,
 )
 from bubblefield.errors import InvalidInput
@@ -283,7 +284,7 @@ def _stable_dimension(sol, m):
 def test_ascent_solution_is_certified_maximizer_with_smallest_a():
     opts = SolverOptions()
     for m in cluster_pool():
-        x = _ascend(_Solve(m, *_bounds(m)), opts)[0]
+        x = _ascend(_Solve(m, *_bounds(m)), opts).x
         mu, vecs = np.linalg.eigh(symmetrized_matrix(x, m))
         i18 = np.argmax(np.abs(vecs.T @ x**2))  # the eigenvector x^2
         assert abs(mu[i18] - 18.0) <= 1e-7
@@ -315,7 +316,7 @@ NEAR_CURVE_UNSOLVED = {"B0(1+1e-3)", "B0(1-1e-6)"}
 
 
 @pytest.mark.parametrize("case", NEAR_CURVE)
-def test_near_curve_pool(case, near_curve):
+def test_near_curve_pool(case, near_curve, monkeypatch):
     m = near_curve[case]
     if case in NEAR_CURVE_UNSOLVED:
         with pytest.raises(NoSolutionFound):
@@ -326,6 +327,7 @@ def test_near_curve_pool(case, near_curve):
     for s in sols:
         assert np.all(s.x > 0)
         assert np.max(np.abs(reduced_residual(s.x, m))) <= s.tolerance
+    assert_reuse_is_exact(sols, m, monkeypatch)  # P0 is points_k10(B0)
     if case == "P0+1e-3N":
         # a deflated run that finds a new solution is repeated from the same start,
         # and every run spends one of the 1 + n_random: by default four runs hit
@@ -384,14 +386,16 @@ def solution_box(m):
     return math.sqrt(6.0 / rho), math.sqrt(6.0 / rho) * mu / rho
 
 
-def newton_oracle(x, m, opts, roots=None, scale=1.0, f=None):
+def newton_oracle(x, m, opts, roots=None, scale=1.0, f=None, searches=None):
     """The damped Newton run written plainly: the lean _newton must repeat it bit for bit.
 
     Same trials, same positivity test on each, same merit |M f|^2, through
-    the fromnumeric reductions and two chained generators.  The step is
+    the fromnumeric reductions and a generator over the list of trials.  The step is
     -J^-1 f with J = D^-1 (6I - A) D, D = diag(x), inverted through one eigh
     of A, each 1 / (6 - mu) cut to 0 where |6 - mu| <= K 2^-52 max|6 - mu|.
-    A run stops at an accepted iterate that leaves the solution box.
+    A run stops at an accepted iterate that leaves the solution box.  Each
+    line search appends to searches (if given) whether its first trial was
+    positive and the halving h it took (None if none).
     """
     import bubblefield.equilibrium as eq
 
@@ -424,9 +428,11 @@ def newton_oracle(x, m, opts, roots=None, scale=1.0, f=None):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             edge = np.min(-x / step, where=step < 0, initial=np.inf)
             lam = 2.0 ** min(0.0, np.floor(np.log2(edge)))
-            trials = (x + lam * 0.5**h * step for h in range(eq._HALVINGS + 1))
-            evaluated = ((y, *merit(y)) for y in trials if np.all(y > 0))
-            x, f, m0 = next((e for e in evaluated if e[2] < m0), (None, None, None))
+            trials = [x + lam * 0.5**h * step for h in range(eq._HALVINGS + 1)]
+            evaluated = ((h, y, *merit(y)) for h, y in enumerate(trials) if np.all(y > 0))
+            h, x, f, m0 = next((e for e in evaluated if e[3] < m0), (None, None, None, None))
+        if searches is not None:
+            searches.append((bool(np.all(trials[0] > 0)), h))
         if x is None or np.min(x) < low * (1.0 - opts.tol):
             return None
     return None
@@ -453,17 +459,99 @@ def test_newton_matches_readable_oracle(monkeypatch):
         solve_equilibria(m)
     assert sum(len(r[3]) == 0 for r in runs) > 100 and sum(len(r[3]) > 0 for r in runs) > 100
     assert sum(r[6] is not None for r in runs) > 100
+    taken = []
     for x, m, opts, roots, scale2, f, hit, n_calls in runs:
         deflated = len(roots) > 0  # a polish deflates no root
         scale = np.sqrt(6.0 / np.mean(np.sum(m.m, axis=1))) if deflated else 1.0
         assert scale**2 == scale2 or not deflated  # the square of the symmetric seed value
-        before = len(calls)
-        want = newton_oracle(x, m, opts, roots if deflated else None, scale, f)
-        assert len(calls) - before == n_calls
+        searches = []
+        want = newton_oracle(x, m, opts, roots if deflated else None, scale, f, searches)
+        # the lean search evaluates the whole step alone if it is positive, and the
+        # halvings as one stacked call if the whole step is not taken
+        assert n_calls == (f is None) + sum(first + (h != 0) for first, h in searches)
+        taken += [h for _, h in searches]
         assert (hit is None) == (want is None)
         if hit is not None:
-            assert hit[0].tobytes() == want[0].tobytes() and hit[3].tobytes() == want[3].tobytes()
-            assert (hit[1], hit[2]) == (want[1], want[2])
+            assert hit.x.tobytes() == want[0].tobytes() and hit.f.tobytes() == want[3].tobytes()
+            assert (hit.nf, hit.thresh) == (want[1], want[2])
+    # the stack is exercised: runs take a halving from deep in it, and runs fail in it
+    assert max(h for h in taken if h is not None) >= 4 and taken.count(None) > 50
+
+
+def test_stacked_residual_and_merit_match_each_row():
+    # the line search evaluates its halvings as one stack: each row must have the bytes
+    # of the 1-D call on that row, inside the orthant and out, with roots and without,
+    # and the 1-D residual keeps the bytes of 6 x - m @ x^3
+    import bubblefield.equilibrium as eq
+
+    rng = np.random.default_rng(46)
+    for K in range(2, 101):
+        upper = np.triu(rng.uniform(0.0, 3.0, size=(K, K)), 1)
+        m = InteractionMatrix(m=upper + upper.T, kappa=1.0)
+        ys = rng.normal(0.5, 1.0, size=(8, K))
+        ys[:4] = np.abs(ys[:4])  # four rows inside the orthant, the others almost surely not
+        roots = np.vstack([np.zeros(K), rng.uniform(0.1, 2.0, size=(3, K))])
+        stacked = reduced_residual(ys, m)
+        for y, row in zip(ys, stacked):
+            assert row.tobytes() == reduced_residual(y, m).tobytes()
+            assert reduced_residual(y, m).tobytes() == (6.0 * y - m.m @ y**3).tobytes()
+        for deflated in ((), roots):
+            fs, ms, dds = eq._merit(ys, m, deflated, 0.7)
+            assert fs.tobytes() == stacked.tobytes()
+            for i, y in enumerate(ys):
+                f, mi, dd = eq._merit(y, m, deflated, 0.7)
+                assert f.tobytes() == fs[i].tobytes()
+                assert np.asarray(mi).tobytes() == np.asarray(ms[i]).tobytes()
+                assert dd is dds is None or dd.tobytes() == dds[i].tobytes()
+
+
+def assert_reuse_is_exact(sols, m, monkeypatch):
+    """isolation_check reuses a solve's record on its own m, with the bits of a fresh check.
+
+    A fresh ReducedSolution of the same x, or an equal copy of m, is decomposed
+    again (one _spectrum call); the solve's own m is not (none); and
+    dataclasses.replace carries no record.
+    """
+    import bubblefield.equilibrium as eq
+
+    calls, spectrum = [], eq._spectrum
+    copy = InteractionMatrix(m=m.m.copy(), kappa=m.kappa)
+    with monkeypatch.context() as patch:
+        patch.setattr(eq, "_spectrum", lambda x, m: calls.append(1) or spectrum(x, m))
+        for sol in sols:
+            fresh = ReducedSolution(x=sol.x.copy(), residual_norm=sol.residual_norm,
+                                    tolerance=sol.tolerance)
+            assert replace(sol)._record is None
+            for s, matrix, n in ((fresh, m, 1), (sol, m, 0), (sol, m, 0), (sol, copy, 1),
+                                 (replace(sol), m, 1)):
+                calls.clear()
+                got, want = isolation_check(s, matrix), isolation_check(fresh, copy)
+                assert len(calls) == n + 1
+                assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+                assert (got.eig18_residual, got.isolated, got.existence_radius,
+                        got.uniqueness_radius) == (want.eig18_residual, want.isolated,
+                                                   want.existence_radius, want.uniqueness_radius)
+
+
+def test_isolation_check_reuses_the_solve_exactly(monkeypatch):
+    # each point a solve returns was decomposed (and maybe certified) by the solve;
+    # isolation_check takes both from it, and the report is the fresh one bit for bit
+    rng = np.random.default_rng(1)
+    triangles = [random_matrix(3, rng) for _ in range(512)]  # triangle-sweep's, seed 1
+    for m in cluster_pool() + k4_pool() + triangles:
+        assert_reuse_is_exact(solve_equilibria(m), m, monkeypatch)
+
+
+def test_isolation_check_recomputes_on_couplings_that_can_change():
+    # a hand-built matrix may hold a writable array, which its caller can change in
+    # place after the solve: the solve's record is then not reused, and the gate
+    # refuses the point, which no longer solves the system
+    base = random_matrix(5, np.random.default_rng(3))
+    m = InteractionMatrix(m=base.m.copy(), kappa=base.kappa)
+    sol = solve_equilibria(m)[0]
+    m.m[...] *= 2.0
+    with pytest.raises(InvalidInput, match=r"max\|f\|"):
+        isolation_check(sol, m)
 
 
 def test_newton_fails_on_a_non_finite_step_without_a_warning(monkeypatch, k3_equilateral):
@@ -526,7 +614,7 @@ def test_newton_accepts_an_iterate_within_rounding_below_the_box():
     m = interaction_matrix(build_configuration([[0, 0, 0, 0, 0], [2, 0, 0, 0, 0]]))
     s = _Solve(m, *_bounds(m))
     hit = eq._newton(np.full(2, 1.001 * s.floor), s, SolverOptions(), ())
-    assert hit is not None and np.all(hit[0] == s.floor) and s.floor < s.low
+    assert hit is not None and np.all(hit.x == s.floor) and s.floor < s.low
 
 
 def test_k2_closed_form_lies_on_the_solution_box():
@@ -547,12 +635,15 @@ def test_k2_closed_form_lies_on_the_solution_box():
 def test_certificate_holds_for_any_preconditioner(monkeypatch, k3_equilateral):
     # the Krawczyk test is sound for any C, so the spectrum's inverse of J needs no
     # bound of its own: a C scaled by -1 or 2 leaves ||I - C J|| >= 1 and fails,
-    # and a C scaled by 1/2 halves a, p and 1 - e alike and keeps both radii
+    # and a C scaled by 1/2 halves a, p and 1 - e alike and keeps both radii; the
+    # checks take a fresh solution, which carries no spectrum from its solve
     import bubblefield.equilibrium as eq
 
-    sol = solve_equilibria(k3_equilateral)[0]
-    rep = isolation_check(sol, k3_equilateral)
+    solved = solve_equilibria(k3_equilateral)[0]
+    rep = isolation_check(solved, k3_equilateral)
     assert rep.isolated
+    sol = ReducedSolution(x=solved.x.copy(), residual_norm=solved.residual_norm,
+                          tolerance=solved.tolerance)
     spectrum = eq._spectrum
 
     def scaled(c):
@@ -739,7 +830,7 @@ def test_a_duplicate_hit_leaves_no_radius_behind(monkeypatch):
     hits = [d0, h1, h2]
 
     def hit(x):
-        return x, 0.0, 1e-12, np.zeros(4)
+        return _Hit(x, 0.0, 1e-12, np.zeros(4))
 
     def newton(x, s, opts, roots, scale2=1.0, f=None):
         return hit(hits.pop(0)) if hits else None
@@ -945,9 +1036,12 @@ def test_lift_round_trip(k2_matrix):
         lambda m, fam: k2_closed_form(1.0, m.kappa).c,
         lambda m, fam: fam.lambdas,
         lambda m, fam: family_member(0.37, fam).x,
+        lambda m, fam: isolation_check(solve_equilibria(m)[0], m).eigenvalues,
+        lambda m, fam: isolation_check(family_member(0.37, fam), fam.matrix).eigenvalues,
     ],
     ids=["solve_equilibria.x", "lift.a", "lift.c", "k2_closed_form.a", "k2_closed_form.c",
-         "build_family.lambdas", "family_member.x"],
+         "build_family.lambdas", "family_member.x", "isolation_check.eigenvalues",
+         "isolation_check.eigenvalues(fresh)"],
 )
 def test_returned_arrays_are_read_only(result, k2_matrix, family):
     # the frozen results hold their arrays read-only, so no caller can change one in place
