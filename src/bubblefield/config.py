@@ -95,7 +95,7 @@ def build_configuration(points) -> Configuration:
         )
     if pts.shape[0] < 2:
         raise TooFewPoints(f"need at least 2 points, got {pts.shape[0]}")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise BadDimension("points contain non-finite coordinates")
 
     k = pts.shape[0]
@@ -104,7 +104,7 @@ def build_configuration(points) -> Configuration:
     # the first row-major extremum of a symmetric matrix lies in the upper triangle
     dist.flat[:: k + 1] = math.inf
     near = int(dist.argmin())
-    scale = 1.0 + float(np.max(np.abs(pts)))
+    scale = 1.0 + float(np.abs(pts).max())
     if dist.flat[near] < 1e-12 * scale:
         j, l = divmod(near, k)
         raise DuplicatePoints(f"points {j} and {l} coincide (distance {dist[j, l]:.3e})")

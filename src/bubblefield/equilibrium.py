@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _HALVINGS = 8  # Newton step halvings before a run fails; a converging run needs at most 5
+_HALVES = 0.5 ** np.arange(1, _HALVINGS + 1)  # the factors of the halvings
 # iterations of each Newton run and growth steps of the whole ascent; measured need: at
 # most 55 and 20 on the benchmark and test pools, 394 and 410 near the K = 10 curve
 _MAX_ITER = 1000
@@ -154,7 +155,7 @@ def symmetrized_matrix(x, m: InteractionMatrix) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if (x <= 0).any():
         raise NonPositiveComponent(f"x must be entrywise positive, got min {x.min()}")
-    return 3.0 * m.m * np.outer(x, x)
+    return 3.0 * m.m * (x * x[:, None])  # np.outer(x, x), with the same products
 
 
 def _gamma(n: int) -> float:
@@ -163,19 +164,21 @@ def _gamma(n: int) -> float:
 
 
 def _spectrum(x: np.ndarray, m: InteractionMatrix):
-    """(mu, v, r): eigh of A, mu ascending, and r = 1 / (6 - mu) but 0 where cut.
+    """(mu, v, r, a): eigh of a = A, mu ascending, and r = 1 / (6 - mu) but 0 where cut.
 
     D^-1 v diag(r) v^T D pseudo-inverts J = D^-1 (6I - A) D, D = diag(x), with the
     cut |6 - mu| <= K 2^-52 max|6 - mu| of lstsq's default rcond (the K = 10 kernel).
+    a has the bytes of symmetrized_matrix(x, m), for isolation_check's A u.
     """
+    a = 3.0 * m.m * (x * x[:, None])
     try:
-        mu, v = np.linalg.eigh(3.0 * m.m * (x * x[:, None]))
+        mu, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as e:
         raise SpectrumFailure(f"symmetric eigensolver failed: {e}") from e
     mu.setflags(write=False)  # every report on the point shares it
     d = 6.0 - mu
     d[np.abs(d) <= x.shape[0] * 2.0**-52 * max(d[0], -d[-1])] = np.inf  # 1 / inf = 0
-    return mu, v, 1.0 / d
+    return mu, v, 1.0 / d, a
 
 
 def _certificate(x: np.ndarray, m: InteractionMatrix, f: np.ndarray, v, r):
@@ -192,21 +195,21 @@ def _certificate(x: np.ndarray, m: InteractionMatrix, f: np.ndarray, v, r):
     r0 = inf and r1 = 0.0 when no rho passes.  The test is evaluated in floating
     point, not in interval arithmetic.
     """
-    k = x.shape[0]
+    k, eye = x.shape[0], np.eye(x.shape[0])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         c = (v * r) @ v.T * x / x[:, None]
-        cabs, j = np.abs(c), reduced_jacobian(x, m)
+        cabs, j = np.abs(c), 6.0 * eye - 3.0 * m.m * x**2  # reduced_jacobian(x, m)
         g = _gamma(k + 2) * (6.0 * x + m.m @ x**3)
-        a = (1.0 + _gamma(k + 1)) * float((cabs @ (np.abs(f) + g)).max())
-        e = float(np.add.reduce(np.abs(np.eye(k) - c @ j), axis=1).max())
-        e += _gamma(k + 4) * float(np.add.reduce(cabs @ np.abs(j), axis=1).max())
-        p = 9.0 * (1.0 + _gamma(2 * k + 1)) * float((cabs @ (m.m @ x)).max())
+        a = (1.0 + _gamma(k + 1)) * float(np.maximum.reduce(cabs @ (np.abs(f) + g)))
+        e = float(np.maximum.reduce(np.add.reduce(np.abs(eye - c @ j), axis=1)))
+        e += _gamma(k + 4) * float(np.maximum.reduce(np.add.reduce(cabs @ np.abs(j), axis=1)))
+        p = 9.0 * (1.0 + _gamma(2 * k + 1)) * float(np.maximum.reduce(cabs @ (m.m @ x)))
         b = 1.0 - e
         disc = b * b - 4.0 * a * p
         if not (b > 0.0 and disc > 0.0):  # NaN too
             return math.inf, 0.0
         root = b + math.sqrt(disc)
-        r0, r1 = 2.0 * a / root, min(root / (2.0 * p), float(x.min()))
+        r0, r1 = 2.0 * a / root, min(root / (2.0 * p), float(np.minimum.reduce(x)))
     if not r0 < r1:  # the lower root lies past min x: no box in the orthant passes
         return math.inf, 0.0
     return r0, r1
@@ -219,24 +222,27 @@ def isolation_check(sol: ReducedSolution, m: InteractionMatrix) -> IsolationRepo
     the residual_norm sol states, must meet the solver's relative form of the
     bound at its largest tol, max|f| <= MAX_TOL * (1 + 6 max|x|).  Given the very
     matrix object its solve_equilibria call was given, with read-only couplings
-    (as interaction_matrix makes them), the residual, spectrum and certificate
-    that solve made at x are reused, with the same bits; otherwise they are
-    computed here.
+    (as interaction_matrix makes them), the residual, the spectrum (with the
+    A it decomposed, which gives A u) and the certificate that solve made at
+    x are reused, with the same bits; otherwise they are computed here, A by
+    symmetrized_matrix, which raises NonPositiveComponent unless x > 0.
     """
     if sol.x.shape != (m.K,):
         raise InvalidInput(f"isolation_check needs {m.K} components, got x of shape {sol.x.shape}")
     solved_m, hit = sol._record or (None, None)
-    if solved_m is not m or m.m.flags.writeable:  # couplings that can change are not trusted
+    fresh = solved_m is not m or m.m.flags.writeable  # couplings that can change are not trusted
+    if fresh:
         with np.errstate(over="ignore", invalid="ignore"):  # x^3 may overflow: the gate fails
             hit = _Hit(sol.x, None, None, reduced_residual(sol.x, m))
-    bound = MAX_TOL * (1.0 + 6.0 * float(np.abs(sol.x).max()))
-    norm = float(np.abs(hit.f).max())
+    bound = MAX_TOL * (1.0 + 6.0 * float(np.maximum.reduce(np.abs(sol.x))))
+    norm = float(np.maximum.reduce(np.abs(hit.f)))
     if not norm <= bound:
         raise InvalidInput(f"isolation_check needs max|f| <= {bound:.3e} at x, got {norm:.3e}")
-    a = symmetrized_matrix(sol.x, m)
+    a = symmetrized_matrix(sol.x, m) if fresh else hit.spectrum[3]  # the same bytes
     r0, r1 = hit.certify(m)
     u = _pow2_scaled(sol.x) ** 2
-    eig18 = float(np.linalg.norm(a @ u - 18.0 * u) / np.linalg.norm(u))
+    w = a @ u - 18.0 * u
+    eig18 = math.sqrt(w.dot(w)) / math.sqrt(u.dot(u))  # the norms np.linalg.norm takes
     return IsolationReport(
         eigenvalues=hit.spectrum[0],
         eig18_residual=eig18,
@@ -248,7 +254,8 @@ def isolation_check(sol: ReducedSolution, m: InteractionMatrix) -> IsolationRepo
 
 def _g(x: np.ndarray, m: InteractionMatrix) -> float:
     """G = x^3 . m x^3, that is a^{3/2} . m a^{3/2} for a = x^2."""
-    return float(x**3 @ m.m @ x**3)
+    x3 = x**3
+    return float((x3 @ m.m).dot(x3))
 
 
 def _pow2_scaled(x: np.ndarray) -> np.ndarray:
@@ -258,7 +265,7 @@ def _pow2_scaled(x: np.ndarray) -> np.ndarray:
     round as they would from x, while powers of x no longer underflow or
     overflow at extreme scales of the configuration.
     """
-    return np.ldexp(x, -math.frexp(x.max())[1])
+    return np.ldexp(x, -math.frexp(np.maximum.reduce(x))[1])
 
 
 def _unit(x: np.ndarray) -> np.ndarray:
@@ -275,9 +282,12 @@ def _bounds(m: InteractionMatrix):
     6 x_k >= mu (max x)^3 >= mu floor^3 gives low = floor mu / rho, written
     so, not as mu floor^3 / 6, because floor^3 overflows at extreme scales.
     """
+    k = m.K
     rho = float(np.maximum.reduce(np.add.reduce(m.m, axis=1)))
     floor = math.sqrt(6.0 / rho)
-    return floor, floor * float(np.minimum.reduce(m.m[~np.eye(m.K, dtype=bool)])) / rho
+    # the flat m without its first entry, in rows of k + 1 that each end on a diagonal entry
+    off = m.m.reshape(-1)[1:].reshape(k - 1, k + 1)[:, :k]
+    return floor, floor * float(np.minimum.reduce(off, axis=None)) / rho
 
 
 @dataclass(eq=False)
@@ -292,7 +302,7 @@ class _Hit:
     nf: float
     thresh: float
     f: np.ndarray
-    spectrum: tuple | None = None      # _spectrum(x, m)
+    spectrum: tuple | None = None      # _spectrum(x, m); set on every hit a solve returns
     certificate: tuple | None = None   # _certificate(x, m, f, ...): (r0, r1)
 
     def certify(self, m: InteractionMatrix):
@@ -300,7 +310,7 @@ class _Hit:
         if self.spectrum is None:
             self.spectrum = _spectrum(self.x, m)
         if self.certificate is None:
-            self.certificate = _certificate(self.x, m, self.f, *self.spectrum[1:])
+            self.certificate = _certificate(self.x, m, self.f, *self.spectrum[1:3])
         return self.certificate
 
 
@@ -312,7 +322,7 @@ def _merit(y, m: InteractionMatrix, roots, scale2, f=None):
     bytes of the call on that row alone.
     """
     f = reduced_residual(y, m) if f is None else f
-    ff = np.matmul(f[..., None, :], f[..., :, None])[..., 0, 0][()]  # a scalar at a point
+    ff = f.dot(f) if f.ndim == 1 else np.matmul(f[..., None, :], f[..., :, None])[..., 0, 0]
     if not len(roots):
         return f, ff, None
     dd = np.add.reduce((y[..., None, :] - roots) ** 2, axis=-1)
@@ -353,27 +363,29 @@ def _newton(x, s: _Solve, opts: SolverOptions, roots, scale2=1.0, f=None):
     """
     m = s.m
     floor, low = s.floor * (1.0 - opts.tol), s.low * (1.0 - opts.tol)
+    twice = 2.0 * scale2
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f, m0, dd = _merit(x, m, roots, scale2, f)
         for _ in range(_MAX_ITER):
             nf = float(np.maximum.reduce(np.abs(f)))
-            thresh = opts.tol * (1.0 + 6.0 * float(np.maximum.reduce(x)))  # x > 0 throughout
+            top = float(np.maximum.reduce(x))  # max |x|: x > 0 throughout
+            thresh = opts.tol * (1.0 + 6.0 * top)
             if nf <= thresh:
-                return _Hit(x, nf, thresh, f) if np.maximum.reduce(x) >= floor else None
-            _, v, r = _spectrum(x, m)
-            step = -(v @ (r * ((x * f) @ v))) / x
+                return _Hit(x, nf, thresh, f) if top >= floor else None
+            _, v, r, _ = _spectrum(x, m)
+            step = (v @ (r * ((x * f) @ v))) / -x
             if len(roots):
-                grad = 2.0 * scale2 * ((1.0 / (dd * (dd + scale2))) @ (x - roots))  # -grad log M
-                step = step / (1.0 + grad @ step)
+                grad = twice * ((1.0 / (dd * (dd + scale2))) @ (x - roots))  # -grad log M
+                step = step / (1.0 + grad.dot(step))
             if not np.isfinite(step).all():
                 return None
-            # skip the halvings from 1 that would leave the orthant
-            edge = np.minimum.reduce(-x / step, where=step < 0, initial=np.inf)
+            # skip the halvings from 1 that would leave the orthant: edge = min -x / step
+            edge = -np.maximum.reduce(x / step, where=step < 0, initial=-np.inf)
             lam = 2.0 ** np.floor(np.log2(edge)) if edge < 1.0 else 1.0
             y = x + lam * step
             ymin = np.minimum.reduce(y)
             if not (ymin > 0.0 and (trial := _merit(y, m, roots, scale2))[1] < m0):
-                ys = x + (lam * 0.5 ** np.arange(1, _HALVINGS + 1))[:, None] * step
+                ys = x + (lam * _HALVES)[:, None] * step
                 fs, ms, dds = _merit(ys, m, roots, scale2)
                 mins = np.minimum.reduce(ys, axis=1)
                 h = ((mins > 0.0) & (ms < m0)).argmax()  # the first that passes, if any
@@ -398,7 +410,10 @@ def _ascend(s: _Solve, opts: SolverOptions):
     off the eigenvector x^2 of the eigenvalue 18, so any other eigenvalue
     above 6 at a solution the Krawczyk test isolates marks a
     saddle: the iterate steps along its eigenvector to higher G and ascends
-    again, within the same _MAX_ITER steps.
+    again, within the same _MAX_ITER steps.  At K <= 3 the first polish that
+    converges is returned as it is: its solution is the only one and a
+    nondegenerate maximum (solve_equilibria), so its G is no lower than the
+    iterate's and it is no saddle.  Every hit returned carries its _spectrum.
     """
     m = s.m
     x = _unit(np.ones(m.K))
@@ -409,6 +424,9 @@ def _ascend(s: _Solve, opts: SolverOptions):
         hit = _newton(math.sqrt(6.0 / g) * x, s, opts, ())
         if hit is None:
             continue
+        if m.K <= 3:  # the only solution, a nondegenerate maximum (solve_equilibria)
+            hit.spectrum = _spectrum(hit.x, m)
+            return hit
         u = _unit(hit.x)
         g_hit = _g(u, m)
         if not g_hit >= g * (1.0 - opts.tol):
@@ -442,7 +460,8 @@ def solve_equilibria(m: InteractionMatrix, options: SolverOptions = SolverOption
     A seed, the symmetric one included, needs x > 0 and a finite residual.
 
     At K <= 3 the system has exactly one positive solution, so no deflated
-    run is made there (seeds are still checked).  At a solution A has a zero
+    run is made there (seeds are still checked), and the ascent returns the
+    first solution its Newton polish finds.  At a solution A has a zero
     diagonal, positive entries off it and the eigenvalue 18 with eigenvector
     x^2.  At K = 2 its other eigenvalue is tr A - 18 = -18.  At K = 3 the
     other two have mu2 + mu3 = -18 and 18 mu2 mu3 = det A = 2 A12 A13 A23 > 0,
@@ -457,11 +476,12 @@ def solve_equilibria(m: InteractionMatrix, options: SolverOptions = SolverOption
     """
     k = m.K
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        xbar = np.sqrt(6.0 / np.mean(np.sum(m.m, axis=1)))  # inf if the couplings underflow
+        # sqrt(6 / mean row sum), inf if the couplings underflow
+        xbar = np.sqrt(6.0 / (np.add.reduce(np.add.reduce(m.m, axis=1)) / k))
         starts = [np.full(k, xbar)] + [np.asarray(s, dtype=float) for s in options.extra_seeds]
         for i, s in enumerate(starts):
-            f = reduced_residual(s, m) if s.shape == (k,) and np.all(s > 0) else None
-            if f is None or not np.all(np.isfinite(f)):
+            f = reduced_residual(s, m) if s.shape == (k,) and (s > 0).all() else None
+            if f is None or not np.isfinite(f).all():
                 what = "extra seed" if i else f"symmetric seed {xbar:.3e} (couplings out of range)"
                 raise InvalidInput(f"{what} must be positive, of length {k}, with finite residual")
             starts[i] = (s, f)  # every run from the seed reuses its residual

@@ -253,7 +253,7 @@ def test_family_member_not_isolated(family):
         # curve's tangent, so I - C J keeps a unit direction and no box x +- rho
         # contracts; there is no existence or uniqueness ball
         x = sol.x
-        _, v, r = eq._spectrum(x, family.matrix)
+        _, v, r, _ = eq._spectrum(x, family.matrix)
         c = (v * r) @ v.T * x / x[:, None]
         assert np.abs(np.eye(10) - c @ reduced_jacobian(x, family.matrix)).sum(axis=1).max() >= 1.0
         assert not rep.isolated

@@ -24,6 +24,7 @@ from bubblefield.equilibrium import (
     symmetrized_matrix,
     _ascend,
     _bounds,
+    _gamma,
     _Hit,
     _Solve,
 )
@@ -514,10 +515,12 @@ def assert_reuse_is_exact(sols, m, monkeypatch):
     """
     import bubblefield.equilibrium as eq
 
-    calls, spectrum = [], eq._spectrum
+    calls, built, spectrum, build = [], [], eq._spectrum, eq.symmetrized_matrix
     copy = InteractionMatrix(m=m.m.copy(), kappa=m.kappa)
     with monkeypatch.context() as patch:
         patch.setattr(eq, "_spectrum", lambda x, m: calls.append(1) or spectrum(x, m))
+        # A u takes the A the solve decomposed: symmetrized_matrix only builds a fresh check's
+        patch.setattr(eq, "symmetrized_matrix", lambda x, m: built.append(1) or build(x, m))
         for sol in sols:
             fresh = ReducedSolution(x=sol.x.copy(), residual_norm=sol.residual_norm,
                                     tolerance=sol.tolerance)
@@ -525,8 +528,9 @@ def assert_reuse_is_exact(sols, m, monkeypatch):
             for s, matrix, n in ((fresh, m, 1), (sol, m, 0), (sol, m, 0), (sol, copy, 1),
                                  (replace(sol), m, 1)):
                 calls.clear()
+                built.clear()
                 got, want = isolation_check(s, matrix), isolation_check(fresh, copy)
-                assert len(calls) == n + 1
+                assert len(calls) == len(built) == n + 1
                 assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
                 assert (got.eig18_residual, got.isolated, got.existence_radius,
                         got.uniqueness_radius) == (want.eig18_residual, want.isolated,
@@ -540,6 +544,17 @@ def test_isolation_check_reuses_the_solve_exactly(monkeypatch):
     triangles = [random_matrix(3, rng) for _ in range(512)]  # triangle-sweep's, seed 1
     for m in cluster_pool() + k4_pool() + triangles:
         assert_reuse_is_exact(solve_equilibria(m), m, monkeypatch)
+
+
+def test_isolation_check_refuses_a_non_positive_point(k2_matrix):
+    # x = 0 and -x* solve the system (its cubes are odd) and pass the residual gate,
+    # but A and the certificate need x > 0
+    x_star = k2_solution_x(k2_matrix)
+    for x in (np.zeros(2), -x_star):
+        f = float(np.max(np.abs(reduced_residual(x, k2_matrix))))
+        sol = ReducedSolution(x=x, residual_norm=f, tolerance=1e-12)
+        with pytest.raises(NonPositiveComponent):
+            isolation_check(sol, k2_matrix)
 
 
 def test_isolation_check_recomputes_on_couplings_that_can_change():
@@ -568,7 +583,7 @@ def test_newton_fails_on_a_non_finite_step_without_a_warning(monkeypatch, k3_equ
     calls = []
     residual = eq.reduced_residual
     monkeypatch.setattr(eq, "reduced_residual", lambda x, m: calls.append(1) or residual(x, m))
-    monkeypatch.setattr(eq, "_spectrum", lambda x, m: (None, v, np.array([np.inf, 1.0, 1.0])))
+    monkeypatch.setattr(eq, "_spectrum", lambda x, m: (None, v, np.array([np.inf, 1.0, 1.0]), None))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert eq._newton(x, _Solve(m, *_bounds(m)), SolverOptions(), (), f=f) is None
@@ -648,8 +663,8 @@ def test_certificate_holds_for_any_preconditioner(monkeypatch, k3_equilateral):
 
     def scaled(c):
         def patched(x, m):
-            mu, v, r = spectrum(x, m)
-            return mu, v, c * r
+            mu, v, r, a = spectrum(x, m)
+            return mu, v, c * r, a
         return patched
 
     for c in (-1.0, 2.0):
@@ -664,11 +679,81 @@ def test_certificate_holds_for_any_preconditioner(monkeypatch, k3_equilateral):
     assert half.uniqueness_radius == pytest.approx(rep.uniqueness_radius, rel=1e-12)
 
 
+def certificate_oracle(x, m, f, v, r):
+    """_certificate's (r0, r1) as first written: reduced_jacobian, fromnumeric max and min."""
+    k = x.shape[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        c = (v * r) @ v.T * x / x[:, None]
+        cabs, j = np.abs(c), reduced_jacobian(x, m)
+        g = _gamma(k + 2) * (6.0 * x + m.m @ x**3)
+        a = (1.0 + _gamma(k + 1)) * float((cabs @ (np.abs(f) + g)).max())
+        e = float(np.add.reduce(np.abs(np.eye(k) - c @ j), axis=1).max())
+        e += _gamma(k + 4) * float(np.add.reduce(cabs @ np.abs(j), axis=1).max())
+        p = 9.0 * (1.0 + _gamma(2 * k + 1)) * float((cabs @ (m.m @ x)).max())
+        b = 1.0 - e
+        disc = b * b - 4.0 * a * p
+        if not (b > 0.0 and disc > 0.0):
+            return math.inf, 0.0
+        root = b + math.sqrt(disc)
+        r0, r1 = 2.0 * a / root, min(root / (2.0 * p), float(x.min()))
+    return (r0, r1) if r0 < r1 else (math.inf, 0.0)
+
+
+def test_rewritten_forms_keep_the_bytes():
+    # the solve-and-certify path takes cheaper numpy forms of the same arithmetic: each
+    # must give the bytes of the plain form, at every K up to 100
+    import bubblefield.equilibrium as eq
+
+    rng = np.random.default_rng(47)
+    seeds, residual = [], eq.reduced_residual
+
+    def first_residual(x, m):
+        seeds.append(np.array(x))
+        return residual(x, m)
+
+    def stop(m):
+        raise RuntimeError("seed checked")
+
+    passed = 0
+    for K in range(2, 101):
+        m = random_matrix(K, rng)
+        x = rng.uniform(0.1, 3.0, size=K)
+        outer = (3.0 * m.m * np.outer(x, x)).tobytes()
+        assert symmetrized_matrix(x, m).tobytes() == outer == eq._spectrum(x, m)[3].tobytes()
+        assert eq._g(x, m) == float(x**3 @ m.m @ x**3)
+        w = rng.normal(size=K)
+        assert math.sqrt(w.dot(w)) == float(np.linalg.norm(w))
+        # the flat view of _bounds picks the off-diagonal entries, also of an array stored
+        # transposed; the transpose of a non-symmetric matrix tells rows from columns
+        upper = np.triu(rng.uniform(0.5, 3.0, size=(K, K)), 1)
+        skew = InteractionMatrix(m=(upper + 2.0 * upper.T).T, kappa=1.0)
+        assert not skew.m.flags.c_contiguous
+        for matrix in (m, skew):
+            rho = np.max(np.sum(matrix.m, axis=1))
+            mu = np.min(matrix.m[~np.eye(K, dtype=bool)])
+            assert eq._bounds(matrix) == (math.sqrt(6.0 / rho), math.sqrt(6.0 / rho) * mu / rho)
+        # the symmetric seed of solve_equilibria
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(eq, "reduced_residual", first_residual)
+            patch.setattr(eq, "_bounds", stop)
+            with pytest.raises(RuntimeError, match="seed checked"):
+                solve_equilibria(m)
+        xbar = np.sqrt(6.0 / np.mean(np.sum(m.m, axis=1)))
+        assert seeds.pop().tobytes() == np.full(K, xbar).tobytes() and not seeds
+        # _certificate with its own identity and J, against reduced_jacobian's; a residual
+        # at rounding level lets most boxes pass, so the radii are compared, not just inf
+        args = certificate_inputs(x, m, 1e-14 * rng.normal(size=K))
+        got = eq._certificate(*args)
+        assert got == certificate_oracle(*args)
+        passed += got[1] > 0.0
+    assert passed > 50
+
+
 def certificate_inputs(x, m, f=None):
     """x, m, the residual (or f) and the spectrum's v and r: _certificate's arguments."""
     import bubblefield.equilibrium as eq
 
-    _, v, r = eq._spectrum(x, m)
+    _, v, r, _ = eq._spectrum(x, m)
     return x, m, reduced_residual(x, m) if f is None else f, v, r
 
 
@@ -788,7 +873,7 @@ def test_spectrum_cuts_the_kernel_on_the_k10_curve(family):
 
     for t in (0.0, 0.37, 1.9):
         x = family_member(t, family).x
-        mu, v, r = eq._spectrum(x, family.matrix)
+        mu, v, r, _ = eq._spectrum(x, family.matrix)
         cut = r == 0.0
         assert cut.sum() == 1 and abs(6.0 - mu[cut][0]) <= 1e-14
         assert np.array_equal(r[~cut], 1.0 / (6.0 - mu[~cut]))
@@ -1014,6 +1099,43 @@ def test_no_deflated_run_at_k_le_3(monkeypatch, k2_matrix, k3_equilateral):
     for bad in ([0.4, -0.6, 0.5], [0.4, 0.0, 0.5], [0.4, 0.6]):
         with pytest.raises(InvalidInput):
             solve_equilibria(k3_equilateral, SolverOptions(extra_seeds=(np.array(bad),)))
+
+
+def test_ascent_at_k_le_3_returns_its_first_polish(monkeypatch, k2_matrix, k3_equilateral):
+    # at K <= 3 the solution is unique and a nondegenerate maximum of G (solve_equilibria),
+    # so the ascent returns its first polished hit without comparing G or testing for a
+    # saddle: the answer is the general path's, and the checks it skips would pass
+    import bubblefield.equilibrium as eq
+
+    newton, g_of, counts = eq._newton, eq._g, {"newton": 0, "g": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(eq, "_newton", counted("newton", newton))
+    monkeypatch.setattr(eq, "_g", counted("g", g_of))
+    opts = SolverOptions()
+    rng = np.random.default_rng(1)
+    triangles = [random_matrix(3, rng) for _ in range(512)]  # triangle-sweep's, seed 1
+    pool = unique_solution_pool(np.random.default_rng(35)) + [k2_matrix, k3_equilateral]
+    for m in pool + triangles:
+        counts.update(newton=0, g=0)
+        (sol,) = solve_equilibria(m, opts)
+        assert counts == {"newton": 1, "g": 1}
+        x = eq._unit(np.ones(m.K))
+        for _ in range(5):
+            x = eq._unit(np.sqrt(x * (m.m @ x**3)))
+        g = g_of(x, m)
+        hit = newton(math.sqrt(6.0 / g) * x, _Solve(m, *_bounds(m)), opts, ())
+        assert sol.x.tobytes() == hit.x.tobytes()
+        assert (sol.residual_norm, sol.tolerance) == (hit.nf, hit.thresh)
+        assert g_of(eq._unit(hit.x), m) >= g * (1.0 - opts.tol)
+        mu, vecs = sol._record[1].spectrum[:2]  # the returned hit carries its spectrum
+        i18 = np.argmax(np.abs(vecs.T @ hit.x**2))  # the eigenvalue 18
+        assert abs(mu[i18] - 18.0) <= 1e-7 and np.delete(mu, i18).max() <= 6.0
 
 
 def test_lift_round_trip(k2_matrix):
