@@ -560,13 +560,163 @@ def to_physical(traj: Trajectory):
     ]
 
 
-def _csv_blocks(traj: Trajectory):
-    """The CSV of trajectory_csv as consecutive strings: the header line, then one block
-    of up to BLOCK_ROWS rows at a time, each made from a slice of ts and of table.
+@functools.cache
+def _g17_tables():
+    """(words, zeros, mask, p10): the formatter's tables, built on first use by
+    broadcasting (about 0.2 ms).
 
-    A block takes two `%` passes: one formats the state columns (alpha through
-    dist_to_eq) once for each run of consecutive rows that are equal bit for bit, the
-    other writes every row's t and s with its run's state text.
+    A value's text is cut from a slot of five uint64 words, 40 bytes: "-0.000" D0
+    ".", then D1 "." D2 "." ... D16 "." for its 17 digits, with the separator in
+    place of the last ".".  words[10000 + D0] is word 0 and words[g] is word j for
+    the j-th group g of four digits; zeros[g] counts g's trailing zeros (4 for 0000).
+    A row of mask per (sign, e, significant digits) keeps the bytes of %g's fixed
+    notation; the other bytes are zeroed, then deleted.  p10 holds 10^p for
+    p = 0..22, each exact, and its split (hi, lo) for Dekker's product.
+    """
+    digits = np.arange(48, 58, dtype=np.uint8)
+    groups = np.full((10, 10, 10, 10, 4, 2), ord("."), np.uint8)  # "d.d.d.d." for 0000-9999
+    for i in range(4):
+        groups[..., i, 0] = digits.reshape((10,) + (1,) * (3 - i))  # the i-th digit
+    heads = np.tile(np.frombuffer(b"-0.000\0.", np.uint8), (10, 1))
+    heads[:, 6] = digits
+    zeros = np.zeros((10, 10, 10, 10), np.uint8)
+    for i in range(4):
+        zeros[(...,) + (0,) * (i + 1)] += 1  # the last i + 1 digits are 0
+    col = np.arange(40)
+    e = np.arange(-4, 17)[:, None, None]
+    sig = np.arange(1, 18)[None, :, None]
+    i = (col - 6) // 2  # the digit at column 6 + 2i, the point after it at 7 + 2i
+    keep = (
+        (col >= 1) & (col <= 2) & (e < 0)  # "0." before a value below 1
+        | (col >= 3) & (col <= 5) & (col - 3 < -e - 1)  # and its zeros after the point
+        | (col >= 6) & (col % 2 == 0) & ((i < sig) | (i <= e))
+        | (col >= 7) & (col % 2 == 1) & (i == e) & (sig - 1 > e)
+        | (col == 39)
+    ).reshape(-1, 40)
+    mask = np.concatenate((keep, keep | (col == 0)))  # then the same with "-"
+    p10 = np.array([float(10**p) for p in range(23)])
+    words = np.concatenate((groups.reshape(10**4, 8), heads)).view(np.uint64)[:, 0]
+    mask = (mask * np.uint8(255)).view(np.uint64)
+    return words, zeros.ravel(), mask, np.stack((p10, *_split(p10)))
+
+
+def _g17(x: np.ndarray, sep: np.ndarray) -> str:
+    """The text of "%.17g%c" % (v, c) for each value v of x and code c of sep, joined.
+
+    The work is done 2,048 values at a time, with about 0.3 MB of temporaries.  A
+    value with 17 digits N and exponent e that %g writes in fixed notation
+    (-4 <= e <= 16) is laid out from N's digits and _g17_tables' slot; every other
+    value (exponent notation, NaN and the infinities) goes through `%` on its own.
+    """
+    tables = _g17_tables()
+    return "".join(
+        [_g17_chunk(x[i : i + 2048], sep[i : i + 2048], tables) for i in range(0, len(x), 2048)]
+    )
+
+
+def _g17_chunk(v: np.ndarray, sep: np.ndarray, tables) -> str:
+    """_g17 for one chunk: the slots of _g17_layout, masked, with the separators."""
+    words_of, zeros_of, mask_of, p10 = tables
+    row, words = _g17_layout(v, zeros_of, p10)
+    buf = bytearray(40 * len(v))  # the slots, then their text with the zeroed bytes deleted
+    slot = np.frombuffer(buf, np.uint64).reshape(-1, 5)
+    np.take(words_of, words, out=slot, mode="clip")
+    del words  # at most one 40-byte array a value besides the slots
+    slot &= np.take(mask_of, row, axis=0, mode="clip")
+    text = slot.view(np.uint8)
+    text[:, 39] = sep
+    other = np.flatnonzero(row < 0)
+    if other.size:  # one `%` pass, each text padded with spaces, which no text holds
+        texts = ("%-39.17g" * other.size) % tuple(v[other].tolist())
+        text[other, :39] = np.frombuffer(texts.encode(), np.uint8).reshape(-1, 39)
+    return buf.translate(None, b"\0 ").decode()
+
+
+def _g17_layout(v: np.ndarray, zeros_of: np.ndarray, p10: np.ndarray):
+    """(row, words): each value's row of _g17_tables' mask, -1 where %g does not write
+    it in fixed notation, and the indices of its slot's five words in their table."""
+    digits, e, ok = _g17_digits(v, p10)
+    # N = D0 10^16 + 10^8 (10^4 g1 + g2) + 10^4 g3 + g4 with four groups g of four digits
+    high = digits // 10**8
+    lead = high // 10**8
+    halves = np.empty((len(v), 2), np.intp)
+    np.subtract(high, lead * 10**8, out=halves[:, 0])
+    np.subtract(digits, high * 10**8, out=halves[:, 1])
+    quads = halves // 10**4
+    halves -= quads * 10**4
+    words = np.empty((len(v), 5), np.intp)
+    words[:, 0] = lead + 10**4
+    words[:, 1::2], words[:, 2::2] = quads, halves
+    # trailing zeros: of each half, then of the last 16 digits (16 for 10^16)
+    zeros = zeros_of[halves]
+    zeros += (halves == 0) * zeros_of[quads]
+    zeros = zeros[:, 1] + (zeros[:, 1] == 8) * zeros[:, 0]
+    row = e * 17 + (16 + 4 * 17) - zeros  # (e, significant digits)
+    row += 357 * np.signbit(v)
+    row[~(ok & (e >= -4) & (e <= 16))] = -1
+    return row, words
+
+
+def _g17_digits(v: np.ndarray, p10: np.ndarray):
+    """(N, e, ok): where ok, |v| = N 10^(e - 16) rounded half to even, 10^16 <= N < 10^17.
+
+    With p = 16 - e, 0 <= p <= 22, 10^p is exact and Dekker's product gives |v| 10^p
+    as hi + lo exactly; then N = hi + rint(lo), since hi >= 2^53 is an even integer
+    and |lo| <= 8.  p is first taken from np.log10 and moved by one where hi + lo
+    falls outside [10^16, 10^17); an N of 10^17 is 10^16 with e + 1.  0 gives N = 0,
+    e = 0 and ok; NaN, the infinities and |v| outside about [1e-6, 1e17) give not ok.
+    """
+    a = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # fmax takes 0 for NaN; 0 and the infinities take 22 and 0
+        p = np.fmin(np.fmax(16.0 - np.floor(np.log10(a)), 0.0), 22.0).astype(np.intp)
+        hi, lo, ok = _times_p10(a, p, p10)
+        redo = np.flatnonzero(~ok)  # log10 a decade off, or no 17-digit form
+        if redo.size:
+            p[redo] = np.clip(p[redo] + np.where(hi[redo] < 1e16, 1, -1), 0, 22)
+            hi[redo], lo[redo], ok[redo] = _times_p10(a[redo], p[redo], p10)
+    hi[~ok], lo[~ok] = 0.0, 0.0
+    digits = hi.astype(np.int64)
+    digits += np.rint(lo).astype(np.int64)
+    e = np.subtract(16, p, out=p)
+    roll = digits == 10**17
+    digits[roll] = 10**16
+    e += roll
+    zero = a == 0.0
+    e[zero] = 0
+    return digits, e, ok | zero
+
+
+def _times_p10(a, p, p10):
+    """(hi, lo, ok): hi + lo = a 10^p exactly, by Dekker's product (Numer. Math. 18,
+    1971), and ok where 10^16 <= hi + lo < 10^17, judged on hi and lo both."""
+    c, ch, cl = p10[:, p]
+    hi = a * c
+    ah, al = _split(a)
+    lo = ah * ch
+    lo -= hi
+    lo += ah * cl
+    lo += al * ch
+    lo += al * cl
+    ok = ((hi > 1e16) | (hi == 1e16) & (lo >= 0)) & ((hi < 1e17) | (hi == 1e17) & (lo < 0))
+    return hi, lo, ok
+
+
+def _split(a):
+    """(hi, lo) with hi + lo = a exactly, each of at most 26 significant bits (Veltkamp)."""
+    t = a * 134217729.0  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _csv_blocks(traj: Trajectory):
+    """The CSV of trajectory_csv as consecutive strings, one block of up to BLOCK_ROWS
+    rows at a time, each made from a slice of ts and of table; the first block starts
+    with the header line (a trajectory without rows writes the header alone).
+
+    A block is one _g17 call over _block_values: each run of consecutive state rows
+    (alpha through dist_to_eq) equal bit for bit is formatted once.  A later row of
+    a run writes its t and s and a mark, which the run's state text then replaces.
     """
     k = traj.K
     cols = (
@@ -575,39 +725,65 @@ def _csv_blocks(traj: Trajectory):
         + [f"beta_{i + 1}" for i in range(k)]
         + ["L", "L_rate", "dist_to_eq"]
     )
-    yield ",".join(cols) + "\n"
-    state_fmt = ",".join(["%.17g"] * (2 * k + 3)) + "\n"
+    head = ",".join(cols) + "\n"
     for lo in range(0, traj.ts.shape[0], BLOCK_ROWS):
         rows = slice(lo, lo + BLOCK_ROWS)
-        state = traj.table[rows]
-        # bits, not ==: 0.0 and -0.0 format differently, and NaN never equals itself
-        bits = state.view(np.uint64)
-        new = np.ones(state.shape[0], dtype=bool)
-        np.any(bits[1:] != bits[:-1], axis=1, out=new[1:])
-        distinct = state[new]
-        fmt = "\0".join([state_fmt] * distinct.shape[0])  # NUL is in no %.17g value
-        texts = (fmt % tuple(distinct.ravel().tolist())).split("\0")
-        t = traj.ts[rows].tolist()
-        try:  # math.exp, not np.exp: the two can differ in the last bit
-            s = list(map(math.exp, t))
-        except OverflowError:  # some t above about 709.78
-            s = list(map(_exp, t))
-        values = [None] * (3 * len(t))
-        values[0::3] = t
-        values[1::3] = s
-        # each row of a run refers to the run's one state text
-        values[2::3] = np.array(texts, dtype=object)[np.cumsum(new) - 1].tolist()
-        yield ("%.17g,%.17g,%s" * len(t)) % tuple(values)
+        held, repeat, values, seps = _block_values(traj.ts[rows], traj.table[rows])
+        *states, body = _g17(values, seps).split("\n", int(np.count_nonzero(held)))
+        parts = body.split("\x01")
+        out = [None] * (2 * len(parts) - 1)
+        out[0::2] = parts
+        run = np.array([f",{text}\n" for text in states], dtype=object)
+        out[1::2] = run[(np.cumsum(held) - 1)[repeat]].tolist()
+        if head:
+            out.insert(0, head)
+        yield "".join(out)
+        head = ""
+    if head:
+        yield head
+
+
+def _block_values(ts: np.ndarray, state: np.ndarray):
+    """(held, repeat, values, seps) for one block of _csv_blocks.
+
+    repeat marks a row whose state is the one above's, and held a row that starts
+    a run of two rows or more.  values are each held row's state, then the rows in
+    order: t, s and, for a row that starts a run, its state.  seps end each state
+    row in a newline and each of a repeated row's s in a mark (\x01), and are
+    commas otherwise.
+    """
+    # bits, not ==: 0.0 and -0.0 format differently, and NaN never equals itself
+    bits = state.view(np.uint64)
+    repeat = np.zeros(state.shape[0], dtype=bool)
+    np.all(bits[1:] == bits[:-1], axis=1, out=repeat[1:])
+    start = ~repeat
+    held = start & np.append(repeat[1:], False)
+    pairs = np.empty((state.shape[0], 2))
+    pairs[:, 0] = ts
+    try:  # math.exp, not np.exp: the two can differ in the last bit
+        pairs[:, 1] = np.fromiter(map(math.exp, ts.tolist()), float, ts.shape[0])
+    except OverflowError:  # some t above about 709.78
+        pairs[:, 1] = np.fromiter(map(_exp, ts.tolist()), float, ts.shape[0])
+    marks = np.full((state.shape[0], 2), ord(","), np.uint8)
+    marks[repeat, 1] = 1
+    front = np.concatenate((state[held], state[start]))
+    # the flat position in front of each row's t and s: after its state if it starts a run
+    before = np.repeat(front.shape[1] * (np.count_nonzero(held) + np.cumsum(start) - start), 2)
+    line = np.full(front.shape, ord(","), np.uint8)
+    line[:, -1] = ord("\n")
+    values = np.insert(front.ravel(), before, pairs.ravel())
+    return held, repeat, values, np.insert(line.ravel(), before, marks.ravel())
 
 
 def trajectory_csv(traj: Trajectory) -> str:
     """CSV export: t, s, alpha_1..alpha_K, beta_1..beta_K, L, L_rate, dist_to_eq.
 
-    Every value is written as its own `%.17g`, which round-trips exactly.  The
-    state columns (alpha through dist_to_eq) are formatted once for each run of
+    Every value is written as its own `%.17g`, which round-trips exactly; the
+    writer (_g17) makes those bytes with exact integer arithmetic on whole arrays.
+    The state columns (alpha through dist_to_eq) are formatted once for each run of
     consecutive rows that are equal bit for bit, as a frozen trajectory's are, and
-    only t and s are formatted per row; the bytes are those of per-value `%.17g`.
-    The text is made in blocks of BLOCK_ROWS rows, which the CLI writes to its file
-    one at a time.
+    only t and s are formatted per row.  The text is made in blocks of BLOCK_ROWS
+    rows, which the CLI writes to its file one at a time; the first block carries
+    the header, so a CSV of one block is that block, not a copy of it.
     """
     return "".join(_csv_blocks(traj))

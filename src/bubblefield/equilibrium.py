@@ -274,16 +274,16 @@ def _unit(x: np.ndarray) -> np.ndarray:
     return x / np.add.reduce(x**4) ** 0.25
 
 
-def _bounds(m: InteractionMatrix):
+def _bounds(m: InteractionMatrix, row_sums: np.ndarray):
     """(floor, low): every solution has max x >= floor and every x_k >= low.
 
-    With rho the largest row sum of m and mu its smallest off-diagonal
-    coupling, 6 max x <= rho (max x)^3 gives floor = sqrt(6 / rho), and
+    With rho the largest of row_sums, m's row sums, and mu its smallest
+    off-diagonal coupling, 6 max x <= rho (max x)^3 gives floor = sqrt(6 / rho), and
     6 x_k >= mu (max x)^3 >= mu floor^3 gives low = floor mu / rho, written
     so, not as mu floor^3 / 6, because floor^3 overflows at extreme scales.
     """
     k = m.K
-    rho = float(np.maximum.reduce(np.add.reduce(m.m, axis=1)))
+    rho = float(np.maximum.reduce(row_sums))
     floor = math.sqrt(6.0 / rho)
     # the flat m without its first entry, in rows of k + 1 that each end on a diagonal entry
     off = m.m.reshape(-1)[1:].reshape(k - 1, k + 1)[:, :k]
@@ -477,7 +477,8 @@ def solve_equilibria(m: InteractionMatrix, options: SolverOptions = SolverOption
     k = m.K
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # sqrt(6 / mean row sum), inf if the couplings underflow
-        xbar = np.sqrt(6.0 / (np.add.reduce(np.add.reduce(m.m, axis=1)) / k))
+        row_sums = np.add.reduce(m.m, axis=1)
+        xbar = np.sqrt(6.0 / (np.add.reduce(row_sums) / k))
         starts = [np.full(k, xbar)] + [np.asarray(s, dtype=float) for s in options.extra_seeds]
         for i, s in enumerate(starts):
             f = reduced_residual(s, m) if s.shape == (k,) and (s > 0).all() else None
@@ -486,7 +487,7 @@ def solve_equilibria(m: InteractionMatrix, options: SolverOptions = SolverOption
                 raise InvalidInput(f"{what} must be positive, of length {k}, with finite residual")
             starts[i] = (s, f)  # every run from the seed reuses its residual
 
-    solve = _Solve(m, *_bounds(m))
+    solve = _Solve(m, *_bounds(m, row_sums))
     found = [_ascend(solve, options)]
     if found[0] is None:
         raise NoSolutionFound(f"sphere ascent found no solution in _MAX_ITER = {_MAX_ITER} steps")

@@ -529,16 +529,79 @@ def test_trajectory_csv_matches_per_value_oracle(
         table=np.tile([1.0, 1.0, 2.0, 2.0, 0.0, 0.0, math.nan], (4, 1)),
     )
     assert trajectory_csv(late).splitlines()[3].split(",")[1] == "inf"
+    # every layout of %g's fixed notation (e = -4 ... 16, 1 to 17 significant digits,
+    # either sign), half-to-even ties, the decade edges (9.99999999999999999e-5 reads
+    # as 1e-4 and writes 0.0001), exponent notation at both ends and zeros
+    mantissas = ("1", "1.5", "2.25", "3.125", "1.2345678901234567", "9.999999999999999")
+    fixed = [float(f"{m}e{e}") for e in range(-4, 17) for m in mantissas]
+    edges = [123456789012345.125, 123456789012345.375, 0.5, 2.5, 9.99999999999999999e-5,
+             99999999999999999.0, 1e17, 1.5e-5, 1e-300, 5e-324, 1e300, 0.0, -0.0, 1.0]
+    cells = np.array(fixed + edges)
+    cells = np.concatenate((cells, -cells))
+    layouts = hand_built(np.resize(cells, (len(cells) // 7 + 1, 7)))
+    assert "0.0001" in trajectory_csv(layouts).replace("\n", ",").split(",")
     for traj in (frozen, frozen_no_eq, crossing, ending):
         assert trajectory_csv(traj) == csv_oracle(traj)
     # the short ones also in blocks of one, two and three rows, where runs cross boundaries
-    for traj in (no_eq, with_eq, restarts, signed_zero, specials, late):
+    for traj in (no_eq, with_eq, restarts, signed_zero, specials, late, layouts):
         text = csv_oracle(traj)
         assert trajectory_csv(traj) == text
         for rows in (1, 2, 3):
             monkeypatch.setattr(dynamics, "BLOCK_ROWS", rows)
             assert trajectory_csv(traj) == text
         monkeypatch.undo()
+
+
+def assert_g17_is_percent_17g(values, seps):
+    """_g17 gives the text of each value through its own %.17g, then its separator;
+    a mismatch names the first value written differently."""
+    pairs = [None] * (2 * values.size)
+    pairs[0::2], pairs[1::2] = values.tolist(), seps.tolist()
+    got, want = dynamics._g17(values, seps), ("%.17g%c" * values.size) % tuple(pairs)
+    if got != want:  # no diff of the whole text, which takes pytest minutes
+        got, want = re.split("[,\n]", got), re.split("[,\n]", want)
+        i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+        pytest.fail(f"{values[i]!r} written as {got[i]!r}, not {want[i]!r}")
+
+
+def test_g17_writes_the_bytes_of_percent_17g():
+    # the CSV's formatter against CPython's %.17g, value by value: random bit patterns,
+    # each power of ten from 1e-6 to 1e18 and the floats on either side of it, half-to-
+    # even ties, the decade edges (99999999999999999.0 reads as 1e17 and writes 1e+17),
+    # zeros, subnormals, the largest floats, inf and NaN
+    rng = np.random.default_rng(48)
+    tens = np.array([float(f"1e{k}") for k in range(-6, 19)])
+    edges = [123456789012345.125, 123456789012345.375, 0.5, 2.5, 0.125, 0.375,
+             9.99999999999999999e-5, 99999999999999999.0, 9999999999999998.0, 0.0,
+             5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, math.inf, math.nan]
+    chosen = np.concatenate((tens, np.nextafter(tens, 0.0), np.nextafter(tens, math.inf), edges))
+    values = np.concatenate((
+        rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64), chosen, -chosen
+    ))
+    assert_g17_is_percent_17g(values, rng.choice(np.frombuffer(b",\n", np.uint8), values.size))
+
+
+def test_g17_matches_percent_17g_on_any_float():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.lists(st.floats(), min_size=1, max_size=40))
+    def check(xs):
+        assert_g17_is_percent_17g(np.array(xs), np.full(len(xs), ord(","), np.uint8))
+
+    check()
+
+
+def test_csv_of_one_block_is_that_block(k2_matrix):
+    # the header rides in the first block, so trajectory_csv joins a one-block CSV
+    # without copying it
+    eq = k2_equilibrium(k2_matrix)
+    traj = integrate(state_at(eq), k2_matrix, ZERO, 0.3, equilibria=[eq])
+    blocks = list(dynamics._csv_blocks(traj))
+    assert len(blocks) == 1 and blocks[0] == csv_oracle(traj) == trajectory_csv(traj)
+    empty = Trajectory(ts=np.empty(0), table=np.empty((0, 7)))
+    assert list(dynamics._csv_blocks(empty)) == [csv_oracle(empty)]
 
 
 def test_diagnostics_match_per_sample_functions(monkeypatch, family):

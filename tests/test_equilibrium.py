@@ -282,10 +282,15 @@ def _stable_dimension(sol, m):
     return n_stable
 
 
+def solve_box(m):
+    """What solve_equilibria's Newton runs share: m and the solution box of _bounds."""
+    return _Solve(m, *_bounds(m, np.add.reduce(m.m, axis=1)))
+
+
 def test_ascent_solution_is_certified_maximizer_with_smallest_a():
     opts = SolverOptions()
     for m in cluster_pool():
-        x = _ascend(_Solve(m, *_bounds(m)), opts).x
+        x = _ascend(solve_box(m), opts).x
         mu, vecs = np.linalg.eigh(symmetrized_matrix(x, m))
         i18 = np.argmax(np.abs(vecs.T @ x**2))  # the eigenvector x^2
         assert abs(mu[i18] - 18.0) <= 1e-7
@@ -586,7 +591,7 @@ def test_newton_fails_on_a_non_finite_step_without_a_warning(monkeypatch, k3_equ
     monkeypatch.setattr(eq, "_spectrum", lambda x, m: (None, v, np.array([np.inf, 1.0, 1.0]), None))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert eq._newton(x, _Solve(m, *_bounds(m)), SolverOptions(), (), f=f) is None
+        assert eq._newton(x, solve_box(m), SolverOptions(), (), f=f) is None
     assert calls == []
 
 
@@ -616,7 +621,7 @@ def test_solution_box_changes_no_solution_and_saves_work_at_k4(monkeypatch, fami
     pools = (cluster_pool(), k4, [k2, random_matrix(4, three), family.matrix])
     for pool, count in zip(pools, (82, 64, 5)):
         boxed, n_boxed = solve_all(pool, box)
-        unboxed, n_unboxed = solve_all(pool, lambda m: (box(m)[0], 0.0))
+        unboxed, n_unboxed = solve_all(pool, lambda m, rows: (box(m, rows)[0], 0.0))
         assert boxed == unboxed and sum(map(len, boxed)) == count
         assert n_boxed < n_unboxed or pool is not k4
 
@@ -627,7 +632,7 @@ def test_newton_accepts_an_iterate_within_rounding_below_the_box():
     import bubblefield.equilibrium as eq
 
     m = interaction_matrix(build_configuration([[0, 0, 0, 0, 0], [2, 0, 0, 0, 0]]))
-    s = _Solve(m, *_bounds(m))
+    s = solve_box(m)
     hit = eq._newton(np.full(2, 1.001 * s.floor), s, SolverOptions(), ())
     assert hit is not None and np.all(hit.x == s.floor) and s.floor < s.low
 
@@ -711,7 +716,8 @@ def test_rewritten_forms_keep_the_bytes():
         seeds.append(np.array(x))
         return residual(x, m)
 
-    def stop(m):
+    def stop(m, row_sums):
+        seeds.append(row_sums)  # the row sums the seed took, passed on
         raise RuntimeError("seed checked")
 
     passed = 0
@@ -729,16 +735,17 @@ def test_rewritten_forms_keep_the_bytes():
         skew = InteractionMatrix(m=(upper + 2.0 * upper.T).T, kappa=1.0)
         assert not skew.m.flags.c_contiguous
         for matrix in (m, skew):
-            rho = np.max(np.sum(matrix.m, axis=1))
-            mu = np.min(matrix.m[~np.eye(K, dtype=bool)])
-            assert eq._bounds(matrix) == (math.sqrt(6.0 / rho), math.sqrt(6.0 / rho) * mu / rho)
-        # the symmetric seed of solve_equilibria
+            rows = np.sum(matrix.m, axis=1)
+            rho, mu = np.max(rows), np.min(matrix.m[~np.eye(K, dtype=bool)])
+            assert eq._bounds(matrix, rows) == (math.sqrt(6.0 / rho), math.sqrt(6.0 / rho) * mu / rho)
+        # the symmetric seed of solve_equilibria, and the row sums it passes to _bounds
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(eq, "reduced_residual", first_residual)
             patch.setattr(eq, "_bounds", stop)
             with pytest.raises(RuntimeError, match="seed checked"):
                 solve_equilibria(m)
         xbar = np.sqrt(6.0 / np.mean(np.sum(m.m, axis=1)))
+        assert seeds.pop().tobytes() == np.sum(m.m, axis=1).tobytes()
         assert seeds.pop().tobytes() == np.full(K, xbar).tobytes() and not seeds
         # _certificate with its own identity and J, against reduced_jacobian's; a residual
         # at rounding level lets most boxes pass, so the radii are compared, not just inf
@@ -1129,7 +1136,7 @@ def test_ascent_at_k_le_3_returns_its_first_polish(monkeypatch, k2_matrix, k3_eq
         for _ in range(5):
             x = eq._unit(np.sqrt(x * (m.m @ x**3)))
         g = g_of(x, m)
-        hit = newton(math.sqrt(6.0 / g) * x, _Solve(m, *_bounds(m)), opts, ())
+        hit = newton(math.sqrt(6.0 / g) * x, solve_box(m), opts, ())
         assert sol.x.tobytes() == hit.x.tobytes()
         assert (sol.residual_norm, sol.tolerance) == (hit.nf, hit.thresh)
         assert g_of(eq._unit(hit.x), m) >= g * (1.0 - opts.tol)
