@@ -22,6 +22,7 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo as _eigh  # what np.linalg.eigh calls on floats
 
 from .config import InteractionMatrix
 from .errors import InvalidInput, NumericalFailure, real
@@ -168,13 +169,14 @@ def _spectrum(x: np.ndarray, m: InteractionMatrix):
 
     D^-1 v diag(r) v^T D pseudo-inverts J = D^-1 (6I - A) D, D = diag(x), with the
     cut |6 - mu| <= K 2^-52 max|6 - mu| of lstsq's default rcond (the K = 10 kernel).
-    a has the bytes of symmetrized_matrix(x, m), for isolation_check's A u.
+    a has the bytes of symmetrized_matrix(x, m), for isolation_check's A u.  mu and v
+    are np.linalg.eigh's bits, from the gufunc it wraps, which flags a failure by NaN
+    in mu and by the invalid flag, silent in its callers' errstate scope.
     """
     a = 3.0 * m.m * (x * x[:, None])
-    try:
-        mu, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as e:
-        raise SpectrumFailure(f"symmetric eigensolver failed: {e}") from e
+    mu, v = _eigh(a, signature="d->dd")
+    if math.isnan(mu.dot(mu)):  # any NaN: a sum of squares is NaN only then
+        raise SpectrumFailure("symmetric eigensolver failed: eigenvalues did not converge")
     mu.setflags(write=False)  # every report on the point shares it
     d = 6.0 - mu
     d[np.abs(d) <= x.shape[0] * 2.0**-52 * max(d[0], -d[-1])] = np.inf  # 1 / inf = 0
@@ -196,20 +198,19 @@ def _certificate(x: np.ndarray, m: InteractionMatrix, f: np.ndarray, v, r):
     point, not in interval arithmetic.
     """
     k, eye = x.shape[0], np.eye(x.shape[0])
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        c = (v * r) @ v.T * x / x[:, None]
-        cabs, j = np.abs(c), 6.0 * eye - 3.0 * m.m * x**2  # reduced_jacobian(x, m)
-        g = _gamma(k + 2) * (6.0 * x + m.m @ x**3)
-        a = (1.0 + _gamma(k + 1)) * float(np.maximum.reduce(cabs @ (np.abs(f) + g)))
-        e = float(np.maximum.reduce(np.add.reduce(np.abs(eye - c @ j), axis=1)))
-        e += _gamma(k + 4) * float(np.maximum.reduce(np.add.reduce(cabs @ np.abs(j), axis=1)))
-        p = 9.0 * (1.0 + _gamma(2 * k + 1)) * float(np.maximum.reduce(cabs @ (m.m @ x)))
-        b = 1.0 - e
-        disc = b * b - 4.0 * a * p
-        if not (b > 0.0 and disc > 0.0):  # NaN too
-            return math.inf, 0.0
-        root = b + math.sqrt(disc)
-        r0, r1 = 2.0 * a / root, min(root / (2.0 * p), float(np.minimum.reduce(x)))
+    c = (v * r) @ v.T * x / x[:, None]
+    cabs, j = np.abs(c), 6.0 * eye - 3.0 * m.m * x**2  # reduced_jacobian(x, m)
+    g = _gamma(k + 2) * (6.0 * x + m.m @ x**3)
+    a = (1.0 + _gamma(k + 1)) * float(np.maximum.reduce(cabs @ (np.abs(f) + g)))
+    e = float(np.maximum.reduce(np.add.reduce(np.abs(eye - c @ j), axis=1)))
+    e += _gamma(k + 4) * float(np.maximum.reduce(np.add.reduce(cabs @ np.abs(j), axis=1)))
+    p = 9.0 * (1.0 + _gamma(2 * k + 1)) * float(np.maximum.reduce(cabs @ (m.m @ x)))
+    b = 1.0 - e
+    disc = b * b - 4.0 * a * p
+    if not (b > 0.0 and disc > 0.0):  # NaN too
+        return math.inf, 0.0
+    root = b + math.sqrt(disc)
+    r0, r1 = 2.0 * a / root, min(root / (2.0 * p), float(np.minimum.reduce(x)))
     if not r0 < r1:  # the lower root lies past min x: no box in the orthant passes
         return math.inf, 0.0
     return r0, r1
@@ -225,31 +226,28 @@ def isolation_check(sol: ReducedSolution, m: InteractionMatrix) -> IsolationRepo
     (as interaction_matrix makes them), the residual, the spectrum (with the
     A it decomposed, which gives A u) and the certificate that solve made at
     x are reused, with the same bits; otherwise they are computed here, A by
-    symmetrized_matrix, which raises NonPositiveComponent unless x > 0.
+    symmetrized_matrix, which raises NonPositiveComponent unless x > 0.  Past the
+    shape check it is one errstate scope, as a solve is, around every _spectrum call.
     """
     if sol.x.shape != (m.K,):
         raise InvalidInput(f"isolation_check needs {m.K} components, got x of shape {sol.x.shape}")
-    solved_m, hit = sol._record or (None, None)
-    fresh = solved_m is not m or m.m.flags.writeable  # couplings that can change are not trusted
-    if fresh:
-        with np.errstate(over="ignore", invalid="ignore"):  # x^3 may overflow: the gate fails
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        solved_m, hit = sol._record or (None, None)
+        fresh = solved_m is not m or m.m.flags.writeable  # couplings that can change: untrusted
+        if fresh:  # x^3 may overflow: the gate then fails
             hit = _Hit(sol.x, None, None, reduced_residual(sol.x, m))
-    bound = MAX_TOL * (1.0 + 6.0 * float(np.maximum.reduce(np.abs(sol.x))))
-    norm = float(np.maximum.reduce(np.abs(hit.f)))
-    if not norm <= bound:
-        raise InvalidInput(f"isolation_check needs max|f| <= {bound:.3e} at x, got {norm:.3e}")
-    a = symmetrized_matrix(sol.x, m) if fresh else hit.spectrum[3]  # the same bytes
-    r0, r1 = hit.certify(m)
-    u = _pow2_scaled(sol.x) ** 2
-    w = a @ u - 18.0 * u
-    eig18 = math.sqrt(w.dot(w)) / math.sqrt(u.dot(u))  # the norms np.linalg.norm takes
-    return IsolationReport(
-        eigenvalues=hit.spectrum[0],
-        eig18_residual=eig18,
-        isolated=r1 > 0.0,
-        existence_radius=r0,
-        uniqueness_radius=r1,
-    )
+        bound = MAX_TOL * (1.0 + 6.0 * float(np.maximum.reduce(np.abs(sol.x))))
+        norm = float(np.maximum.reduce(np.abs(hit.f)))
+        if not norm <= bound:
+            raise InvalidInput(f"isolation_check needs max|f| <= {bound:.3e} at x, "
+                               f"got {norm:.3e}")
+        a = symmetrized_matrix(sol.x, m) if fresh else hit.spectrum[3]  # the same bytes
+        r0, r1 = hit.certify(m)
+        u = _pow2_scaled(sol.x) ** 2
+        w = a @ u - 18.0 * u
+        eig18 = math.sqrt(w.dot(w)) / math.sqrt(u.dot(u))  # the norms np.linalg.norm takes
+        return IsolationReport(eigenvalues=hit.spectrum[0], eig18_residual=eig18,
+                               isolated=r1 > 0.0, existence_radius=r0, uniqueness_radius=r1)
 
 
 def _g(x: np.ndarray, m: InteractionMatrix) -> float:
@@ -356,45 +354,44 @@ def _newton(x, s: _Solve, opts: SolverOptions, roots, scale2=1.0, f=None):
     step rescaled by 1 / (1 - grad log M . step) is the Newton step of M f
     (Farrell, Birkisson & Funke, SIAM J. Sci. Comput. 37(4), 2015).  With
     no roots (ascent polishes) M = 1: the merit is |f|^2 and the step is
-    not rescaled, as the empty product and sum would give exactly.  The
-    whole run is one errstate scope, in which overflow, invalid operations
+    not rescaled, as the empty product and sum would give exactly.  It runs
+    in solve_equilibria's errstate scope, in which overflow, invalid operations
     and division by zero warn of nothing: a far root's |x - r|^2 overflows,
     and 1 / inf = 0 is the limit; a step that is not finite fails the run.
     """
     m = s.m
     floor, low = s.floor * (1.0 - opts.tol), s.low * (1.0 - opts.tol)
     twice = 2.0 * scale2
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f, m0, dd = _merit(x, m, roots, scale2, f)
-        for _ in range(_MAX_ITER):
-            nf = float(np.maximum.reduce(np.abs(f)))
-            top = float(np.maximum.reduce(x))  # max |x|: x > 0 throughout
-            thresh = opts.tol * (1.0 + 6.0 * top)
-            if nf <= thresh:
-                return _Hit(x, nf, thresh, f) if top >= floor else None
-            _, v, r, _ = _spectrum(x, m)
-            step = (v @ (r * ((x * f) @ v))) / -x
-            if len(roots):
-                grad = twice * ((1.0 / (dd * (dd + scale2))) @ (x - roots))  # -grad log M
-                step = step / (1.0 + grad.dot(step))
-            if not np.isfinite(step).all():
+    f, m0, dd = _merit(x, m, roots, scale2, f)
+    for _ in range(_MAX_ITER):
+        nf = float(np.maximum.reduce(np.abs(f)))
+        top = float(np.maximum.reduce(x))  # max |x|: x > 0 throughout
+        thresh = opts.tol * (1.0 + 6.0 * top)
+        if nf <= thresh:
+            return _Hit(x, nf, thresh, f) if top >= floor else None
+        _, v, r, _ = _spectrum(x, m)
+        step = (v @ (r * ((x * f) @ v))) / -x
+        if len(roots):
+            grad = twice * ((1.0 / (dd * (dd + scale2))) @ (x - roots))  # -grad log M
+            step = step / (1.0 + grad.dot(step))
+        if not np.isfinite(step).all():
+            return None
+        # skip the halvings from 1 that would leave the orthant: edge = min -x / step
+        edge = -np.maximum.reduce(x / step, where=step < 0, initial=-np.inf)
+        lam = 2.0 ** np.floor(np.log2(edge)) if edge < 1.0 else 1.0
+        y = x + lam * step
+        ymin = np.minimum.reduce(y)
+        if not (ymin > 0.0 and (trial := _merit(y, m, roots, scale2))[1] < m0):
+            ys = x + (lam * _HALVES)[:, None] * step
+            fs, ms, dds = _merit(ys, m, roots, scale2)
+            mins = np.minimum.reduce(ys, axis=1)
+            h = ((mins > 0.0) & (ms < m0)).argmax()  # the first that passes, if any
+            if not (mins[h] > 0.0 and ms[h] < m0):
                 return None
-            # skip the halvings from 1 that would leave the orthant: edge = min -x / step
-            edge = -np.maximum.reduce(x / step, where=step < 0, initial=-np.inf)
-            lam = 2.0 ** np.floor(np.log2(edge)) if edge < 1.0 else 1.0
-            y = x + lam * step
-            ymin = np.minimum.reduce(y)
-            if not (ymin > 0.0 and (trial := _merit(y, m, roots, scale2))[1] < m0):
-                ys = x + (lam * _HALVES)[:, None] * step
-                fs, ms, dds = _merit(ys, m, roots, scale2)
-                mins = np.minimum.reduce(ys, axis=1)
-                h = ((mins > 0.0) & (ms < m0)).argmax()  # the first that passes, if any
-                if not (mins[h] > 0.0 and ms[h] < m0):
-                    return None
-                y, ymin, trial = ys[h], mins[h], (fs[h], ms[h], None if dds is None else dds[h])
-            if ymin < low:
-                return None
-            x, (f, m0, dd) = y, trial
+            y, ymin, trial = ys[h], mins[h], (fs[h], ms[h], None if dds is None else dds[h])
+        if ymin < low:
+            return None
+        x, (f, m0, dd) = y, trial
     return None
 
 
@@ -438,10 +435,9 @@ def _ascend(s: _Solve, opts: SolverOptions):
         # (the K = 10 family) G is constant, and no direction raises it
         if mu.max() <= 6.0 or hit.certify(m)[1] == 0.0:
             return hit
-        a, v = u**2, vecs[:, np.argmax(mu)]
-        with np.errstate(invalid="ignore"):  # a + s v leaving the orthant gives NaN
-            steps = (_unit(np.sqrt(a + s * v)) for t in 0.5 ** np.arange(1, 53) for s in (t, -t))
-            x = next((y for y in steps if _g(y, m) > g_hit), None)
+        a, v = u**2, vecs[:, np.argmax(mu)]  # a + s v leaving the orthant gives NaN
+        steps = (_unit(np.sqrt(a + s * v)) for t in 0.5 ** np.arange(1, 53) for s in (t, -t))
+        x = next((y for y in steps if _g(y, m) > g_hit), None)
         if x is None:
             return hit
     return None
@@ -458,6 +454,8 @@ def solve_equilibria(m: InteractionMatrix, options: SolverOptions = SolverOption
     1 + n_random + len(extra_seeds) runs in all; no random draw is made.  A
     hit is a known solution if within the larger of their uniqueness radii.
     A seed, the symmetric one included, needs x > 0 and a finite residual.
+    The whole solve is one errstate scope, in which nothing warns of overflow,
+    invalid operations or division by zero (_newton); every _spectrum call runs in it.
 
     At K <= 3 the system has exactly one positive solution, so no deflated
     run is made there (seeds are still checked), and the ascent returns the
@@ -474,8 +472,8 @@ def solve_equilibria(m: InteractionMatrix, options: SolverOptions = SolverOption
     Viewpoint, 1965, ch. 6) for -grad G there gives sum (-1)^q = 1 over the
     solutions, so there is exactly one.
     """
-    k = m.K
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k = m.K
         # sqrt(6 / mean row sum), inf if the couplings underflow
         row_sums = np.add.reduce(m.m, axis=1)
         xbar = np.sqrt(6.0 / (np.add.reduce(row_sums) / k))
@@ -487,31 +485,32 @@ def solve_equilibria(m: InteractionMatrix, options: SolverOptions = SolverOption
                 raise InvalidInput(f"{what} must be positive, of length {k}, with finite residual")
             starts[i] = (s, f)  # every run from the seed reuses its residual
 
-    solve = _Solve(m, *_bounds(m, row_sums))
-    found = [_ascend(solve, options)]
-    if found[0] is None:
-        raise NoSolutionFound(f"sphere ascent found no solution in _MAX_ITER = {_MAX_ITER} steps")
-    # at K <= 3 the ascent's solution is the only one (see above): no run can find another
-    runs = 0 if k <= 3 else 1 + options.n_random + len(options.extra_seeds)
-    while starts and runs:
-        runs -= 1
-        roots = np.array([np.zeros(k)] + [h.x for h in found])
-        hit = _newton(starts[0][0], solve, options, roots, xbar**2, starts[0][1])
-        if hit is not None:
-            radii = [h.certify(m)[1] for h in found + [hit]]  # each point certified once
-            if all(np.abs(hit.x - h.x).max() > max(radii[-1], r) for h, r in zip(found, radii)):
-                found.append(hit)
-                continue
-        starts.pop(0)
+        solve = _Solve(m, *_bounds(m, row_sums))
+        found = [_ascend(solve, options)]
+        if found[0] is None:
+            raise NoSolutionFound(f"sphere ascent found no solution in _MAX_ITER = {_MAX_ITER}"
+                                  " steps")
+        # at K <= 3 the ascent's solution is the only one (see above): no run can find another
+        runs = 0 if k <= 3 else 1 + options.n_random + len(options.extra_seeds)
+        while starts and runs:
+            runs -= 1
+            roots = np.array([np.zeros(k)] + [h.x for h in found])
+            hit = _newton(starts[0][0], solve, options, roots, xbar**2, starts[0][1])
+            if hit is not None:
+                radii = [h.certify(m)[1] for h in found + [hit]]  # each point certified once
+                if all(np.abs(hit.x - h.x).max() > max(radii[-1], r) for h, r in zip(found, radii)):
+                    found.append(hit)
+                    continue
+            starts.pop(0)
 
-    sols = []
-    for hit in sorted(found, key=lambda h: tuple(h.x)):
-        x = hit.x.copy()
-        x.setflags(write=False)
-        sol = ReducedSolution(x=x, residual_norm=float(hit.nf), tolerance=float(hit.thresh))
-        object.__setattr__(sol, "_record", (m, hit))  # for isolation_check
-        sols.append(sol)
-    return sols
+        sols = []
+        for hit in sorted(found, key=lambda h: tuple(h.x)):
+            x = hit.x.copy()
+            x.setflags(write=False)
+            sol = ReducedSolution(x=x, residual_norm=float(hit.nf), tolerance=float(hit.thresh))
+            object.__setattr__(sol, "_record", (m, hit))  # for isolation_check
+            sols.append(sol)
+        return sols
 
 
 def lift(sol: ReducedSolution) -> EquilibriumPoint:

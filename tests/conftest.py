@@ -65,6 +65,22 @@ def near_curve():
     }
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """got == want exactly; a mismatch names the first line that differs.
+
+    pytest's own report of a failed == on two texts diffs them whole, which takes
+    minutes on a CSV of a megabyte.
+    """
+    __tracebackhide__ = True
+    if got == want:
+        return
+    a, b = got.split("\n"), want.split("\n")
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    line = [t[i] if i < len(t) else "<end of text>" for t in (a, b)]
+    pytest.fail(f"line {i + 1} differs: {line[0]!r}, expected {line[1]!r} "
+                f"({len(a)} lines, expected {len(b)})", pytrace=False)
+
+
 def signs(eigenvalues) -> str:
     """'-', '0' or '+' per eigenvalue, '0' within 1e-10 max(max |mu|, 1) of zero."""
     e = np.asarray(eigenvalues)

@@ -23,6 +23,8 @@ from bubblefield.config import build_configuration, interaction_matrix, kappa_cl
 from bubblefield.equilibrium import lift, solve_equilibria
 from bubblefield.errors import InvalidInput
 
+from conftest import assert_same_text
+
 K2_POINTS = [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]
 TRIANGLE_POINTS = [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0.5, math.sqrt(3.0) / 2.0, 0, 0, 0]]
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -271,9 +273,10 @@ def test_simulate_writes_its_csv_block_by_block(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().out == f"wrote {out}\nwrote {out.with_suffix('.summary.json')}\n"
         texts.append(out.read_text())
     header, *rows = texts[0].splitlines()
-    assert len(rows) == 101 and texts[1] == texts[0]
+    assert len(rows) == 101
+    assert_same_text(texts[1], texts[0])
     table = [",".join("%.17g" % float(v) for v in row.split(",")) for row in rows]
-    assert texts[0] == "\n".join([header] + table) + "\n"
+    assert_same_text(texts[0], "\n".join([header] + table) + "\n")
 
 
 def test_k10_artifact(tmp_path):
@@ -375,13 +378,17 @@ def test_fmt_writes_non_finite_floats_as_strings():
 
 
 def test_eigensolver_failure_exits_2(tmp_path, capsys, monkeypatch):
-    # a LinAlgError inside the solve is a numerical failure: one JSON error line, no artifact
+    # a failed decomposition inside the solve (NaN eigenvalues, the gufunc's signal)
+    # is a numerical failure: one JSON error line, no artifact
+    import bubblefield.equilibrium as eq
+
     monkeypatch.chdir(tmp_path)
 
-    def eigh(a):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    def eigh(a, signature):
+        nan = np.zeros(a.shape) * np.inf  # raises the invalid flag, as the gufunc does
+        return nan[0], nan
 
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(eq, "_eigh", eigh)
     conf = tmp_path / "run.json"
     conf.write_text(cfg_text(command="equilibria", points=K2_POINTS))
     assert main(["equilibria", "--config", str(conf), "--output", "eq.json"]) == 2

@@ -32,7 +32,7 @@ from bubblefield.equilibrium import (
 )
 from bubblefield.errors import InvalidInput
 
-from conftest import lyapunov_gradient, random_matrix
+from conftest import assert_same_text, lyapunov_gradient, random_matrix
 
 ZERO = PerturbationSchedule("zero")
 
@@ -416,10 +416,9 @@ def test_late_start_writes_infinite_s(k2_matrix):
         assert s == (math.inf if over else math.exp(t))
         assert np.array_equal(lam, a * math.exp(-2.0 * t))
         assert np.array_equal(b, be * math.exp(-3.0 * t))
-    rows = trajectory_csv(traj).strip().split("\n")[1:]
-    oracle = csv_oracle(traj, exp=lambda t: math.inf if t > log_max else math.exp(t))
-    assert rows == oracle.strip().split("\n")[1:]
-    assert [r.split(",")[1] == "inf" for r in rows] == overflows.tolist()
+    text = trajectory_csv(traj)
+    assert_same_text(text, csv_oracle(traj, exp=lambda t: math.inf if t > log_max else math.exp(t)))
+    assert [r.split(",")[1] == "inf" for r in text.splitlines()[1:]] == overflows.tolist()
 
 
 def test_physical_scale_recovers_separation_law(k2_matrix, kappa):
@@ -450,7 +449,7 @@ def test_trajectory_csv_format(k2_matrix):
     assert first[0] == "0" and first[1] == "1"
     # full 17-significant-digit round trip
     assert float(first[2]) == traj.alpha[0][0]
-    assert trajectory_csv(traj) == text
+    assert_same_text(trajectory_csv(traj), text)
 
 
 def _exp_or_inf(t):
@@ -541,14 +540,14 @@ def test_trajectory_csv_matches_per_value_oracle(
     layouts = hand_built(np.resize(cells, (len(cells) // 7 + 1, 7)))
     assert "0.0001" in trajectory_csv(layouts).replace("\n", ",").split(",")
     for traj in (frozen, frozen_no_eq, crossing, ending):
-        assert trajectory_csv(traj) == csv_oracle(traj)
+        assert_same_text(trajectory_csv(traj), csv_oracle(traj))
     # the short ones also in blocks of one, two and three rows, where runs cross boundaries
     for traj in (no_eq, with_eq, restarts, signed_zero, specials, late, layouts):
         text = csv_oracle(traj)
-        assert trajectory_csv(traj) == text
+        assert_same_text(trajectory_csv(traj), text)
         for rows in (1, 2, 3):
             monkeypatch.setattr(dynamics, "BLOCK_ROWS", rows)
-            assert trajectory_csv(traj) == text
+            assert_same_text(trajectory_csv(traj), text)
         monkeypatch.undo()
 
 
@@ -599,9 +598,13 @@ def test_csv_of_one_block_is_that_block(k2_matrix):
     eq = k2_equilibrium(k2_matrix)
     traj = integrate(state_at(eq), k2_matrix, ZERO, 0.3, equilibria=[eq])
     blocks = list(dynamics._csv_blocks(traj))
-    assert len(blocks) == 1 and blocks[0] == csv_oracle(traj) == trajectory_csv(traj)
+    assert len(blocks) == 1
+    assert_same_text(blocks[0], csv_oracle(traj))
+    assert_same_text(trajectory_csv(traj), blocks[0])
     empty = Trajectory(ts=np.empty(0), table=np.empty((0, 7)))
-    assert list(dynamics._csv_blocks(empty)) == [csv_oracle(empty)]
+    blocks = list(dynamics._csv_blocks(empty))
+    assert len(blocks) == 1
+    assert_same_text(blocks[0], csv_oracle(empty))
 
 
 def test_diagnostics_match_per_sample_functions(monkeypatch, family):

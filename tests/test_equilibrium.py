@@ -24,6 +24,7 @@ from bubblefield.equilibrium import (
     symmetrized_matrix,
     _ascend,
     _bounds,
+    _eigh,
     _gamma,
     _Hit,
     _Solve,
@@ -725,7 +726,11 @@ def test_rewritten_forms_keep_the_bytes():
         m = random_matrix(K, rng)
         x = rng.uniform(0.1, 3.0, size=K)
         outer = (3.0 * m.m * np.outer(x, x)).tobytes()
-        assert symmetrized_matrix(x, m).tobytes() == outer == eq._spectrum(x, m)[3].tobytes()
+        mu, v, _, a = eq._spectrum(x, m)
+        assert symmetrized_matrix(x, m).tobytes() == outer == a.tobytes()
+        # the gufunc that _spectrum calls gives np.linalg.eigh's bits
+        want = np.linalg.eigh(symmetrized_matrix(x, m))
+        assert mu.tobytes() == want[0].tobytes() and v.tobytes() == want[1].tobytes()
         assert eq._g(x, m) == float(x**3 @ m.m @ x**3)
         w = rng.normal(size=K)
         assert math.sqrt(w.dot(w)) == float(np.linalg.norm(w))
@@ -934,28 +939,63 @@ def test_a_duplicate_hit_leaves_no_radius_behind(monkeypatch):
     assert [s.x.tolist() for s in sols] == [h0.tolist(), h1.tolist(), h2.tolist()]
 
 
-def test_eigensolver_failure_in_a_solve_is_a_spectrum_failure(monkeypatch):
-    # the Newton steps, the saddle test and the certificates share one eigh:
-    # a LinAlgError at its first, a middle or its last call in a solve that
-    # finds two solutions is a NumericalFailure, never a raw ValueError
-    m = next(m for m in cluster_pool() if len(solve_equilibria(m)) == 2)
-    eigh, calls = np.linalg.eigh, []
+def failing_eigensolver(calls, fail_at, nan_rows=slice(None)):
+    """The gufunc _eigh, counting its calls in calls, whose call fail_at fails.
 
-    def counted(a, fail_at=None):
-        calls.append(1)
+    It fails as the gufunc does: NaN in the eigenvalues (here those at nan_rows),
+    made by an operation that raises the invalid flag, so a call outside an
+    errstate scope warns.
+    """
+
+    def counted(a, signature):
+        calls.append(signature)
+        mu, v = _eigh(a, signature=signature)
         if len(calls) == fail_at:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigh(a)
+            mu[nan_rows] = np.zeros(mu.shape)[nan_rows] * np.inf  # 0 * inf: NaN, invalid
+        return mu, v
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return counted
+
+
+def test_eigensolver_failure_in_a_solve_is_a_spectrum_failure(monkeypatch):
+    # the Newton steps, the saddle test and the certificates share one eigensolver:
+    # a failure at its first, a middle or its last call in a solve that finds two
+    # solutions is a NumericalFailure, never a raw error or a warning (tier 1 makes
+    # warnings errors); one NaN eigenvalue is a failure as well as all of them
+    import bubblefield.equilibrium as eq
+
+    m = next(m for m in cluster_pool() if len(solve_equilibria(m)) == 2)
+    calls = []
+    monkeypatch.setattr(eq, "_eigh", failing_eigensolver(calls, None))
     solve_equilibria(m)
     n = len(calls)
-    assert n > 10
-    for fail_at in (1, n // 2, n):
+    assert n > 10 and set(calls) == {"d->dd"}
+    for fail_at, rows in ((1, slice(None)), (n // 2, slice(None)), (n, slice(None)),
+                          (n // 2, slice(-1, None))):
         calls.clear()
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: counted(a, fail_at))
+        monkeypatch.setattr(eq, "_eigh", failing_eigensolver(calls, fail_at, rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectrumFailure, match="did not converge"):
+                solve_equilibria(m)
+        assert len(calls) == fail_at
+
+
+def test_eigensolver_failure_in_a_fresh_check_is_a_spectrum_failure(monkeypatch, k3_equilateral):
+    # a solution without its solve's record is decomposed again by isolation_check,
+    # whose own errstate scope keeps the gufunc's invalid flag from warning
+    import bubblefield.equilibrium as eq
+
+    solved = solve_equilibria(k3_equilateral)[0]
+    sol = ReducedSolution(x=solved.x.copy(), residual_norm=solved.residual_norm,
+                          tolerance=solved.tolerance)
+    calls = []
+    monkeypatch.setattr(eq, "_eigh", failing_eigensolver(calls, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(SpectrumFailure, match="did not converge"):
-            solve_equilibria(m)
+            isolation_check(sol, k3_equilateral)
+    assert calls == ["d->dd"]
 
 
 def test_solutions_exist_and_are_valid():
