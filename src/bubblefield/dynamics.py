@@ -605,8 +605,10 @@ def _g17(x: np.ndarray, sep: np.ndarray) -> str:
 
     The work is done 2,048 values at a time, with about 0.3 MB of temporaries.  A
     value with 17 digits N and exponent e that %g writes in fixed notation
-    (-4 <= e <= 16) is laid out from N's digits and _g17_tables' slot; every other
-    value (exponent notation, NaN and the infinities) goes through `%` on its own.
+    (-4 <= e <= 16) is laid out from N's digits and _g17_tables' slot, where
+    _g17_digits finds N at its first estimate of e; every other value (exponent
+    notation, the zeros, NaN, the infinities and an estimate a decade off) goes
+    through `%` on its own.
     """
     tables = _g17_tables()
     return "".join(
@@ -621,7 +623,6 @@ def _g17_chunk(v: np.ndarray, sep: np.ndarray, tables) -> str:
     buf = bytearray(40 * len(v))  # the slots, then their text with the zeroed bytes deleted
     slot = np.frombuffer(buf, np.uint64).reshape(-1, 5)
     np.take(words_of, words, out=slot, mode="clip")
-    del words  # at most one 40-byte array a value besides the slots
     slot &= np.take(mask_of, row, axis=0, mode="clip")
     text = slot.view(np.uint8)
     text[:, 39] = sep
@@ -633,8 +634,8 @@ def _g17_chunk(v: np.ndarray, sep: np.ndarray, tables) -> str:
 
 
 def _g17_layout(v: np.ndarray, zeros_of: np.ndarray, p10: np.ndarray):
-    """(row, words): each value's row of _g17_tables' mask, -1 where %g does not write
-    it in fixed notation, and the indices of its slot's five words in their table."""
+    """(row, words): each value's row of _g17_tables' mask, -1 for a value that goes
+    through `%` (_g17), and the indices of its slot's five words in their table."""
     digits, e, ok = _g17_digits(v, p10)
     # N = D0 10^16 + 10^8 (10^4 g1 + g2) + 10^4 g3 + g4 with four groups g of four digits
     high = digits // 10**8
@@ -653,7 +654,7 @@ def _g17_layout(v: np.ndarray, zeros_of: np.ndarray, p10: np.ndarray):
     zeros = zeros[:, 1] + (zeros[:, 1] == 8) * zeros[:, 0]
     row = e * 17 + (16 + 4 * 17) - zeros  # (e, significant digits)
     row += 357 * np.signbit(v)
-    row[~(ok & (e >= -4) & (e <= 16))] = -1
+    row[~(ok & (e >= -4))] = -1
     return row, words
 
 
@@ -662,29 +663,22 @@ def _g17_digits(v: np.ndarray, p10: np.ndarray):
 
     With p = 16 - e, 0 <= p <= 22, 10^p is exact and Dekker's product gives |v| 10^p
     as hi + lo exactly; then N = hi + rint(lo), since hi >= 2^53 is an even integer
-    and |lo| <= 8.  p is first taken from np.log10 and moved by one where hi + lo
-    falls outside [10^16, 10^17); an N of 10^17 is 10^16 with e + 1.  0 gives N = 0,
-    e = 0 and ok; NaN, the infinities and |v| outside about [1e-6, 1e17) give not ok.
+    and |lo| <= 8.  p is taken from np.log10 once, and ok only where hi + lo falls
+    in [10^16, 10^17) and N stays below 10^17 (a guard: no double rounds up to it).
+    Every other value gives not ok and goes through `%`: the two zeros, NaN, the
+    infinities, |v| outside about [1e-6, 1e17) and a value whose log10 misses its
+    decade.
     """
     a = np.abs(v)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # fmax takes 0 for NaN; 0 and the infinities take 22 and 0
         p = np.fmin(np.fmax(16.0 - np.floor(np.log10(a)), 0.0), 22.0).astype(np.intp)
         hi, lo, ok = _times_p10(a, p, p10)
-        redo = np.flatnonzero(~ok)  # log10 a decade off, or no 17-digit form
-        if redo.size:
-            p[redo] = np.clip(p[redo] + np.where(hi[redo] < 1e16, 1, -1), 0, 22)
-            hi[redo], lo[redo], ok[redo] = _times_p10(a[redo], p[redo], p10)
     hi[~ok], lo[~ok] = 0.0, 0.0
     digits = hi.astype(np.int64)
     digits += np.rint(lo).astype(np.int64)
-    e = np.subtract(16, p, out=p)
-    roll = digits == 10**17
-    digits[roll] = 10**16
-    e += roll
-    zero = a == 0.0
-    e[zero] = 0
-    return digits, e, ok | zero
+    ok &= digits < 10**17
+    return digits, np.subtract(16, p, out=p), ok
 
 
 def _times_p10(a, p, p10):

@@ -1,3 +1,6 @@
+import faulthandler
+import os
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,29 @@ from bubblefield import (
     points_k10,
     solve_b0,
 )
+
+_stderr = None
+
+
+def pytest_configure(config):
+    # the watchdog's traceback goes to a copy of fd 2, which pytest's capture leaves alone
+    global _stderr
+    _stderr = os.fdopen(os.dup(2), "w")
+
+
+def pytest_unconfigure(config):
+    _stderr.close()
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    # a test still running after 60 s (the slowest takes about 3) ends the run with
+    # the traceback of every thread: a statement that stops a loop from advancing
+    # then fails within a minute instead of hanging
+    faulthandler.dump_traceback_later(60, exit=True, file=_stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
 
 # the K = 10 points P0 = points_k10(B0), on the configuration of the curve of
 # solutions, and P0 moved off it: points_k10(B0 (1 + eps)), which keeps m

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -565,19 +566,39 @@ def assert_g17_is_percent_17g(values, seps):
 
 def test_g17_writes_the_bytes_of_percent_17g():
     # the CSV's formatter against CPython's %.17g, value by value: random bit patterns,
-    # each power of ten from 1e-6 to 1e18 and the floats on either side of it, half-to-
-    # even ties, the decade edges (99999999999999999.0 reads as 1e17 and writes 1e+17),
-    # zeros, subnormals, the largest floats, inf and NaN
+    # each power of ten from 1e-30 to 1e40 and the four floats on either side of it
+    # (some miss the first decade estimate of _g17_digits and take %), half-to-even
+    # ties, the decade edges (99999999999999999.0 reads as 1e17 and writes 1e+17),
+    # zeros, subnormals, the largest floats, inf and NaN, each of either sign
     rng = np.random.default_rng(48)
-    tens = np.array([float(f"1e{k}") for k in range(-6, 19)])
+    below = above = np.array([float(f"1e{k}") for k in range(-30, 41)])
+    near = [below]
+    for _ in range(4):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, math.inf)
+        near += [below, above]
     edges = [123456789012345.125, 123456789012345.375, 0.5, 2.5, 0.125, 0.375,
              9.99999999999999999e-5, 99999999999999999.0, 9999999999999998.0, 0.0,
              5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, math.inf, math.nan]
-    chosen = np.concatenate((tens, np.nextafter(tens, 0.0), np.nextafter(tens, math.inf), edges))
+    chosen = np.concatenate(near + [edges])
     values = np.concatenate((
         rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64), chosen, -chosen
     ))
     assert_g17_is_percent_17g(values, rng.choice(np.frombuffer(b",\n", np.uint8), values.size))
+
+
+def test_no_double_rounds_its_17_digits_up_to_a_power_of_ten():
+    # no double reaches _g17_digits' guard N < 10^17: below 10^k, doubles are at
+    # least 10^k 2^-54 apart, and 17 digits round up to 10^k only within
+    # 10^k / (2 10^17) of it, where only the largest double below 10^k could lie;
+    # 10^k's nearest double and the four below it hold that one, for each k at
+    # which %g writes fixed notation
+    for k in range(-4, 18):
+        v = float(f"1e{k}")
+        for _ in range(5):
+            exact = Fraction(v)
+            e = k if exact >= Fraction(10) ** k else k - 1  # 10^e <= v < 10^(e + 1)
+            assert round(exact * Fraction(10) ** (16 - e)) < 10**17, v
+            v = math.nextafter(v, 0.0)
 
 
 def test_g17_matches_percent_17g_on_any_float():
@@ -605,6 +626,22 @@ def test_csv_of_one_block_is_that_block(k2_matrix):
     blocks = list(dynamics._csv_blocks(empty))
     assert len(blocks) == 1
     assert_same_text(blocks[0], csv_oracle(empty))
+
+
+def test_a_frozen_run_formats_its_state_per_run_not_per_row(monkeypatch, family):
+    # a frozen K = 10 run of 3,501 rows, one block: its 23 state values reach _g17
+    # twice, as the run's text and in its first row, and each row's t and s once:
+    # 7,048 values, not the 87,525 of every row
+    eq = lift(family_member(0.37, family))
+    traj = integrate(state_at(eq), family.matrix, ZERO, 3.5, IntegratorOptions(sample_dt=1e-3),
+                     equilibria=[eq])
+    n, width = traj.table.shape
+    assert n <= dynamics.BLOCK_ROWS and len(np.unique(traj.table.view(np.uint64), axis=0)) == 1
+    sizes = []
+    g17 = dynamics._g17
+    monkeypatch.setattr(dynamics, "_g17", lambda x, sep: sizes.append(x.size) or g17(x, sep))
+    assert_same_text(trajectory_csv(traj), csv_oracle(traj))
+    assert sizes == [2 * width + 2 * n]
 
 
 def test_diagnostics_match_per_sample_functions(monkeypatch, family):

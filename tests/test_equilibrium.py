@@ -305,6 +305,28 @@ def test_ascent_solution_is_certified_maximizer_with_smallest_a():
             assert _stable_dimension(s, m) == 1 or not np.array_equal(s.x, x)
 
 
+def test_a_failed_saddle_escape_returns_the_saddle(monkeypatch):
+    # cluster-pool configurations 0 and 30 polish onto an isolated saddle first; with
+    # every G asked for after its certificate -inf, no escape step raises G, and the
+    # saddle is returned with its spectrum rather than ascended from
+    import bubblefield.equilibrium as eq
+
+    certified = []
+    certify, g = eq._Hit.certify, eq._g
+    monkeypatch.setattr(eq._Hit, "certify", lambda hit, m: certified.append(hit) or certify(hit, m))
+    monkeypatch.setattr(eq, "_g", lambda x, m: -math.inf if certified else g(x, m))
+    pool = cluster_pool()
+    for m in (pool[0], pool[30]):
+        certified.clear()
+        hit = _ascend(solve_box(m), SolverOptions())
+        assert certified == [hit] and hit.certificate[1] > 0.0
+        mu, vecs = hit.spectrum[:2]
+        for got, want in zip(hit.spectrum, eq._spectrum(hit.x, m)):
+            assert np.array_equal(got, want)
+        i18 = np.argmax(np.abs(vecs.T @ hit.x**2))  # the eigenvector x^2
+        assert np.max(np.delete(mu, i18)) > 6.0  # a saddle of G on the sphere
+
+
 def test_max_iter_caps_total_ascent_steps(monkeypatch, family):
     # K = 10 family: the polish at step 5 finds a saddle and escapes from it,
     # the one at step 10 fails, and the one at step 15 lands on the cosine curve
